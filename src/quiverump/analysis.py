@@ -20,16 +20,17 @@ from .ideal import (
     RowBasis,
     ZeroRelation,
     _colkey,
+    _engine_for,
+    _grow,
     algebra,
     coset_key,
     coset_paths,
     is_special_multiserial,
     linear_relation,
-    live_paths,
     path_in_ideal,
 )
 from .omega import RamificationsGraph, omega_map, ramifications_graph
-from .quiver import Path, concat_all, divides
+from .quiver import Path, concat_all, divides, occurrences
 
 
 # -- induced ideals -----------------------------------------------------------
@@ -50,64 +51,39 @@ def induced_algebra(alg: AlgebraPresentation, arrow_ids: frozenset[str]) -> Alge
     linear: list[LinearRelation] = []
 
     if not alg.is_monomial:
-        # project the span of all embedded identifications; rows that only
-        # touch subquiver coordinates present the intersection exactly
+        # the span of all embedded identifications is the direct sum of the
+        # engine's blocks; re-reducing a block with subquiver columns last
+        # leaves the rows that present its intersection with the subquiver
         def key(p: Path):
             return ((1 if is_sub(p) else 0,) + _colkey(p))
 
-        basis = RowBasis(key=key)
-        seen: set[tuple] = set()
-        for memb in live_paths(alg):
-            for rel in alg.ideal.linear:
-                for term in rel.paths:
-                    tlen = len(term.arrows)
-                    for pos in range(len(memb.arrows) - tlen + 1):
-                        if memb.arrows[pos:pos + tlen] != term.arrows:
-                            continue
-                        ekey = (rel, memb.arrows[:pos], memb.arrows[pos + tlen:])
-                        if ekey in seen:
-                            continue
-                        seen.add(ekey)
-                        vec = {}
-                        for coef, tp in rel.terms():
-                            cand = Path(
-                                memb.arrows[:pos] + tp.arrows + memb.arrows[pos + tlen:],
-                                memb.source, memb.target,
-                            )
-                            if len(cand) < alg.bound and not any(
-                                divides(z, cand) for z in alg.ideal.zero_paths
-                            ):
-                                vec[cand] = vec.get(cand, 0) + coef
-                        basis.add(vec)
-        for row in basis.rows.values():
-            if not all(is_sub(p) for p in row):
+        eng = _engine_for(alg)
+        done: set[Path] = set()
+        for live in _grow(sub, eng.dead, alg.bound - 1):
+            if live in done:
                 continue
-            items = sorted(row.items(), key=lambda kv: _colkey(kv[0]))
-            if len(items) == 1:
-                zero.append(ZeroRelation(items[0][0]))
-            else:
-                linear.append(linear_relation(sub, [(c, p) for p, c in items]))
+            blk = eng.block(live)
+            done |= blk.members
+            basis = RowBasis(key=key)
+            for row in blk.basis.rows.values():
+                basis.add(row)
+            for row in basis.rows.values():
+                if not all(is_sub(p) for p in row):
+                    continue
+                items = sorted(row.items(), key=lambda kv: _colkey(kv[0]))
+                if len(items) == 1:
+                    zero.append(ZeroRelation(items[0][0]))
+                else:
+                    linear.append(linear_relation(sub, [(c, p) for p, c in items]))
 
     # paths at the truncation length with no zero divisor yet must be closed
     # off explicitly; longer ones follow from these
     zero_seqs = [r.path.arrows for r in zero]
 
-    def clean(p: Path) -> bool:
-        return not any(
-            p.arrows[i:i + len(z)] == z
-            for z in zero_seqs
-            for i in range(len(p.arrows) - len(z) + 1)
-        )
+    def divisible(p: Path) -> bool:
+        return any(occurrences(z, p.arrows) for z in zero_seqs)
 
-    frontier = [Path((a.id,), a.source, a.target) for a in sub.arrows]
-    for _ in range(alg.bound - 1):
-        frontier = [
-            cand
-            for p in frontier
-            for a in sub.arrows_from(p.target)
-            if clean(cand := Path(p.arrows + (a.id,), p.source, a.target))
-        ]
-    zero.extend(ZeroRelation(p) for p in frontier)
+    zero.extend(ZeroRelation(p) for p in _grow(sub, divisible, alg.bound) if len(p) == alg.bound)
 
     return algebra(sub, zero, linear, cap=max(alg.bound, 2))
 
@@ -155,18 +131,13 @@ def _order_nodes(g: RamificationsGraph, nodes: frozenset[Path]) -> tuple[list[Pa
     return order, shape
 
 
-def _contains(word: tuple[str, ...], factor: tuple[str, ...]) -> bool:
-    k = len(factor)
-    return any(word[i:i + k] == factor for i in range(len(word) - k + 1))
-
-
 def divides_power(u: Path, omega: Path) -> bool:
     """Whether u occurs in omega repeated often enough (just omega itself
     when it is not a cycle)."""
     if omega.target != omega.source:
         return bool(divides(u, omega))
     reps = len(u) // len(omega) + 2
-    return _contains(omega.arrows * reps, u.arrows)
+    return bool(occurrences(u.arrows, omega.arrows * reps))
 
 
 def _synthesize_maximal(parent_alg: AlgebraPresentation, omega: Path,
@@ -206,7 +177,7 @@ def _eta(omega: Path, targets: list[Path]) -> int:
         return 1
     cap = max((len(t) for t in targets), default=1) // len(omega) + 2
     for exp in range(1, cap + 1):
-        if all(_contains(omega.arrows * exp, t.arrows) for t in targets):
+        if all(occurrences(t.arrows, omega.arrows * exp) for t in targets):
             return exp
     raise AssertionError("relation escapes every power of the component path")
 

@@ -1,7 +1,7 @@
 """Exception taxonomy shared across the package.
 
-Everything raised on purpose derives from QuiverError so callers (and the
-CLI) can distinguish bad input from bugs.
+Everything raised on purpose derives from QuiverError so callers can
+distinguish bad input from bugs.
 """
 
 from __future__ import annotations
@@ -58,10 +58,6 @@ class NotSpecialMultiserial(QuiverError):
         self.witness = witness
 
 
-class NotLocallyMonomial(QuiverError):
-    """Operation requires every component algebra to be monomial."""
-
-
 class NotApplicable(QuiverError):
     """A decision route was forced that the algebra does not satisfy."""
 
@@ -89,11 +85,3 @@ class BijectionFailure(QuiverError):
 class CrossCheckMismatch(QuiverError):
     """Structural route and brute-force oracle disagree (fatal diagnostic)."""
 
-
-class ParseError(QuiverError):
-    """Input file rejected; carries the 1-based line number."""
-
-    def __init__(self, line: int, message: str):
-        super().__init__(f"line {line}: {message}")
-        self.line = line
-        self.reason = message

@@ -25,7 +25,7 @@ from .errors import (
     PathInIdeal,
     TrivialPath,
 )
-from .quiver import Path, Quiver
+from .quiver import Path, Quiver, occurrences
 
 
 # -- relation types ----------------------------------------------------------
@@ -195,9 +195,57 @@ class RowBasis:
         return tuple(sorted(red.items(), key=lambda kv: self.key(kv[0])))
 
 
-def _occurrences(term: tuple[str, ...], arrows: tuple[str, ...]) -> list[int]:
-    k = len(term)
-    return [i for i in range(len(arrows) - k + 1) if arrows[i : i + k] == term]
+def _span(seeds: Iterable[Path], linear: Sequence[LinearRelation], dead,
+          veto=None) -> tuple[set[Path], RowBasis]:
+    """Members and row span of the block grown from seeds.
+
+    Closes the seeds under swapping one embedded relation term for a
+    sibling term, dropping paths dead() rejects, then row-reduces every
+    embedded relation copy through a member, again without dead columns.
+    A copy (relation, prefix, suffix) with veto(...) true takes part in
+    neither step.
+    """
+    members = set(seeds)
+    frontier = list(members)
+    while frontier:
+        cur = frontier.pop()
+        w = cur.arrows
+        for rel in linear:
+            for term in rel.paths:
+                t = term.arrows
+                for pos in occurrences(t, w):
+                    prefix, suffix = w[:pos], w[pos + len(t):]
+                    if veto is not None and veto(rel, prefix, suffix):
+                        continue
+                    for other in rel.paths:
+                        if other is term:
+                            continue
+                        cand = Path(prefix + other.arrows + suffix, cur.source, cur.target)
+                        if cand not in members and not dead(cand):
+                            members.add(cand)
+                            frontier.append(cand)
+    basis = RowBasis()
+    seen: set[tuple] = set()
+    for memb in sorted(members, key=_colkey):
+        w = memb.arrows
+        for rel in linear:
+            for term in rel.paths:
+                t = term.arrows
+                for pos in occurrences(t, w):
+                    prefix, suffix = w[:pos], w[pos + len(t):]
+                    if veto is not None and veto(rel, prefix, suffix):
+                        continue
+                    ekey = (rel, prefix, suffix)
+                    if ekey in seen:
+                        continue
+                    seen.add(ekey)
+                    row: dict[Path, Fraction] = {}
+                    for coef, tp in rel.terms():
+                        cand = Path(prefix + tp.arrows + suffix, memb.source, memb.target)
+                        if not dead(cand):
+                            row[cand] = row.get(cand, _F0) + coef
+                    basis.add(row)
+    return members, basis
 
 
 # -- the membership engine ---------------------------------------------------
@@ -223,7 +271,7 @@ class _Engine:
     def zero_divisible(self, p: Path) -> bool:
         got = self._zd_cache.get(p.arrows)
         if got is None:
-            got = any(_occurrences(z, p.arrows) for z in self.zero_arrowseqs)
+            got = any(occurrences(z, p.arrows) for z in self.zero_arrowseqs)
             self._zd_cache[p.arrows] = got
         return got
 
@@ -234,40 +282,7 @@ class _Engine:
         cached = self._blocks.get(p)
         if cached is not None:
             return cached
-        members = {p}
-        frontier = [p]
-        while frontier:
-            cur = frontier.pop()
-            for rel in self.linear:
-                for term in rel.paths:
-                    for pos in _occurrences(term.arrows, cur.arrows):
-                        for other in rel.paths:
-                            if other is term:
-                                continue
-                            arr = cur.arrows[:pos] + other.arrows + cur.arrows[pos + len(term.arrows):]
-                            cand = Path(arr, cur.source, cur.target)
-                            if cand in members or self.dead(cand):
-                                continue
-                            members.add(cand)
-                            frontier.append(cand)
-        basis = RowBasis()
-        seen: set[tuple] = set()
-        for memb in sorted(members, key=_colkey):
-            for rel in self.linear:
-                for term in rel.paths:
-                    for pos in _occurrences(term.arrows, memb.arrows):
-                        prefix = memb.arrows[:pos]
-                        suffix = memb.arrows[pos + len(term.arrows):]
-                        ekey = (rel, prefix, suffix)
-                        if ekey in seen:
-                            continue
-                        seen.add(ekey)
-                        vec: dict[Path, Fraction] = {}
-                        for coef, tp in rel.terms():
-                            cand = Path(prefix + tp.arrows + suffix, memb.source, memb.target)
-                            if not self.dead(cand):
-                                vec[cand] = vec.get(cand, _F0) + coef
-                        basis.add(vec)
+        members, basis = _span((p,), self.linear, self.dead)
         nf = {memb: basis.normal_key({memb: Fraction(1)}) for memb in members}
         blk = _Block(frozenset(members), basis, nf)
         for memb in members:
@@ -380,20 +395,25 @@ def live_paths(alg: AlgebraPresentation) -> tuple[Path, ...]:
     These are the coordinates of the truncated quotient; paths in the
     ideal for linear reasons are still listed.
     """
-    eng = _engine_for(alg)
+    return tuple(sorted(_grow(alg.quiver, _engine_for(alg).dead, alg.bound - 1), key=_colkey))
+
+
+def _grow(q: Quiver, dead, longest: int) -> list[Path]:
+    """Paths of length 1..longest that dead() rejects on no prefix, grown
+    one layer per length, shortest first."""
+    layer = [p for a in q.arrows if not dead(p := Path((a.id,), a.source, a.target))]
     out: list[Path] = []
-    frontier = [Path((a.id,), a.source, a.target) for a in alg.quiver.arrows]
-    frontier = [p for p in frontier if not eng.dead(p)]
-    while frontier:
-        out.extend(frontier)
-        nxt = []
-        for p in frontier:
-            for a in alg.quiver.arrows_from(p.target):
-                cand = Path(p.arrows + (a.id,), p.source, a.target)
-                if not eng.dead(cand):
-                    nxt.append(cand)
-        frontier = nxt
-    return tuple(sorted(out, key=_colkey))
+    while layer:
+        out.extend(layer)
+        if len(layer[0]) >= longest:
+            break
+        layer = [
+            cand
+            for p in layer
+            for a in q.arrows_from(p.target)
+            if not dead(cand := Path(p.arrows + (a.id,), p.source, a.target))
+        ]
+    return out
 
 
 # -- minimal generating sets ---------------------------------------------------
@@ -418,57 +438,22 @@ def _removable(q: Quiver, candidate, zero_others: list[ZeroRelation],
     def dead(p: Path) -> bool:
         if len(p) > bound:
             return True
-        if any(_occurrences(z, p.arrows) for z in other_zero_seqs):
+        if any(occurrences(z, p.arrows) for z in other_zero_seqs):
             return True
-        if cand_is_zero and p.arrows != cand_seq and _occurrences(cand_seq, p.arrows):
+        if cand_is_zero and p.arrows != cand_seq and occurrences(cand_seq, p.arrows):
             return True
         return False
 
     vec = {p: c for p, c in _relation_vec(candidate).items() if not dead(p)}
     if not vec:
         return True
-    replacers: list[tuple[LinearRelation, bool]] = [(r, False) for r in linear_others]
-    if not cand_is_zero:
-        replacers.append((candidate, True))
 
-    members = set(vec)
-    frontier = list(vec)
-    while frontier:
-        cur = frontier.pop()
-        for rel, proper_only in replacers:
-            for term in rel.paths:
-                for pos in _occurrences(term.arrows, cur.arrows):
-                    if proper_only and pos == 0 and len(term.arrows) == len(cur.arrows):
-                        continue
-                    for other in rel.paths:
-                        if other is term:
-                            continue
-                        arr = cur.arrows[:pos] + other.arrows + cur.arrows[pos + len(term.arrows):]
-                        new = Path(arr, cur.source, cur.target)
-                        if new not in members and not dead(new):
-                            members.add(new)
-                            frontier.append(new)
+    def veto(rel, prefix, suffix) -> bool:
+        # a linear candidate may span rows only through proper multiples
+        return rel is candidate and not prefix and not suffix
 
-    basis = RowBasis()
-    seen: set[tuple] = set()
-    for memb in sorted(members, key=_colkey):
-        for rel, proper_only in replacers:
-            for term in rel.paths:
-                for pos in _occurrences(term.arrows, memb.arrows):
-                    prefix = memb.arrows[:pos]
-                    suffix = memb.arrows[pos + len(term.arrows):]
-                    if proper_only and not prefix and not suffix:
-                        continue
-                    ekey = (rel, proper_only, prefix, suffix)
-                    if ekey in seen:
-                        continue
-                    seen.add(ekey)
-                    row: dict[Path, Fraction] = {}
-                    for coef, tp in rel.terms():
-                        p2 = Path(prefix + tp.arrows + suffix, memb.source, memb.target)
-                        if not dead(p2):
-                            row[p2] = row.get(p2, _F0) + coef
-                    basis.add(row)
+    linear = list(linear_others) if cand_is_zero else [*linear_others, candidate]
+    _, basis = _span(vec, linear, dead, veto)
     return not basis.reduce(vec)
 
 

@@ -67,12 +67,6 @@ class RamificationsGraph:
     nodes: tuple[Path, ...]
     edges: tuple[tuple[Path, Path], ...]
 
-    def successors(self, node: Path) -> tuple[Path, ...]:
-        return tuple(b for a, b in self.edges if a == node)
-
-    def predecessors(self, node: Path) -> tuple[Path, ...]:
-        return tuple(a for a, b in self.edges if b == node)
-
     def weak_components(self) -> tuple[frozenset[Path], ...]:
         adj: dict[Path, set[Path]] = {n: set() for n in self.nodes}
         for a, b in self.edges:

@@ -148,19 +148,6 @@ class Quiver:
 
     # -- structural helpers ------------------------------------------------
 
-    def prefixes(self, w: Path) -> frozenset[Path]:
-        """All u with w = u.v, including the trivial path and w itself."""
-        out = {self.trivial(w.source)}
-        for k in range(1, len(w.arrows) + 1):
-            out.add(self.path(w.arrows[:k]))
-        return frozenset(out)
-
-    def suffixes(self, w: Path) -> frozenset[Path]:
-        out = {self.trivial(w.target)}
-        for k in range(1, len(w.arrows) + 1):
-            out.add(self.path(w.arrows[-k:]))
-        return frozenset(out)
-
     def weak_components(self) -> tuple[frozenset[str], ...]:
         """Vertex sets of the underlying undirected graph's components."""
         adj: dict[str, set[str]] = {v.id: set() for v in self.vertices}
@@ -240,27 +227,14 @@ def concat_all(paths: Iterable[Path]) -> Path:
     return out
 
 
+def occurrences(factor: tuple[str, ...], word: tuple[str, ...]) -> list[int]:
+    """Start positions of factor inside word, overlapping ones included."""
+    k = len(factor)
+    return [i for i in range(len(word) - k + 1) if word[i : i + k] == factor]
+
+
 def divides(u: Path, v: Path) -> list[int]:
     """Occurrence positions of u as a factor of v (may overlap)."""
     if u.is_trivial:
         raise TrivialDivisor("trivial paths divide everything; occurrences undefined")
-    n, k = len(v.arrows), len(u.arrows)
-    return [i for i in range(n - k + 1) if v.arrows[i : i + k] == u.arrows]
-
-
-def disjoint(u: Path, v: Path) -> bool:
-    """No shared arrow.  Trivial paths are disjoint from everything."""
-    return not (set(u.arrows) & set(v.arrows))
-
-
-def is_repetition_free(p: Path) -> bool:
-    return len(set(p.arrows)) == len(p.arrows)
-
-
-def is_cyclic_quiver(q: Quiver) -> bool:
-    """True iff Q is one oriented cycle (a single loop counts)."""
-    if not q.arrows or not q.is_connected:
-        return False
-    return all(
-        q.in_degree(v.id) == 1 and q.out_degree(v.id) == 1 for v in q.vertices
-    )
+    return occurrences(u.arrows, v.arrows)

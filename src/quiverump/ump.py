@@ -4,8 +4,10 @@ A maximal nonzero path is one that dies under every one-arrow extension
 on either side; the property asked about is whether distinct residue
 classes of maximal paths never share an arrow.  Special multiserial
 algebras whose component ideals are monomial get a structural answer
-read off the component analysis; everything else falls back to honest
-enumeration, with a cheap sound refutation attempted first.
+read off the component analysis: the monomial corollary when the whole
+ideal is monomial, the main theorem otherwise.  Everything else falls
+back to honest enumeration, with a cheap sound refutation attempted
+first when the algebra is not special multiserial.
 """
 
 from __future__ import annotations
@@ -21,25 +23,18 @@ from .analysis import (
     global_maximal_classes,
     omega_relations,
 )
-from .errors import CrossCheckMismatch, NotApplicable
-from .ideal import (
-    AlgebraPresentation,
-    _colkey,
-    coset_key,
-    is_special_multiserial,
-    path_in_ideal,
-)
+from .errors import CrossCheckMismatch, NotApplicable, NotSpecialMultiserial
+from .ideal import AlgebraPresentation, _colkey, coset_key, path_in_ideal
 from .oracle import ump_bruteforce
 from .quiver import Path
 
-ROUTES = ("auto", "main", "per-component", "oracle", "cross-check")
+ROUTES = ("auto", "main", "oracle", "cross-check")
 
 
 @dataclass(frozen=True)
 class UmpReport:
     is_ump: bool
-    # "monomial-corollary" | "extended-corollary" | "main-theorem"
-    # | "per-component" | "oracle"
+    # "monomial-corollary" | "main-theorem" | "oracle"
     route: str
     witness: tuple[Path, Path, str] | None
     per_component: tuple[tuple[str, bool], ...]
@@ -127,23 +122,6 @@ def quick_non_ump(alg: AlgebraPresentation) -> tuple[Path, Path, str] | None:
 # -- structural routes ---------------------------------------------------------
 
 
-def extended_gate(alg: AlgebraPresentation) -> bool:
-    """Whether every identification term is arrow-blocked on both sides:
-    any arrow into its first arrow, and its last arrow into any arrow,
-    multiplies to zero."""
-    q = alg.quiver
-    for rel in alg.ideal.linear:
-        for term in rel.paths:
-            first, last = term.arrows[0], term.arrows[-1]
-            for b in q.arrows_into(q.arrow(first).source):
-                if not path_in_ideal(alg, q.path([b.id, first])):
-                    return False
-            for g in q.arrows_from(q.arrow(last).target):
-                if not path_in_ideal(alg, q.path([last, g.id])):
-                    return False
-    return True
-
-
 def _relation_level_verdict(alg: AlgebraPresentation,
                             comps: tuple[Component, ...]) -> bool:
     # every long zero relation with nonzero proper subpaths must sit on a
@@ -203,10 +181,12 @@ def _oracle_report(alg: AlgebraPresentation, route: str,
 def ump_report(alg: AlgebraPresentation, route: str = "auto") -> UmpReport:
     """Decide unique maximal paths, via the requested route.
 
-    "auto" picks the strongest applicable structural route and falls back
-    to enumeration; "main" and "per-component" force the structural route
-    and raise NotApplicable when its hypotheses fail; "oracle" forces
-    enumeration; "cross-check" runs "auto" and confirms the verdict
+    "auto" reads the verdict off the components of a special multiserial
+    algebra whose component ideals are all monomial (reported as
+    "monomial-corollary" when the whole ideal is monomial, "main-theorem"
+    otherwise) and falls back to enumeration; "main" forces the structural
+    route and raises NotApplicable when its hypotheses fail; "oracle"
+    forces enumeration; "cross-check" runs "auto" and confirms the verdict
     against enumeration, raising CrossCheckMismatch on disagreement.
     """
     if route not in ROUTES:
@@ -225,23 +205,23 @@ def ump_report(alg: AlgebraPresentation, route: str = "auto") -> UmpReport:
     if route == "oracle":
         return _oracle_report(alg, "oracle", ())
 
-    if route in ("main", "per-component"):
-        res = is_special_multiserial(alg)
-        if not res:
+    if route == "main":
+        try:
+            comps = components(alg)
+        except NotSpecialMultiserial as exc:
             raise NotApplicable(
-                f"structural route needs a special multiserial algebra; {res.witness}"
-            )
-        comps = components(alg)
+                f"structural route needs a special multiserial algebra; {exc.witness}"
+            ) from None
         if not all(c.algebra.is_monomial for c in comps):
             raise NotApplicable(
                 "structural route needs every component ideal monomial"
             )
-        label = "main-theorem" if route == "main" else "per-component"
-        return _structural_report(alg, comps, label, ())
+        return _structural_report(alg, comps, "main-theorem", ())
 
     # auto
-    res = is_special_multiserial(alg)
-    if not res:
+    try:
+        comps = components(alg)
+    except NotSpecialMultiserial:
         w = quick_non_ump(alg)
         if w is not None:
             return UmpReport(
@@ -252,22 +232,8 @@ def ump_report(alg: AlgebraPresentation, route: str = "auto") -> UmpReport:
         return _oracle_report(
             alg, "oracle", ("not special multiserial; enumerated",)
         )
-    comps = components(alg)
     if alg.is_monomial:
         return _structural_report(alg, comps, "monomial-corollary", ())
-    if extended_gate(alg):
-        # arrow-blocked identification terms force every component ideal to
-        # be monomial (each term is its own saturation), so the structural
-        # criteria apply verbatim
-        from .omega import omega_path
-
-        assert all(
-            omega_path(alg.quiver, term.arrows[0]) == term
-            for rel in alg.ideal.linear
-            for term in rel.paths
-        )
-        assert all(c.algebra.is_monomial for c in comps)
-        return _structural_report(alg, comps, "extended-corollary", ())
     if all(c.algebra.is_monomial for c in comps):
         return _structural_report(alg, comps, "main-theorem", ())
     return _oracle_report(

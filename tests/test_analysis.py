@@ -11,7 +11,9 @@ from quiverump.analysis import (
     omega_relations,
 )
 from quiverump.errors import CrossComponentPath, NotSpecialMultiserial, TrivialPath
+from quiverump.ideal import algebra, linear_relation
 from quiverump.oracle import maximal_classes
+from quiverump.quiver import quiver
 
 from fixtures import (
     chord_cycle_identified,
@@ -161,6 +163,22 @@ def test_induced_ideal_keeps_loop_power():
     assert _zero_strs(sub) == {"aaa"}
     assert sub.bound == 3
 
+
+
+def test_induced_ideal_keeps_identification_inside_subquiver():
+    # three tracks xy = uv = st; the block of xy also holds st, which lies
+    # outside the subquiver, yet xy - uv survives the restriction
+    q = quiver(
+        ["1", "2", "3", "4", "5"],
+        [("x", "1", "2"), ("y", "2", "3"), ("u", "1", "4"), ("v", "4", "3"),
+         ("s", "1", "5"), ("t", "5", "3")],
+    )
+    lin = [linear_relation(q, [(1, "xy"), (-1, "uv")]),
+           linear_relation(q, [(1, "uv"), (-1, "st")])]
+    sub = induced_algebra(algebra(q, [], lin), frozenset("xyuv"))
+    assert sub.ideal.zero == ()
+    assert [str(r) for r in sub.ideal.linear] == ["uv - xy"]
+    assert sub.bound == 3
 
 def test_component_of_path_routes_to_owner():
     A = cycle_fork_tail()

@@ -141,12 +141,3 @@ def test_graph_never_has_self_edges():
         ("al.bt", "dl.ep"), ("dl.ep", "al.bt"), ("dl.ep", "gm"),
     }
 
-
-def test_successors_and_predecessors():
-    A = cycle_fork_tail()
-    g = ramifications_graph(A)
-    dabc = next(n for n in g.nodes if str(n) == "dabc")
-    e = next(n for n in g.nodes if str(n) == "e")
-    assert g.successors(dabc) == (e,)
-    assert g.predecessors(e) == (dabc,)
-    assert g.successors(e) == ()

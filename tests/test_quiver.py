@@ -10,10 +10,7 @@ from quiverump.quiver import (
     Path,
     concat,
     concat_all,
-    disjoint,
     divides,
-    is_cyclic_quiver,
-    is_repetition_free,
     quiver,
 )
 
@@ -94,14 +91,6 @@ def test_divides_overlapping_occurrences():
     assert divides(q.path("a"), q.path("aaa")) == [0, 1, 2]
 
 
-def test_prefixes_and_suffixes(cft):
-    p = cft.path("dab")
-    assert set(cft.prefixes(p)) == {cft.trivial("4"), cft.path("d"), cft.path("da"), p}
-    assert set(cft.suffixes(p)) == {cft.trivial("3"), cft.path("b"), cft.path("ab"), p}
-    t = cft.trivial("2")
-    assert set(cft.prefixes(t)) == {t}
-
-
 def test_weak_components_and_subquiver(cft):
     assert cft.is_connected
     assert cft.weak_components() == (frozenset("1234567"),)
@@ -115,28 +104,6 @@ def test_weak_components_and_subquiver(cft):
     assert not two.is_connected
     assert two.weak_components() == (frozenset({"1", "2"}), frozenset({"3"}))
     assert two.weak_component_of("3") == frozenset({"3"})
-
-
-def test_cyclic_quiver_detection():
-    cyc = quiver(["1", "2", "3"], [("x", "1", "2"), ("y", "2", "3"), ("z", "3", "1")])
-    assert is_cyclic_quiver(cyc)
-    spur = quiver(["1", "2", "3", "4"],
-                  [("x", "1", "2"), ("y", "2", "3"), ("z", "3", "1"), ("w", "1", "4")])
-    assert not is_cyclic_quiver(spur)
-    assert not is_cyclic_quiver(quiver(["1"], []))
-    two_cycles = quiver(
-        ["1", "2"], [("p", "1", "1"), ("r", "2", "2")]
-    )
-    assert not is_cyclic_quiver(two_cycles)
-
-
-def test_path_utilities(cft):
-    assert is_repetition_free(cft.path("dabc"))
-    loop = quiver(["1"], [("a", "1", "1")])
-    assert not is_repetition_free(loop.path("aa"))
-    assert disjoint(cft.path("dab"), cft.path("gh"))
-    assert not disjoint(cft.path("dab"), cft.path("abc"))
-    assert disjoint(cft.trivial("1"), cft.path("dab"))
 
 
 def test_path_string_forms():

@@ -3,7 +3,10 @@
 import pytest
 
 from quiverump.errors import CrossCheckMismatch, NotApplicable
-from quiverump.ump import extended_gate, quick_non_ump, ump_report
+from quiverump.ideal import algebra, linear_relation, zero_relation
+from quiverump.oracle import ump_bruteforce
+from quiverump.quiver import quiver
+from quiverump.ump import quick_non_ump, ump_report
 
 from fixtures import (
     ALL_FIXTURES,
@@ -105,20 +108,17 @@ def test_forced_main_route_on_structural_cases():
         auto = ump_report(build())
         forced = ump_report(build(), route="main")
         assert forced.route == "main-theorem"
-        per = ump_report(build(), route="per-component")
-        assert per.route == "per-component"
-        for rep in (forced, per):
-            assert rep.is_ump == auto.is_ump
-            assert rep.witness == auto.witness
-            assert rep.per_component == auto.per_component
-            assert rep.classes == auto.classes
+        assert forced.is_ump == auto.is_ump
+        assert forced.witness == auto.witness
+        assert forced.per_component == auto.per_component
+        assert forced.classes == auto.classes
 
 
 def test_forced_main_route_rejects_unstructured_input():
     with pytest.raises(NotApplicable):
         ump_report(loop_spur(), route="main")
     with pytest.raises(NotApplicable):
-        ump_report(chord_cycle_identified(), route="per-component")
+        ump_report(chord_cycle_identified(), route="main")
 
 
 def test_unknown_route_rejected():
@@ -156,20 +156,11 @@ def test_quick_refutation_stays_silent():
     assert quick_non_ump(loop_spur()) is None
 
 
-def test_extended_gate():
-    # nothing can pad either track, so the gate passes vacuously
-    assert extended_gate(parallel_tracks())
-    # aa survives next to the identified square aa - bc
-    assert not extended_gate(loop_meets_twocycle())
-    assert not extended_gate(two_loops_line())
-    assert not extended_gate(petal_hub())
-
-
 def test_parallel_tracks_merge_into_one_class():
-    # the identification terms admit no padding at all, so the gate for the
-    # stronger non-monomial route passes vacuously
+    # each track is its own component with a monomial induced ideal, and the
+    # identification merges their maximal paths into one class
     rep = ump_report(parallel_tracks())
-    assert rep.route == "extended-corollary"
+    assert rep.route == "main-theorem"
     assert rep.is_ump is True
     assert len(rep.classes) == 1
     only = rep.classes[0]
@@ -181,3 +172,27 @@ def test_reports_are_deterministic():
     a = ump_report(petal_hub())
     b = ump_report(petal_hub())
     assert a == b
+
+
+def _branching_squares():
+    """a,c: 1->2 and b,d: 2->3 with ad = cb = 0 and ab = cd."""
+    q = quiver(["1", "2", "3"],
+               [("a", "1", "2"), ("c", "1", "2"), ("b", "2", "3"), ("d", "2", "3")])
+    zero = [zero_relation(q, w) for w in ("ad", "cb")]
+    return algebra(q, zero, [linear_relation(q, [(1, "ab"), (-1, "cd")])])
+
+
+def _loop_with_dead_identification():
+    """a,b: 2->0 and a loop c at 0 with ac = bc = c^4 = 0 and cc + ccc = 0.
+
+    Every path of length two is already in the ideal, yet minimisation
+    keeps the linear relation."""
+    q = quiver(["0", "2"], [("a", "2", "0"), ("b", "2", "0"), ("c", "0", "0")])
+    zero = [zero_relation(q, w) for w in ("ac", "bc", "cccc")]
+    return algebra(q, zero, [linear_relation(q, [(1, "cc"), (1, "ccc")])])
+
+
+@pytest.mark.parametrize("build", [_branching_squares, _loop_with_dead_identification])
+def test_auto_agrees_with_enumeration_on_identified_terms(build):
+    alg = build()
+    assert ump_report(alg, "auto").is_ump == ump_bruteforce(alg).is_ump
