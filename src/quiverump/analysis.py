@@ -28,6 +28,7 @@ from .ideal import (
     is_special_multiserial,
     linear_relation,
     path_in_ideal,
+    zero_divisor,
 )
 from .omega import RamificationsGraph, omega_map, ramifications_graph
 from .quiver import Path, concat_all, divides, occurrences
@@ -78,11 +79,7 @@ def induced_algebra(alg: AlgebraPresentation, arrow_ids: frozenset[str]) -> Alge
 
     # paths at the truncation length with no zero divisor yet must be closed
     # off explicitly; longer ones follow from these
-    zero_seqs = [r.path.arrows for r in zero]
-
-    def divisible(p: Path) -> bool:
-        return any(occurrences(z, p.arrows) for z in zero_seqs)
-
+    divisible = zero_divisor(r.path for r in zero)
     zero.extend(ZeroRelation(p) for p in _grow(sub, divisible, alg.bound) if len(p) == alg.bound)
 
     return algebra(sub, zero, linear, cap=max(alg.bound, 2))

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import (
     InvalidPresentation,
@@ -125,6 +125,25 @@ class AlgebraPresentation:
     @property
     def is_monomial(self) -> bool:
         return self.ideal.is_monomial
+
+
+# -- zero divisibility --------------------------------------------------------
+
+
+def zero_divisor(zero_paths: Iterable[Path]) -> Callable[[Path], bool]:
+    """Predicate telling whether one of the given paths divides a path.
+
+    Looks up every window of the path in a set of the relation arrow
+    sequences, one window length per distinct relation length.
+    """
+    seqs = frozenset(z.arrows for z in zero_paths)
+    lengths = sorted({len(s) for s in seqs})
+
+    def divisible(p: Path) -> bool:
+        w = p.arrows
+        return any(w[i:i + k] in seqs for k in lengths for i in range(len(w) - k + 1))
+
+    return divisible
 
 
 # -- sparse exact row reduction ----------------------------------------------
@@ -263,17 +282,9 @@ class _Engine:
                  linear: Sequence[LinearRelation], bound: int):
         self.q = q
         self.bound = bound
-        self.zero_arrowseqs = tuple(p.arrows for p in zero_paths)
+        self.zero_divisible = zero_divisor(zero_paths)
         self.linear = tuple(linear)
-        self._zd_cache: dict[tuple[str, ...], bool] = {}
         self._blocks: dict[Path, _Block] = {}
-
-    def zero_divisible(self, p: Path) -> bool:
-        got = self._zd_cache.get(p.arrows)
-        if got is None:
-            got = any(occurrences(z, p.arrows) for z in self.zero_arrowseqs)
-            self._zd_cache[p.arrows] = got
-        return got
 
     def dead(self, p: Path) -> bool:
         return len(p) >= self.bound or self.zero_divisible(p)
@@ -306,29 +317,6 @@ class _Engine:
         blk = self.block(p)
         key = blk.nf[p]
         return frozenset(m for m in blk.members if blk.nf[m] == key)
-
-    def combination_in_ideal(self, vec: dict[Path, Fraction]) -> bool:
-        """Is a finite combination of paths in the ideal?"""
-        live: dict[Path, Fraction] = {}
-        for p, c in vec.items():
-            if not c or self.dead(p):
-                continue
-            live[p] = live.get(p, _F0) + c
-        live = {p: c for p, c in live.items() if c}
-        if not live:
-            return True
-        if not self.linear:
-            return False
-        basis = RowBasis()
-        done: set[Path] = set()
-        for p in list(live):
-            if p in done:
-                continue
-            blk = self.block(p)
-            done |= blk.members
-            for row in blk.basis.rows.values():
-                basis.add(dict(row))
-        return not basis.reduce(live)
 
 
 @lru_cache(maxsize=64)
@@ -385,10 +373,6 @@ def coset_key(alg: AlgebraPresentation, p: Path):
     return eng.block(p).nf[p]
 
 
-def combination_in_ideal(alg: AlgebraPresentation, vec: dict[Path, Fraction]) -> bool:
-    return _engine_for(alg).combination_in_ideal(vec)
-
-
 def live_paths(alg: AlgebraPresentation) -> tuple[Path, ...]:
     """All paths of length 1..bound-1 not divisible by a zero relation.
 
@@ -431,14 +415,12 @@ def _removable(q: Quiver, candidate, zero_others: list[ZeroRelation],
     generates without it).  Columns longer than the bound, columns divisible
     by another zero relation, and proper multiples of the candidate itself
     all lie in that target space and are projected away."""
-    other_zero_seqs = [r.path.arrows for r in zero_others]
+    divisible = zero_divisor(r.path for r in zero_others)
     cand_is_zero = isinstance(candidate, ZeroRelation)
     cand_seq = candidate.path.arrows if cand_is_zero else None
 
     def dead(p: Path) -> bool:
-        if len(p) > bound:
-            return True
-        if any(occurrences(z, p.arrows) for z in other_zero_seqs):
+        if len(p) > bound or divisible(p):
             return True
         if cand_is_zero and p.arrows != cand_seq and occurrences(cand_seq, p.arrows):
             return True
@@ -487,14 +469,12 @@ def minimalize_relations(q: Quiver, zero: Sequence[ZeroRelation],
 
 
 def algebra(q: Quiver, zero: Sequence[ZeroRelation] = (),
-            linear: Sequence[LinearRelation] = (), cap: int = 64,
-            minimize: bool = True) -> AlgebraPresentation:
+            linear: Sequence[LinearRelation] = (), cap: int = 64) -> AlgebraPresentation:
     """Validate admissibility and build a presentation with minimal relations."""
     zero = tuple(zero)
     linear = tuple(linear)
     bound = admissibility_bound(q, zero, linear, cap=cap)
-    if minimize:
-        zero, linear, _ = minimalize_relations(q, zero, linear, bound)
+    zero, linear, _ = minimalize_relations(q, zero, linear, bound)
     return AlgebraPresentation(q, IdealPresentation(zero, linear, bound))
 
 

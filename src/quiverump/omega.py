@@ -2,10 +2,11 @@
 
 Every arrow extends to a canonical longest path through vertices that
 admit no branching: while the head of the path has exactly one arrow in
-and one arrow out, keep walking, and symmetrically at the tail.  A weak
-component that is a standalone directed cycle would never stop, so it
-instead contributes one fixed rotation of the full cycle, shared by all
-its arrows.
+and one arrow out, keep walking, and symmetrically at the tail.  One
+walk serves the whole chain it covers.  A forward walk that comes back
+to its starting arrow has found a standalone directed cycle, which
+contributes one fixed rotation of the full cycle, shared by all its
+arrows.
 
 The ramifications graph has the distinct saturations as nodes and an
 edge wherever two of them compose without falling into the ideal.
@@ -19,47 +20,37 @@ from .ideal import AlgebraPresentation, _colkey, path_in_ideal
 from .quiver import Arrow, Path, Quiver
 
 
-def _is_cycle_component(q: Quiver, comp: frozenset[str]) -> bool:
-    return all(q.in_degree(v) == 1 and q.out_degree(v) == 1 for v in comp)
-
-
 def omega_path(q: Quiver, arrow: Arrow | str) -> Path:
     """The saturation of an arrow: its maximal unbranched extension."""
     a = q.arrow(arrow) if isinstance(arrow, str) else arrow
-    comp = q.weak_component_of(a.source)
-    if _is_cycle_component(q, comp):
-        # one rotation per cycle, anchored at its smallest arrow label
-        start = min(
-            (x for x in q.arrows if x.source in comp), key=lambda x: x.id
-        )
-        chain = [start]
-        while True:
-            nxt = q.arrows_from(chain[-1].target)[0]
-            if nxt.id == start.id:
-                break
-            chain.append(nxt)
-        return q.path([x.id for x in chain])
+
+    def unbranched(v: str) -> bool:
+        return q.in_degree(v) == 1 and q.out_degree(v) == 1
 
     chain = [a]
-    seen = {a.id}
-    while q.out_degree(chain[-1].target) == 1 and q.in_degree(chain[-1].target) == 1:
+    while unbranched(chain[-1].target):
         nxt = q.arrows_from(chain[-1].target)[0]
-        if nxt.id in seen:
-            break
+        if nxt.id == a.id:
+            # one rotation per cycle, anchored at its smallest arrow label
+            i = min(range(len(chain)), key=lambda k: chain[k].id)
+            return q.path([x.id for x in chain[i:] + chain[:i]])
         chain.append(nxt)
-        seen.add(nxt.id)
-    while q.out_degree(chain[0].source) == 1 and q.in_degree(chain[0].source) == 1:
-        prev = q.arrows_into(chain[0].source)[0]
-        if prev.id in seen:
-            break
-        chain.insert(0, prev)
-        seen.add(prev.id)
-    return q.path([x.id for x in chain])
+    back = []
+    tail = a
+    while unbranched(tail.source):
+        tail = q.arrows_into(tail.source)[0]
+        back.append(tail)
+    return q.path([x.id for x in back[::-1] + chain])
 
 
 def omega_map(q: Quiver) -> dict[str, Path]:
     """Saturation of every arrow, keyed by arrow label."""
-    return {a.id: omega_path(q, a) for a in q.arrows}
+    out: dict[str, Path] = {}
+    for a in q.arrows:
+        if a.id not in out:
+            w = omega_path(q, a)
+            out.update(dict.fromkeys(w.arrows, w))
+    return {a.id: out[a.id] for a in q.arrows}
 
 
 @dataclass(frozen=True)
@@ -91,16 +82,14 @@ class RamificationsGraph:
 def ramifications_graph(alg: AlgebraPresentation) -> RamificationsGraph:
     """Distinct saturations, joined when their junction survives the ideal."""
     q = alg.quiver
-    omegas = omega_map(q)
-    nodes: list[Path] = []
-    for w in omegas.values():
-        if w not in nodes:
-            nodes.append(w)
-    nodes.sort(key=_colkey)
+    nodes = sorted(set(omega_map(q).values()), key=_colkey)
+    starting_at: dict[str, list[Path]] = {}
+    for w in nodes:
+        starting_at.setdefault(w.source, []).append(w)
     edges = []
     for wa in nodes:
-        for wb in nodes:
-            if wa == wb or wa.target != wb.source:
+        for wb in starting_at.get(wa.target, ()):
+            if wa == wb:
                 continue
             junction = q.path([wa.arrows[-1], wb.arrows[0]])
             if not path_in_ideal(alg, junction):

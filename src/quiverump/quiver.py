@@ -148,38 +148,6 @@ class Quiver:
 
     # -- structural helpers ------------------------------------------------
 
-    def weak_components(self) -> tuple[frozenset[str], ...]:
-        """Vertex sets of the underlying undirected graph's components."""
-        adj: dict[str, set[str]] = {v.id: set() for v in self.vertices}
-        for a in self.arrows:
-            adj[a.source].add(a.target)
-            adj[a.target].add(a.source)
-        seen: set[str] = set()
-        comps = []
-        for v in self.vertices:
-            if v.id in seen:
-                continue
-            stack, comp = [v.id], set()
-            while stack:
-                x = stack.pop()
-                if x in comp:
-                    continue
-                comp.add(x)
-                stack.extend(adj[x] - comp)
-            seen |= comp
-            comps.append(frozenset(comp))
-        return tuple(sorted(comps, key=sorted))
-
-    @property
-    def is_connected(self) -> bool:
-        return len(self.weak_components()) <= 1
-
-    def weak_component_of(self, vid: str) -> frozenset[str]:
-        for comp in self.weak_components():
-            if vid in comp:
-                return comp
-        raise UnknownLabel(f"unknown vertex {vid!r}")
-
     def subquiver(self, arrow_ids: Iterable[str]) -> "Quiver":
         """The subquiver on the given arrows and their endpoints."""
         keep = set(arrow_ids)

@@ -8,6 +8,12 @@ read off the component analysis: the monomial corollary when the whole
 ideal is monomial, the main theorem otherwise.  Everything else falls
 back to honest enumeration, with a cheap sound refutation attempted
 first when the algebra is not special multiserial.
+
+The paper also states the criterion at the level of relations: every
+long zero relation whose proper subpaths survive sits on a cyclic
+component path and is the only relation dividing its powers.  The two
+statements are equivalent, so the "cross-check" route confirms a
+structural verdict against this one as well as against enumeration.
 """
 
 from __future__ import annotations
@@ -159,9 +165,6 @@ def _structural_report(alg: AlgebraPresentation,
                        notes: tuple[str, ...]) -> UmpReport:
     per = tuple((c.id, bool(c.is_ump)) for c in comps)
     verdict = all(v for _, v in per)
-    # the relation-level statement and the per-component criteria are
-    # equivalent; computing both keeps either one honest
-    assert _relation_level_verdict(alg, comps) == verdict
     classes = global_maximal_classes(alg, comps)
     witness = None if verdict else _witness_from_classes(classes)
     if not verdict:
@@ -178,6 +181,32 @@ def _oracle_report(alg: AlgebraPresentation, route: str,
     return UmpReport(brute.is_ump, route, brute.witness, (), classes, notes)
 
 
+def _auto(alg: AlgebraPresentation
+          ) -> tuple[UmpReport, tuple[Component, ...] | None]:
+    """The "auto" route, with the components a structural verdict was
+    read off (None when the verdict came from enumeration)."""
+    try:
+        comps = components(alg)
+    except NotSpecialMultiserial:
+        w = quick_non_ump(alg)
+        if w is not None:
+            return UmpReport(
+                False, "oracle", w, (), (),
+                ("not special multiserial; refuted by identification witness "
+                 "without enumeration",),
+            ), None
+        return _oracle_report(
+            alg, "oracle", ("not special multiserial; enumerated",)
+        ), None
+    if alg.is_monomial:
+        return _structural_report(alg, comps, "monomial-corollary", ()), comps
+    if all(c.algebra.is_monomial for c in comps):
+        return _structural_report(alg, comps, "main-theorem", ()), comps
+    return _oracle_report(
+        alg, "oracle", ("component ideals are not all monomial; enumerated",)
+    ), None
+
+
 def ump_report(alg: AlgebraPresentation, route: str = "auto") -> UmpReport:
     """Decide unique maximal paths, via the requested route.
 
@@ -187,20 +216,29 @@ def ump_report(alg: AlgebraPresentation, route: str = "auto") -> UmpReport:
     otherwise) and falls back to enumeration; "main" forces the structural
     route and raises NotApplicable when its hypotheses fail; "oracle"
     forces enumeration; "cross-check" runs "auto" and confirms the verdict
-    against enumeration, raising CrossCheckMismatch on disagreement.
+    against enumeration and, when it is structural, against the
+    relation-level statement, raising CrossCheckMismatch on disagreement.
     """
     if route not in ROUTES:
         raise ValueError(f"unknown route {route!r}; expected one of {ROUTES}")
 
     if route == "cross-check":
-        rep = ump_report(alg, "auto")
+        rep, comps = _auto(alg)
         brute = ump_bruteforce(alg)
         if rep.is_ump != brute.is_ump:
             raise CrossCheckMismatch(
                 f"structural route {rep.route} says {rep.is_ump}, "
                 f"enumeration says {brute.is_ump}"
             )
-        return replace(rep, notes=rep.notes + ("verdict confirmed by enumeration",))
+        notes = ("verdict confirmed by enumeration",)
+        if comps is not None:
+            if _relation_level_verdict(alg, comps) != rep.is_ump:
+                raise CrossCheckMismatch(
+                    f"structural route {rep.route} says {rep.is_ump}, "
+                    f"the relation-level statement says {not rep.is_ump}"
+                )
+            notes += ("verdict confirmed by the relation-level statement",)
+        return replace(rep, notes=rep.notes + notes)
 
     if route == "oracle":
         return _oracle_report(alg, "oracle", ())
@@ -218,24 +256,4 @@ def ump_report(alg: AlgebraPresentation, route: str = "auto") -> UmpReport:
             )
         return _structural_report(alg, comps, "main-theorem", ())
 
-    # auto
-    try:
-        comps = components(alg)
-    except NotSpecialMultiserial:
-        w = quick_non_ump(alg)
-        if w is not None:
-            return UmpReport(
-                False, "oracle", w, (), (),
-                ("not special multiserial; refuted by identification witness "
-                 "without enumeration",),
-            )
-        return _oracle_report(
-            alg, "oracle", ("not special multiserial; enumerated",)
-        )
-    if alg.is_monomial:
-        return _structural_report(alg, comps, "monomial-corollary", ())
-    if all(c.algebra.is_monomial for c in comps):
-        return _structural_report(alg, comps, "main-theorem", ())
-    return _oracle_report(
-        alg, "oracle", ("component ideals are not all monomial; enumerated",)
-    )
+    return _auto(alg)[0]

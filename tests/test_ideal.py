@@ -20,13 +20,13 @@ from quiverump.errors import (
 from quiverump.ideal import (
     admissibility_bound,
     algebra,
-    combination_in_ideal,
     coset_paths,
     is_special_multiserial,
     linear_relation,
     live_paths,
     minimalize_relations,
     path_in_ideal,
+    zero_divisor,
     zero_relation,
 )
 from quiverump.quiver import quiver
@@ -135,17 +135,20 @@ def test_coset_paths():
     assert coset_paths(C, qc.path("cb")) == {qc.path("cb")}
 
 
-def test_combination_membership():
-    A = two_loops_line()
-    q = A.quiver
-    one = Fraction(1)
-    assert combination_in_ideal(A, {q.path("aa"): one, q.path("bb"): -one})
-    assert not combination_in_ideal(A, {q.path("aa"): one, q.path("bb"): one})
-    assert combination_in_ideal(A, {})
-    assert combination_in_ideal(A, {q.path("aa"): Fraction(0)})
-    B = loop_meets_twocycle()
-    qb = B.quiver
-    assert combination_in_ideal(B, {qb.path("aa"): one, qb.path("bc"): -one})
+def test_zero_divisor():
+    q = quiver(["1", "2"], [("a", "1", "1"), ("b", "1", "2"), ("c", "2", "2")])
+    divisible = zero_divisor([q.path("ab"), q.path("aaa")])
+    assert divisible(q.path("ab"))
+    assert divisible(q.path("abcc"))  # relation at the start
+    assert divisible(q.path("aab"))  # relation at the end
+    assert divisible(q.path("aaaa"))  # overlapping windows
+    assert divisible(q.path("aaab"))  # windows of both lengths match
+    assert not divisible(q.path("aa"))
+    assert not divisible(q.path("bccc"))
+    assert not divisible(q.path("b"))  # shorter than every relation
+    never = zero_divisor([])
+    assert not never(q.path("ab"))
+    assert not never(q.path("aaab"))
 
 
 def test_live_paths_enumeration():

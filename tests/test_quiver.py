@@ -91,19 +91,12 @@ def test_divides_overlapping_occurrences():
     assert divides(q.path("a"), q.path("aaa")) == [0, 1, 2]
 
 
-def test_weak_components_and_subquiver(cft):
-    assert cft.is_connected
-    assert cft.weak_components() == (frozenset("1234567"),)
+def test_subquiver(cft):
     sub = cft.subquiver(["f", "g", "h"])
     assert sub.vertex_ids == ("4", "5", "6", "7")
     assert sub.arrow_ids == ("f", "g", "h")
     with pytest.raises(UnknownLabel):
         cft.subquiver(["z"])
-
-    two = quiver(["1", "2", "3"], [("a", "1", "2")])
-    assert not two.is_connected
-    assert two.weak_components() == (frozenset({"1", "2"}), frozenset({"3"}))
-    assert two.weak_component_of("3") == frozenset({"3"})
 
 
 def test_path_string_forms():

@@ -1,6 +1,14 @@
 """Unique maximal path decisions across every route."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+import quiverump
 
 from quiverump.errors import CrossCheckMismatch, NotApplicable
 from quiverump.ideal import algebra, linear_relation, zero_relation
@@ -101,6 +109,8 @@ def test_cross_check_route(name, build):
     rep = ump_report(build(), route="cross-check")
     assert rep.is_ump is VERDICTS[name]
     assert "verdict confirmed by enumeration" in rep.notes
+    structural = rep.route != "oracle"
+    assert ("verdict confirmed by the relation-level statement" in rep.notes) == structural
 
 
 def test_forced_main_route_on_structural_cases():
@@ -126,14 +136,16 @@ def test_unknown_route_rejected():
         ump_report(cycle_fork_tail(), route="guess")
 
 
-def test_cross_check_mismatch_raises(monkeypatch):
+@pytest.mark.parametrize("liar", ["oracle", "relation-level"])
+def test_cross_check_mismatch_raises(monkeypatch, liar):
     import quiverump.ump as ump_mod
     from quiverump.oracle import OracleUmp
 
-    def lying_oracle(alg):
-        return OracleUmp(False, None, ())
-
-    monkeypatch.setattr(ump_mod, "ump_bruteforce", lying_oracle)
+    wrong = not VERDICTS["two_loops_line"]
+    if liar == "oracle":
+        monkeypatch.setattr(ump_mod, "ump_bruteforce", lambda alg: OracleUmp(wrong, None, ()))
+    else:
+        monkeypatch.setattr(ump_mod, "_relation_level_verdict", lambda alg, comps: wrong)
     with pytest.raises(CrossCheckMismatch):
         ump_report(two_loops_line(), route="cross-check")
 
@@ -196,3 +208,21 @@ def _loop_with_dead_identification():
 def test_auto_agrees_with_enumeration_on_identified_terms(build):
     alg = build()
     assert ump_report(alg, "auto").is_ump == ump_bruteforce(alg).is_ump
+
+
+def test_cross_check_verdicts_survive_optimized_mode():
+    # asserts vanish under python -O; the verdicts must not depend on them
+    src = Path(quiverump.__file__).resolve().parent.parent
+    tests = Path(__file__).resolve().parent
+    script = (
+        "import json\n"
+        "from fixtures import ALL_FIXTURES\n"
+        "from quiverump.ump import ump_report\n"
+        "print(json.dumps({n: ump_report(b(), 'cross-check').is_ump"
+        " for n, b in ALL_FIXTURES.items()}))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), str(tests)])}
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout) == VERDICTS
