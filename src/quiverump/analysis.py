@@ -13,14 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import CrossComponentPath, NotSpecialMultiserial, TrivialPath
+from .errors import CrossComponentPath, InvariantViolation, NotSpecialMultiserial, TrivialPath
 from .ideal import (
     AlgebraPresentation,
     LinearRelation,
     RowBasis,
     ZeroRelation,
     _colkey,
-    _engine_for,
     _grow,
     algebra,
     coset_key,
@@ -58,7 +57,7 @@ def induced_algebra(alg: AlgebraPresentation, arrow_ids: frozenset[str]) -> Alge
         def key(p: Path):
             return ((1 if is_sub(p) else 0,) + _colkey(p))
 
-        eng = _engine_for(alg)
+        eng = alg._engine
         done: set[Path] = set()
         for live in _grow(sub, eng.dead, alg.bound - 1):
             if live in done:
@@ -112,7 +111,8 @@ def _order_nodes(g: RamificationsGraph, nodes: frozenset[Path]) -> tuple[list[Pa
     n = len(nodes)
     within = [(a, b) for a, b in g.edges if a in nodes]
     succ = dict(within)
-    assert len(succ) == len(within), "saturation with two nonzero continuations"
+    if len(succ) != len(within):
+        raise InvariantViolation("saturation with two nonzero continuations")
     if len(within) == n and n > 0:
         start = min(nodes, key=lambda w: min(w.arrows))
         shape = "cycle"
@@ -121,7 +121,7 @@ def _order_nodes(g: RamificationsGraph, nodes: frozenset[Path]) -> tuple[list[Pa
         start = min((w for w in nodes if w not in seen_targets), key=_colkey)
         shape = "line" if n > 1 else "single"
     else:
-        raise AssertionError("component is neither a line nor a cycle")
+        raise InvariantViolation("component is neither a line nor a cycle")
     order = [start]
     while len(order) < n:
         order.append(succ[order[-1]])
@@ -149,16 +149,19 @@ def _synthesize_maximal(parent_alg: AlgebraPresentation, omega: Path,
     pieces: list[tuple[str, ...]] = []
     if closes:
         wrap = w[pos[-1] + 1:] + w[:pos[0]] + srels[0].arrows[:sig[0]]
-        assert wrap[0] == w[(pos[-1] + 1) % len(w)]
+        if wrap[0] != w[(pos[-1] + 1) % len(w)]:
+            raise InvariantViolation("wrap-around piece does not follow the last ordered relation")
         pieces.append(wrap)
     else:
         head = w[:pos[0]] + srels[0].arrows[:sig[0]]
-        assert head[0] == w[0]
+        if head[0] != w[0]:
+            raise InvariantViolation("head piece does not start the component path")
         pieces.append(head)
         pieces.append(srels[-1].arrows[1:] + w[pos[-1] + len(srels[-1].arrows):])
     for i in range(len(srels) - 1):
         piece = w[pos[i] + 1: pos[i + 1]] + srels[i + 1].arrows[:sig[i + 1]]
-        assert piece[0] == w[pos[i] + 1]
+        if piece[0] != w[pos[i] + 1]:
+            raise InvariantViolation("piece does not follow its ordered relation")
         pieces.append(piece)
     out: list[Path] = []
     for arrs in pieces:
@@ -170,13 +173,14 @@ def _synthesize_maximal(parent_alg: AlgebraPresentation, omega: Path,
 
 def _eta(omega: Path, targets: list[Path]) -> int:
     if omega.target != omega.source:
-        assert all(divides(t, omega) for t in targets)
+        if not all(divides(t, omega) for t in targets):
+            raise InvariantViolation("relation escapes the component path")
         return 1
     cap = max((len(t) for t in targets), default=1) // len(omega) + 2
     for exp in range(1, cap + 1):
         if all(occurrences(t.arrows, omega.arrows * exp) for t in targets):
             return exp
-    raise AssertionError("relation escapes every power of the component path")
+    raise InvariantViolation("relation escapes every power of the component path")
 
 
 def _build_component(alg: AlgebraPresentation, g: RamificationsGraph,
@@ -190,10 +194,10 @@ def _build_component(alg: AlgebraPresentation, g: RamificationsGraph,
     closes = False
     if omega.target == omega.source:
         closes = not path_in_ideal(alg, q.path([omega.arrows[-1], omega.arrows[0]]))
-    if shape == "cycle":
-        assert closes
-    if shape == "line" and len(order) > 1:
-        assert not closes
+    if shape == "cycle" and not closes:
+        raise InvariantViolation("cycle component whose path does not close")
+    if shape == "line" and len(order) > 1 and closes:
+        raise InvariantViolation("line component whose path closes")
 
     if not induced.is_monomial:
         return Component(cid, tuple(order), shape, induced, omega, closes,
@@ -208,7 +212,8 @@ def _build_component(alg: AlgebraPresentation, g: RamificationsGraph,
     )
     srels = [r for r in rels if r not in junction]
     starts = [omega.arrows.index(r.arrows[0]) for r in srels]
-    assert len(set(starts)) == len(srels), "ordered relations must start apart"
+    if len(set(starts)) != len(srels):
+        raise InvariantViolation("ordered relations must start apart")
     srels = [r for _, r in sorted(zip(starts, srels))]
     sigma = tuple(len(r) - 1 for r in srels)
     maximal = _synthesize_maximal(alg, omega, srels, closes)
@@ -252,14 +257,15 @@ def component_of_path(alg: AlgebraPresentation, comps: tuple[Component, ...],
             i = wx.arrows.index(x)
             if i + 1 < len(wx.arrows) and wx.arrows[i + 1] == y:
                 continue
-        assert wx.arrows[-1] == x and wy.arrows[0] == y
+        if wx.arrows[-1] != x or wy.arrows[0] != y:
+            raise InvariantViolation(f"{x}.{y} neither continues a saturation nor joins two")
         if path_in_ideal(alg, q.path([x, y])):
             raise CrossComponentPath(f"{p}: junction {x}.{y} falls in the ideal")
     w0 = om[p.arrows[0]]
     for comp in comps:
         if w0 in comp.omegas:
             return comp
-    raise AssertionError("saturation missing from every component")
+    raise InvariantViolation("saturation missing from every component")
 
 
 # -- structural relations and global classes ----------------------------------
@@ -311,7 +317,8 @@ def global_maximal_classes(alg: AlgebraPresentation,
     out = []
     for paths, ids in groups.values():
         coset = coset_paths(alg, next(iter(paths)))
-        assert coset == frozenset(paths)
+        if coset != frozenset(paths):
+            raise InvariantViolation("a maximal class holds paths no component synthesized")
         rep = min(coset, key=lambda p: p.arrows)
         out.append(MaximalClass(rep, coset, tuple(sorted(ids))))
     return tuple(sorted(out, key=lambda c: _colkey(c.representative)))

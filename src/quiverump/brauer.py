@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from .errors import (
     BijectionFailure,
     BrauerValidationError,
+    InvariantViolation,
     NotIncident,
     TruncatedVertex,
 )
@@ -253,7 +254,8 @@ def brauer_algebra(g: BrauerGraph) -> BrauerAlgebra:
             for _ in range(g.valency(v)):
                 word.append(_arrow_id(g, v, cur))
                 cur = g.successor(v, cur)
-            assert cur == h
+            if cur != h:
+                raise InvariantViolation(f"successors at {v} do not return to {h} after one turn")
             cycles[(v, h)] = q.path(word)
 
     zero = []

@@ -85,3 +85,6 @@ class BijectionFailure(QuiverError):
 class CrossCheckMismatch(QuiverError):
     """Structural route and brute-force oracle disagree (fatal diagnostic)."""
 
+
+class InvariantViolation(QuiverError):
+    """An internal invariant failed; a bug, never bad input."""

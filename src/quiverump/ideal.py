@@ -10,13 +10,16 @@ Membership is decided block-locally: starting from a path, repeatedly
 replace an occurrence of one linear-relation term by a sibling term.
 The paths reachable that way form the only coordinates its coset can
 touch, so a small row reduction per block answers every query.
+
+Each presentation object carries one engine, built on its first query
+and freed with it; equal copies build their own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 from .errors import (
@@ -125,6 +128,14 @@ class AlgebraPresentation:
     @property
     def is_monomial(self) -> bool:
         return self.ideal.is_monomial
+
+    @cached_property
+    def _engine(self) -> _Engine:
+        return _Engine(self.quiver, self.ideal.zero_paths, self.ideal.linear, self.bound)
+
+    def __getstate__(self):
+        # the engine is a cache: pickles and copies leave it behind
+        return {"quiver": self.quiver, "ideal": self.ideal}
 
 
 # -- zero divisibility --------------------------------------------------------
@@ -319,11 +330,6 @@ class _Engine:
         return frozenset(m for m in blk.members if blk.nf[m] == key)
 
 
-@lru_cache(maxsize=64)
-def _engine_for(alg: AlgebraPresentation) -> _Engine:
-    return _Engine(alg.quiver, alg.ideal.zero_paths, alg.ideal.linear, alg.ideal.bound)
-
-
 # -- admissibility -----------------------------------------------------------
 
 
@@ -357,17 +363,17 @@ def path_in_ideal(alg: AlgebraPresentation, p: Path) -> bool:
     """Exact membership of a path in the ideal."""
     if p.is_trivial:
         raise TrivialPath("membership is undefined for trivial paths")
-    return _engine_for(alg).in_ideal(p)
+    return alg._engine.in_ideal(p)
 
 
 def coset_paths(alg: AlgebraPresentation, p: Path) -> frozenset[Path]:
     """All paths congruent to p modulo the ideal, p included."""
-    return _engine_for(alg).coset(p)
+    return alg._engine.coset(p)
 
 
 def coset_key(alg: AlgebraPresentation, p: Path):
     """Hashable canonical tag of the coset p + I (for grouping)."""
-    eng = _engine_for(alg)
+    eng = alg._engine
     if not eng.linear:
         return ((p, Fraction(1)),)
     return eng.block(p).nf[p]
@@ -379,7 +385,7 @@ def live_paths(alg: AlgebraPresentation) -> tuple[Path, ...]:
     These are the coordinates of the truncated quotient; paths in the
     ideal for linear reasons are still listed.
     """
-    return tuple(sorted(_grow(alg.quiver, _engine_for(alg).dead, alg.bound - 1), key=_colkey))
+    return tuple(sorted(_grow(alg.quiver, alg._engine.dead, alg.bound - 1), key=_colkey))
 
 
 def _grow(q: Quiver, dead, longest: int) -> list[Path]:

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import InvariantViolation
 from .ideal import (
     AlgebraPresentation,
     RowBasis,
@@ -77,7 +78,8 @@ def maximal_classes(alg: AlgebraPresentation) -> tuple[OracleClass, ...]:
         coset = coset_paths(alg, members[0])
         # maximality is a property of the class, so the enumerated members
         # must exhaust the coset
-        assert coset == frozenset(members)
+        if coset != frozenset(members):
+            raise InvariantViolation("enumerated maximal paths do not exhaust their coset")
         rep = min(coset, key=lambda p: p.arrows)
         out.append(OracleClass(rep, coset))
     return tuple(sorted(out, key=lambda c: _colkey(c.representative)))

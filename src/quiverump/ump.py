@@ -29,7 +29,7 @@ from .analysis import (
     global_maximal_classes,
     omega_relations,
 )
-from .errors import CrossCheckMismatch, NotApplicable, NotSpecialMultiserial
+from .errors import CrossCheckMismatch, InvariantViolation, NotApplicable, NotSpecialMultiserial
 from .ideal import AlgebraPresentation, _colkey, coset_key, path_in_ideal
 from .oracle import ump_bruteforce
 from .quiver import Path
@@ -167,8 +167,8 @@ def _structural_report(alg: AlgebraPresentation,
     verdict = all(v for _, v in per)
     classes = global_maximal_classes(alg, comps)
     witness = None if verdict else _witness_from_classes(classes)
-    if not verdict:
-        assert witness is not None
+    if not verdict and witness is None:
+        raise InvariantViolation("a component fails UMP but no two maximal classes share an arrow")
     return UmpReport(verdict, route, witness, per, classes, notes)
 
 

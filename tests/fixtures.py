@@ -1,7 +1,8 @@
 """Shared example algebras for the test suite.
 
-Each builder returns fresh objects; presentations compare by value, so
-engine caches still hit across tests.
+Each builder returns fresh objects. Presentations compare by value, but
+each object builds its own membership engine, so no engine is shared
+across tests.
 """
 
 from quiverump.ideal import algebra, linear_relation, zero_relation

@@ -1,12 +1,19 @@
-"""Generated monomial algebras: the decision and the saturations against
-their definitions."""
+"""Generated algebras: the decision, the saturations and the Brauer
+classification against their definitions."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quiverump.brauer import (
+    brauer_algebra,
+    brauer_dimension,
+    brauer_graph,
+    classify,
+    component_vertex_bijection,
+)
 from quiverump.ideal import algebra, zero_relation
 from quiverump.omega import omega_map
-from quiverump.oracle import ump_bruteforce
+from quiverump.oracle import dimension_bruteforce, ump_bruteforce
 from quiverump.quiver import quiver
 from quiverump.ump import ump_report
 
@@ -44,3 +51,26 @@ def test_auto_matches_enumeration_and_saturations_partition(alg):
     sats = set(om.values())
     assert sorted(a for w in sats for a in w.arrows) == sorted(q.arrow_ids)
     assert all(om[a] == w for w in sats for a in w.arrows)
+
+
+@st.composite
+def brauer_trees(draw):
+    """Trees on 2-5 vertices, multiplicities 1-3, and a random cyclic order
+    of the edges at each vertex."""
+    n = draw(st.integers(2, 5))
+    vertices = [(f"v{i}", draw(st.integers(1, 3))) for i in range(n)]
+    edges = [(f"e{i}", f"v{draw(st.integers(0, i - 1))}", f"v{i}") for i in range(1, n)]
+    orders = {
+        v: draw(st.permutations([e for e, a, b in edges if v in (a, b)]))
+        for v, _ in vertices
+    }
+    return brauer_graph(vertices, edges, orders)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(brauer_trees())
+def test_brauer_trees_match_classification_and_enumeration(g):
+    ba = brauer_algebra(g)
+    assert ump_report(ba.algebra, "auto").is_ump == ump_bruteforce(ba.algebra).is_ump == classify(g).is_ump
+    assert brauer_dimension(g) == dimension_bruteforce(ba.algebra)
+    component_vertex_bijection(ba)

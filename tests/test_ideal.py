@@ -1,8 +1,12 @@
+import gc
+import pickle
+import weakref
 from fractions import Fraction
 
 import pytest
 
 from fixtures import (
+    ALL_FIXTURES,
     chord_cycle_identified,
     chord_cycle_monomial,
     cycle_fork_tail,
@@ -18,8 +22,10 @@ from quiverump.errors import (
     TrivialPath,
 )
 from quiverump.ideal import (
+    AlgebraPresentation,
     admissibility_bound,
     algebra,
+    coset_key,
     coset_paths,
     is_special_multiserial,
     linear_relation,
@@ -228,3 +234,44 @@ def test_arrow_membership_and_lengths():
     assert path_in_ideal(A, q.path("dabcd"))
     assert not path_in_ideal(A, q.path("abcd"))
     assert coset_paths(A, q.path("abcd")) == {q.path("abcd"), q.path("ef")}
+
+
+def test_queries_share_one_engine():
+    A = two_loops_line()
+    q = A.quiver
+    assert not path_in_ideal(A, q.path("aa"))
+    eng = A._engine
+    coset_paths(A, q.path("aa"))
+    coset_key(A, q.path("cde"))
+    live_paths(A)
+    assert path_in_ideal(A, q.path("bbb"))
+    assert A._engine is eng
+
+
+@pytest.mark.parametrize("name", sorted(ALL_FIXTURES))
+def test_equal_copies_build_their_own_engine(name):
+    A = ALL_FIXTURES[name]()
+    live = live_paths(A)  # builds A's engine before the copies are taken
+    copies = [AlgebraPresentation(A.quiver, A.ideal), pickle.loads(pickle.dumps(A))]
+    for B in copies:
+        assert B == A
+        assert B._engine is not A._engine
+        assert [path_in_ideal(B, p) for p in live] == [path_in_ideal(A, p) for p in live]
+        assert [coset_key(B, p) for p in live] == [coset_key(A, p) for p in live]
+
+
+def test_engine_leaves_equality_and_hash_alone():
+    A, B = two_loops_line(), two_loops_line()
+    before = (hash(A), repr(A))
+    assert path_in_ideal(A, A.quiver.path("aaa"))
+    assert A == B and B == A
+    assert (hash(A), repr(A)) == before == (hash(B), repr(B))
+
+
+def test_engine_dies_with_its_presentation():
+    A = two_loops_line()
+    assert not path_in_ideal(A, A.quiver.path("aa"))
+    ref = weakref.ref(A._engine)
+    del A
+    gc.collect()
+    assert ref() is None
