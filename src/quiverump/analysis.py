@@ -16,16 +16,17 @@ from dataclasses import dataclass
 from .errors import CrossComponentPath, InvariantViolation, NotSpecialMultiserial, TrivialPath
 from .ideal import (
     AlgebraPresentation,
+    IdealPresentation,
     LinearRelation,
     RowBasis,
     ZeroRelation,
     _colkey,
     _grow,
-    algebra,
     coset_key,
     coset_paths,
     is_special_multiserial,
     linear_relation,
+    minimalize_relations,
     path_in_ideal,
     zero_divisor,
 )
@@ -39,7 +40,17 @@ from .quiver import Path, concat_all, divides, occurrences
 def induced_algebra(alg: AlgebraPresentation, arrow_ids: frozenset[str]) -> AlgebraPresentation:
     """Restriction of the algebra to the subquiver on the given arrows,
     with the induced ideal (the full ideal intersected with the paths of
-    the subquiver) presented by generators."""
+    the subquiver) presented by minimal generators.
+
+    Grows the subquiver's paths one layer per length and extends only
+    those the parent's engine puts outside the ideal.  A visited path in
+    the ideal is generated by the parent's zero relations or by the rows
+    of its engine block that stay in the subquiver; a path with a proper
+    prefix in the ideal lies in the ideal through that prefix, so it is
+    never visited.  Children of length alg.bound that no generator found
+    so far divides close the truncation off, and the bound is one more
+    than the longest path outside the ideal (at least 2).
+    """
     q = alg.quiver
     sub = q.subquiver([a.id for a in q.arrows if a.id in arrow_ids])
     inside = set(arrow_ids)
@@ -47,41 +58,51 @@ def induced_algebra(alg: AlgebraPresentation, arrow_ids: frozenset[str]) -> Alge
     def is_sub(p: Path) -> bool:
         return set(p.arrows) <= inside
 
-    zero = [r for r in alg.ideal.zero if is_sub(r.path)]
-    linear: list[LinearRelation] = []
-
-    if not alg.is_monomial:
+    def key(p: Path):
         # the span of all embedded identifications is the direct sum of the
         # engine's blocks; re-reducing a block with subquiver columns last
         # leaves the rows that present its intersection with the subquiver
-        def key(p: Path):
-            return ((1 if is_sub(p) else 0,) + _colkey(p))
+        return ((1 if is_sub(p) else 0,) + _colkey(p))
 
-        eng = alg._engine
-        done: set[Path] = set()
-        for live in _grow(sub, eng.dead, alg.bound - 1):
-            if live in done:
-                continue
-            blk = eng.block(live)
-            done |= blk.members
+    zero = [r for r in alg.ideal.zero if is_sub(r.path)]
+    linear: list[LinearRelation] = []
+    eng = alg._engine
+    done: set[Path] = set()
+
+    def in_ideal(p: Path) -> bool:
+        # _grow asks once per visited path; the first visit to a block
+        # collects its rows inside the subquiver
+        if eng.dead(p):
+            return True
+        if not eng.linear or not eng.has_term(p):
+            return False
+        blk = eng.block(p)
+        if p not in done:
+            done.update(blk.members)
             basis = RowBasis(key=key)
             for row in blk.basis.rows.values():
                 basis.add(row)
             for row in basis.rows.values():
-                if not all(is_sub(p) for p in row):
+                if not all(is_sub(c) for c in row):
                     continue
                 items = sorted(row.items(), key=lambda kv: _colkey(kv[0]))
                 if len(items) == 1:
                     zero.append(ZeroRelation(items[0][0]))
                 else:
-                    linear.append(linear_relation(sub, [(c, p) for p, c in items]))
+                    linear.append(linear_relation(sub, [(c, t) for t, c in items]))
+        return blk.nf[p] == ()
 
-    # paths at the truncation length with no zero divisor yet must be closed
-    # off explicitly; longer ones follow from these
+    outside = _grow(sub, in_ideal, alg.bound - 1)
     divisible = zero_divisor(r.path for r in zero)
-    zero.extend(ZeroRelation(p) for p in _grow(sub, divisible, alg.bound) if len(p) == alg.bound)
-
-    return algebra(sub, zero, linear, cap=max(alg.bound, 2))
+    zero.extend(
+        ZeroRelation(c)
+        for p in outside if len(p) == alg.bound - 1
+        for a in sub.arrows_from(p.target)
+        if not divisible(c := Path(p.arrows + (a.id,), p.source, a.target))
+    )
+    bound = len(outside[-1]) + 1 if outside else 2
+    zero, linear, _ = minimalize_relations(sub, zero, linear, bound)
+    return AlgebraPresentation(sub, IdealPresentation(zero, linear, bound))
 
 
 # -- components ---------------------------------------------------------------

@@ -9,7 +9,10 @@ paths of length < m; arithmetic is exact over Fraction.
 Membership is decided block-locally: starting from a path, repeatedly
 replace an occurrence of one linear-relation term by a sibling term.
 The paths reachable that way form the only coordinates its coset can
-touch, so a small row reduction per block answers every query.
+touch, so a small row reduction per block answers every query.  A path
+that holds no relation term reaches nothing and lies in no relation
+copy: it is its own block, outside the ideal unless a zero relation or
+the bound kills it, and no block is ever built for it.
 
 Each presentation object carries one engine, built on its first query
 and freed with it; equal copies build their own.
@@ -17,7 +20,7 @@ and freed with it; equal copies build their own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
@@ -295,6 +298,9 @@ class _Engine:
         self.bound = bound
         self.zero_divisible = zero_divisor(zero_paths)
         self.linear = tuple(linear)
+        # a path holding no term is its own block; callers test
+        # `not self.linear` first, so monomial queries skip the scan
+        self.has_term = zero_divisor(t for rel in self.linear for t in rel.paths)
         self._blocks: dict[Path, _Block] = {}
 
     def dead(self, p: Path) -> bool:
@@ -316,14 +322,14 @@ class _Engine:
             raise TrivialPath("trivial paths are never in an admissible ideal")
         if self.dead(p):
             return True
-        if not self.linear or len(p) == 1:
+        if not self.linear or not self.has_term(p):
             return False
         return self.block(p).nf[p] == ()
 
     def coset(self, p: Path) -> frozenset[Path]:
         if self.in_ideal(p):
             raise PathInIdeal(f"{p} lies in the ideal")
-        if not self.linear:
+        if not self.linear or not self.has_term(p):
             return frozenset([p])
         blk = self.block(p)
         key = blk.nf[p]
@@ -374,7 +380,7 @@ def coset_paths(alg: AlgebraPresentation, p: Path) -> frozenset[Path]:
 def coset_key(alg: AlgebraPresentation, p: Path):
     """Hashable canonical tag of the coset p + I (for grouping)."""
     eng = alg._engine
-    if not eng.linear:
+    if not eng.linear or not eng.has_term(p):
         return ((p, Fraction(1)),)
     return eng.block(p).nf[p]
 

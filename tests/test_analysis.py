@@ -11,11 +11,13 @@ from quiverump.analysis import (
     omega_relations,
 )
 from quiverump.errors import CrossComponentPath, NotSpecialMultiserial, TrivialPath
-from quiverump.ideal import algebra, linear_relation
+from quiverump.ideal import algebra, is_special_multiserial, linear_relation
+from quiverump.omega import omega_map
 from quiverump.oracle import maximal_classes
 from quiverump.quiver import quiver
 
 from fixtures import (
+    ALL_FIXTURES,
     chord_cycle_identified,
     chord_cycle_monomial,
     cycle_fork_tail,
@@ -24,6 +26,7 @@ from fixtures import (
     petal_hub,
     two_loops_line,
 )
+from invariants import check_induced
 
 
 def _zero_strs(alg):
@@ -179,6 +182,20 @@ def test_induced_ideal_keeps_identification_inside_subquiver():
     assert sub.ideal.zero == ()
     assert [str(r) for r in sub.ideal.linear] == ["uv - xy"]
     assert sub.bound == 3
+
+
+@pytest.mark.parametrize("name", sorted(ALL_FIXTURES))
+def test_induced_ideals_are_the_parent_ideal_on_the_subquiver(name):
+    A = ALL_FIXTURES[name]()
+    if is_special_multiserial(A):
+        induced = [c.algebra for c in components(A)]
+    else:
+        # no components; restrict to each saturation and to the whole quiver
+        arrow_sets = {frozenset(w.arrows) for w in omega_map(A.quiver).values()}
+        arrow_sets.add(frozenset(A.quiver.arrow_ids))
+        induced = [induced_algebra(A, s) for s in arrow_sets]
+    check_induced(A, induced)
+
 
 def test_component_of_path_routes_to_owner():
     A = cycle_fork_tail()

@@ -1,8 +1,13 @@
-"""Generated algebras: the decision, the saturations and the Brauer
-classification against their definitions."""
+"""Generated algebras: the decision, the saturations, the induced ideals
+and the Brauer classification against their definitions."""
 
-from hypothesis import given, settings
+from fractions import Fraction
+
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+
+from invariants import check_induced
+from quiverump.analysis import components
 
 from quiverump.brauer import (
     brauer_algebra,
@@ -11,7 +16,7 @@ from quiverump.brauer import (
     classify,
     component_vertex_bijection,
 )
-from quiverump.ideal import algebra, zero_relation
+from quiverump.ideal import algebra, is_special_multiserial, linear_relation, zero_relation
 from quiverump.omega import omega_map
 from quiverump.oracle import dimension_bruteforce, ump_bruteforce
 from quiverump.quiver import quiver
@@ -52,6 +57,9 @@ def test_auto_matches_enumeration_and_saturations_partition(alg):
     assert sorted(a for w in sats for a in w.arrows) == sorted(q.arrow_ids)
     assert all(om[a] == w for w in sats for a in w.arrows)
 
+    if is_special_multiserial(alg):
+        check_induced(alg, [c.algebra for c in components(alg)])
+
 
 @st.composite
 def brauer_trees(draw):
@@ -74,3 +82,34 @@ def test_brauer_trees_match_classification_and_enumeration(g):
     assert ump_report(ba.algebra, "auto").is_ump == ump_bruteforce(ba.algebra).is_ump == classify(g).is_ump
     assert brauer_dimension(g) == dimension_bruteforce(ba.algebra)
     component_vertex_bijection(ba)
+    check_induced(ba.algebra, [c.algebra for c in components(ba.algebra)])
+
+
+@st.composite
+def identified_algebras(draw):
+    """Acyclic quivers (arrows go up the vertex order) on 3-5 vertices with
+    2-7 arrows, random length-2 zero relations, and 1-2 identifications
+    p = c*r between distinct parallel paths of length 2 or 3."""
+    n = draw(st.integers(3, 5))
+    m = draw(st.integers(2, 7))
+    upward = st.sampled_from([(s, t) for s in range(n) for t in range(s + 1, n)])
+    arrows = draw(st.lists(upward, min_size=m, max_size=m))
+    q = quiver([str(v) for v in range(n)], [(f"a{i}", str(s), str(t)) for i, (s, t) in enumerate(arrows)])
+    pairs = _paths_of_length(q, 2)
+    ends = {w: (q.path(w).source, q.path(w).target) for w in pairs + _paths_of_length(q, 3)}
+    parallel = [(u, v) for u in ends for v in ends if u < v and ends[u] == ends[v]]
+    assume(parallel)
+    ids = draw(st.lists(st.sampled_from(parallel), min_size=1, max_size=2, unique=True))
+    coef = st.sampled_from([Fraction(-1), Fraction(1), Fraction(2), Fraction(-1, 2)])
+    linear = [linear_relation(q, [(1, u), (draw(coef), v)]) for u, v in ids]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return algebra(q, [zero_relation(q, p) for p in sorted(chosen)], linear)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(identified_algebras())
+def test_identifications_match_enumeration(alg):
+    assert ump_report(alg, "auto").is_ump == ump_bruteforce(alg).is_ump
+    ump_report(alg, "cross-check")
+    if is_special_multiserial(alg):
+        check_induced(alg, [c.algebra for c in components(alg)])

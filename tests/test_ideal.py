@@ -35,7 +35,7 @@ from quiverump.ideal import (
     zero_divisor,
     zero_relation,
 )
-from quiverump.quiver import quiver
+from quiverump.quiver import occurrences, quiver
 
 
 def test_relation_validation():
@@ -275,3 +275,35 @@ def test_engine_dies_with_its_presentation():
     del A
     gc.collect()
     assert ref() is None
+
+
+@pytest.mark.parametrize("name", sorted(ALL_FIXTURES))
+def test_queries_agree_with_the_block(name):
+    A = ALL_FIXTURES[name]()
+    ref = AlgebraPresentation(A.quiver, A.ideal)  # its engine builds every block
+    for p in live_paths(A):
+        blk = ref._engine.block(p)
+        key = blk.nf[p]
+        assert path_in_ideal(A, p) == (key == ())
+        assert coset_key(A, p) == key
+        if key == ():
+            with pytest.raises(PathInIdeal):
+                coset_paths(A, p)
+        else:
+            assert coset_paths(A, p) == {m for m in blk.members if blk.nf[m] == key}
+
+
+@pytest.mark.parametrize("name", sorted(ALL_FIXTURES))
+def test_term_free_paths_build_no_block(name):
+    A = ALL_FIXTURES[name]()
+    terms = [t.arrows for rel in A.ideal.linear for t in rel.paths]
+    live = live_paths(A)
+    for p in live:
+        coset_key(A, p)
+        if not path_in_ideal(A, p):
+            coset_paths(A, p)
+    blocks = A._engine._blocks
+    assert bool(blocks) == bool(A.ideal.linear)
+    for p in live:
+        if not any(occurrences(t, p.arrows) for t in terms):
+            assert p not in blocks

@@ -1,5 +1,5 @@
 """The package states its invariants as typed errors, never as asserts,
-so that python -O strips no check."""
+so that python -O strips no check, and imports only what it uses."""
 
 import ast
 from pathlib import Path
@@ -21,3 +21,22 @@ def test_package_has_no_assert():
                 found.append(f"{path.name}:{node.lineno}")
     assert SOURCES
     assert found == []
+
+
+def test_package_imports_only_what_it_uses():
+    unused = []
+    for path in SOURCES:
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+    assert unused == []
