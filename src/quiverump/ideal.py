@@ -6,6 +6,15 @@ Admissibility gives a bound m with R^m contained in the ideal, so all
 linear algebra happens in the finite-dimensional truncation spanned by
 paths of length < m; arithmetic is exact over Fraction.
 
+For a monomial ideal m comes from the Aho-Corasick automaton of the zero
+relations (Aho and Corasick 1975) run along the quiver.  Its states are
+pairs of a vertex and the longest suffix of the path so far that is a
+proper prefix of a zero relation, so the paths outside the ideal are the
+walks through the states, and the longest of them is found state by
+state, never path by path.  A reachable cycle of states means paths of
+every length survive, so the ideal is not admissible (Ufnarovskii 1982);
+the cap on m is then only a ceiling, never a search depth.
+
 Membership is decided block-locally: starting from a path, repeatedly
 replace an occurrence of one linear-relation term by a sibling term.
 The paths reachable that way form the only coordinates its coset can
@@ -339,16 +348,82 @@ class _Engine:
 # -- admissibility -----------------------------------------------------------
 
 
+def longest_avoiding(q: Quiver, zero_paths: Iterable[Path], cap: int) -> int:
+    """Length of the longest path of q that no zero path divides.
+
+    Walks the states of the Aho-Corasick automaton of the zero paths run
+    along q, not the paths: a state is a vertex plus the longest suffix
+    of the path so far that is a proper prefix of a zero path, and an
+    arrow leads on unless it completes a zero path.  One depth-first pass
+    memoises the longest walk out of each state.  Raises NotAdmissible(cap)
+    when such paths reach length cap, or a cycle of states is reachable,
+    so that they come in every length.
+    """
+    words = {z.arrows for z in zero_paths}
+    prefixes = {()} | {w[:i] for w in words for i in range(1, len(w))}
+
+    def successors(state) -> list:
+        v, u = state
+        out = []
+        for a in q.arrows_from(v):
+            w = u + (a.id,)
+            if any(w[i:] in words for i in range(len(w) - 1)):
+                continue
+            i = 0
+            while w[i:] not in prefixes:
+                i += 1
+            out.append((a.target, w[i:]))
+        return out
+
+    longest: dict[tuple, int] = {}
+    for root in ((v, ()) for v in q.vertex_ids):
+        if root in longest:
+            continue
+        on_path = {root}
+        # a frame: a state, its successors not yet taken, the longest walk
+        # out of it found so far
+        stack = [[root, successors(root), 0]]
+        while stack:
+            frame = stack[-1]
+            state, todo, best = frame
+            if not todo:
+                stack.pop()
+                on_path.discard(state)
+                longest[state] = best
+                if stack:
+                    stack[-1][2] = max(stack[-1][2], best + 1)
+                continue
+            nxt = todo.pop()
+            if nxt in on_path:
+                raise NotAdmissible(cap)
+            if nxt in longest:
+                frame[2] = max(best, longest[nxt] + 1)
+            else:
+                on_path.add(nxt)
+                stack.append([nxt, successors(nxt), 0])
+    best = max(longest.values(), default=0)
+    if best >= cap:
+        raise NotAdmissible(cap)
+    return best
+
+
 def admissibility_bound(q: Quiver, zero: Sequence[ZeroRelation] = (),
                         linear: Sequence[LinearRelation] = (), cap: int = 64) -> int:
     """Least m >= 2 with every path of length m in the ideal, or NotAdmissible.
 
-    Searches from below with a frontier of paths not yet certified; a path
-    certified at stage L stays in the ideal after any extension, so only
-    children of frontier paths need testing.  Sound and exact whenever the
-    presented ideal is admissible at all.
+    A monomial ideal holds exactly the paths some zero relation divides,
+    so m is one more than the longest path longest_avoiding finds, and no
+    path is listed; a cycle of its states proves the ideal not admissible
+    whatever the cap.  With identifications the search goes up from below
+    with a frontier of paths not yet certified; a path certified at stage
+    L stays in the ideal after any extension, so only children of frontier
+    paths need testing.  In both cases cap is only a ceiling: NotAdmissible
+    is raised when some path of length cap lies outside the ideal.  Sound
+    and exact whenever the presented ideal is admissible at all.
     """
     zero_paths = tuple(r.path for r in zero)
+    if not linear:
+        return max(longest_avoiding(q, zero_paths, cap) + 1, 2)
     frontier: list[Path] = [Path((a.id,), a.source, a.target) for a in q.arrows]
     for stage in range(2, cap + 1):
         children: set[Path] = set()
@@ -520,12 +595,12 @@ def is_special_multiserial(alg: AlgebraPresentation) -> SpecialMultiserialResult
     q = alg.quiver
     for a in q.arrows:
         good = [b.id for b in q.arrows_from(a.target)
-                if not path_in_ideal(alg, q.path((a.id, b.id)))]
+                if not path_in_ideal(alg, Path((a.id, b.id), a.source, b.target))]
         if len(good) > 1:
             return SpecialMultiserialResult(False, SMWitness(a.id, "right", (good[0], good[1])))
     for a in q.arrows:
         good = [b.id for b in q.arrows_into(a.source)
-                if not path_in_ideal(alg, q.path((b.id, a.id)))]
+                if not path_in_ideal(alg, Path((b.id, a.id), b.source, a.target))]
         if len(good) > 1:
             return SpecialMultiserialResult(False, SMWitness(a.id, "left", (good[0], good[1])))
     return SpecialMultiserialResult(True)

@@ -91,7 +91,7 @@ def ramifications_graph(alg: AlgebraPresentation) -> RamificationsGraph:
         for wb in starting_at.get(wa.target, ()):
             if wa == wb:
                 continue
-            junction = q.path([wa.arrows[-1], wb.arrows[0]])
-            if not path_in_ideal(alg, junction):
+            x, y = q.arrow(wa.arrows[-1]), q.arrow(wb.arrows[0])
+            if not path_in_ideal(alg, Path((x.id, y.id), x.source, y.target)):
                 edges.append((wa, wb))
     return RamificationsGraph(tuple(nodes), tuple(edges))

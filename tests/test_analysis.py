@@ -2,6 +2,7 @@
 
 import pytest
 
+import quiverump.analysis
 from quiverump.analysis import (
     component_of_path,
     components,
@@ -11,7 +12,13 @@ from quiverump.analysis import (
     omega_relations,
 )
 from quiverump.errors import CrossComponentPath, NotSpecialMultiserial, TrivialPath
-from quiverump.ideal import algebra, is_special_multiserial, linear_relation
+from quiverump.ideal import (
+    AlgebraPresentation,
+    IdealPresentation,
+    algebra,
+    is_special_multiserial,
+    linear_relation,
+)
 from quiverump.omega import omega_map
 from quiverump.oracle import maximal_classes
 from quiverump.quiver import quiver
@@ -195,6 +202,41 @@ def test_induced_ideals_are_the_parent_ideal_on_the_subquiver(name):
         arrow_sets.add(frozenset(A.quiver.arrow_ids))
         induced = [induced_algebra(A, s) for s in arrow_sets]
     check_induced(A, induced)
+
+
+class _Walked(Exception):
+    pass
+
+
+def _no_walk(*args, **kwargs):
+    raise _Walked("a monomial parent's induced ideal walked its paths")
+
+
+def _restrictions(A):
+    if is_special_multiserial(A):
+        return components(A)
+    arrow_sets = sorted({frozenset(w.arrows) for w in omega_map(A.quiver).values()}, key=sorted)
+    return [induced_algebra(A, s) for s in arrow_sets + [frozenset(A.quiver.arrow_ids)]]
+
+
+def test_monomial_parents_induce_without_a_walk(monkeypatch):
+    monomial = [name for name, build in sorted(ALL_FIXTURES.items()) if build().is_monomial]
+    expected = {name: _restrictions(ALL_FIXTURES[name]()) for name in monomial}
+    monkeypatch.setattr(quiverump.analysis, "_grow", _no_walk)
+    assert any(is_special_multiserial(ALL_FIXTURES[name]()) for name in monomial)
+    for name in monomial:
+        assert _restrictions(ALL_FIXTURES[name]()) == expected[name], name
+
+
+def test_induced_ideal_truncates_a_bound_below_the_zero_relations():
+    # a hand-made presentation: no zero relation divides abc, only the bound
+    q = quiver(["1", "2", "3", "4", "5"],
+               [("a", "1", "2"), ("b", "2", "3"), ("c", "3", "4"), ("d", "4", "5")])
+    A = AlgebraPresentation(q, IdealPresentation((), (), 3))
+    sub = induced_algebra(A, frozenset("abc"))
+    assert _zero_strs(sub) == {"abc"}
+    assert sub.bound == 3
+    check_induced(A, [sub])
 
 
 def test_component_of_path_routes_to_owner():

@@ -3,10 +3,11 @@ and the Brauer classification against their definitions."""
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from invariants import check_induced
+from invariants import check_induced, enumerated_bound
 from quiverump.analysis import components
 
 from quiverump.brauer import (
@@ -16,7 +17,15 @@ from quiverump.brauer import (
     classify,
     component_vertex_bijection,
 )
-from quiverump.ideal import algebra, is_special_multiserial, linear_relation, zero_relation
+from quiverump.errors import NotAdmissible
+from quiverump.ideal import (
+    ZeroRelation,
+    admissibility_bound,
+    algebra,
+    is_special_multiserial,
+    linear_relation,
+    zero_relation,
+)
 from quiverump.omega import omega_map
 from quiverump.oracle import dimension_bruteforce, ump_bruteforce
 from quiverump.quiver import quiver
@@ -113,3 +122,150 @@ def test_identifications_match_enumeration(alg):
     ump_report(alg, "cross-check")
     if is_special_multiserial(alg):
         check_induced(alg, [c.algebra for c in components(alg)])
+
+
+@st.composite
+def quivers_with_zero_paths(draw):
+    """1-4 vertices, 1-6 arrows (loops and cycles allowed) and 0-6 zero
+    paths, each a random walk of length 2-4."""
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 6))
+    vertex = st.sampled_from([str(v) for v in range(n)])
+    ends = draw(st.lists(st.tuples(vertex, vertex), min_size=m, max_size=m))
+    q = quiver([str(v) for v in range(n)], [(f"a{i}", s, t) for i, (s, t) in enumerate(ends)])
+    zero = []
+    for _ in range(draw(st.integers(0, 6))):
+        walk = [draw(st.sampled_from(q.arrows))]
+        for _ in range(draw(st.integers(1, 3))):
+            ahead = q.arrows_from(walk[-1].target)
+            if not ahead:
+                break
+            walk.append(draw(st.sampled_from(ahead)))
+        if len(walk) >= 2:
+            zero.append(q.path(a.id for a in walk))
+    return q, zero
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(quivers_with_zero_paths())
+def test_monomial_bound_matches_enumeration(case):
+    q, zero = case
+    relations = [ZeroRelation(z) for z in zero]
+    try:
+        expected = enumerated_bound(q, zero, 8)
+    except NotAdmissible:
+        with pytest.raises(NotAdmissible):
+            admissibility_bound(q, relations, cap=8)
+        return
+    assert admissibility_bound(q, relations, cap=8) == expected
+
+
+@st.composite
+def saturation_chains(draw):
+    """Monomial special multiserial algebras with long relations.
+
+    Lines and oriented cycles of 1-5 arrows glued at branch vertices, at
+    most two arrows in and two out at each.  Every vertex matches its
+    incoming to its outgoing arrows at random, and each unmatched pair is
+    a junction zero relation.  Zero relations of length 2-5 lie along the
+    matched walks, at least one on each closed walk, so the ideal is
+    admissible."""
+    verts: list[str] = []
+    arrows: list[tuple[str, str, str]] = []
+    ins: dict[str, list[str]] = {}
+    outs: dict[str, list[str]] = {}
+
+    def vertex() -> str:
+        verts.append(f"v{len(verts)}")
+        ins[verts[-1]], outs[verts[-1]] = [], []
+        return verts[-1]
+
+    def arrow(s: str, t: str) -> None:
+        arrows.append((f"a{len(arrows)}", s, t))
+        outs[s].append(arrows[-1][0])
+        ins[t].append(arrows[-1][0])
+
+    for _ in range(draw(st.integers(1, 4))):
+        length = draw(st.integers(1, 5))
+        start = draw(st.sampled_from(verts)) if verts and draw(st.booleans()) else vertex()
+        kind = draw(st.sampled_from(["cycle", "out", "in"]))
+        if kind == "cycle" and len(outs[start]) < 2 and len(ins[start]) < 2:
+            cur = start
+            for i in range(length):
+                nxt = start if i == length - 1 else vertex()
+                arrow(cur, nxt)
+                cur = nxt
+        elif kind == "in" and len(ins[start]) < 2:
+            cur = start
+            for _ in range(length):
+                prv = vertex()
+                arrow(prv, cur)
+                cur = prv
+        else:
+            cur = start if len(outs[start]) < 2 else vertex()
+            for _ in range(length):
+                nxt = vertex()
+                arrow(cur, nxt)
+                cur = nxt
+
+    zero: set[tuple[str, ...]] = set()
+    succ: dict[str, str] = {}
+    for v in verts:
+        pairs = list(zip(ins[v], draw(st.permutations(outs[v]))))
+        succ.update(pairs)
+        zero.update((x, y) for x in ins[v] for y in outs[v] if (x, y) not in pairs)
+
+    pred = {y: x for x, y in succ.items()}
+    walks: list[tuple[list[str], bool]] = []
+    seen: set[str] = set()
+    for a, _, _ in sorted(arrows, key=lambda t: t[0] in pred):
+        if a in seen:
+            continue
+        walk = [a]
+        while walk[-1] in succ and succ[walk[-1]] != a:
+            walk.append(succ[walk[-1]])
+        seen.update(walk)
+        walks.append((walk, walk[-1] in succ))
+    for walk, closed in walks:
+        m = len(walk)
+        for _ in range(draw(st.integers(1 if closed else 0, 3))):
+            pos = draw(st.integers(0, m - 1))
+            length = draw(st.integers(2, 5))
+            if closed:
+                zero.add(tuple(walk[(pos + k) % m] for k in range(length)))
+            elif pos + length <= m:
+                zero.add(tuple(walk[pos:pos + length]))
+    q = quiver(verts, arrows)
+    return algebra(q, [zero_relation(q, z) for z in sorted(zero)])
+
+
+def _theorem_branch(comp) -> str:
+    # the first disjunct of the component test in analysis._build_component
+    if not comp.ordered_relations:
+        return "no ordered relation"
+    if all(s == 1 for s in comp.sigma):
+        return "every sigma is 1"
+    if len(comp.ordered_relations) == 1 and comp.closes:
+        return "one relation on a closed path"
+    return "not UMP"
+
+
+def test_saturation_chains_match_enumeration_on_every_branch():
+    branches: set[str] = set()
+    verdicts: set[bool] = set()
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(saturation_chains())
+    def run(alg):
+        assert is_special_multiserial(alg)
+        report = ump_report(alg, "auto")
+        assert report.is_ump == ump_bruteforce(alg).is_ump
+        ump_report(alg, "cross-check")
+        comps = components(alg)
+        check_induced(alg, [c.algebra for c in comps])
+        branches.update(_theorem_branch(c) for c in comps)
+        verdicts.add(report.is_ump)
+
+    run()
+    assert branches == {"no ordered relation", "every sigma is 1", "one relation on a closed path", "not UMP"}
+    assert verdicts == {True, False}

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import quiverump.ideal
 from fixtures import (
     ALL_FIXTURES,
     chord_cycle_identified,
@@ -307,3 +308,24 @@ def test_term_free_paths_build_no_block(name):
     for p in live:
         if not any(occurrences(t, p.arrows) for t in terms):
             assert p not in blocks
+
+
+class _Walked(Exception):
+    pass
+
+
+def _no_engine(*args, **kwargs):
+    raise _Walked("a monomial presentation built a membership engine")
+
+
+def test_monomial_presentations_build_without_an_engine(monkeypatch):
+    monomial = [name for name, build in sorted(ALL_FIXTURES.items()) if build().is_monomial]
+    expected = {name: ALL_FIXTURES[name]() for name in monomial}
+    monkeypatch.setattr(quiverump.ideal, "_Engine", _no_engine)
+    assert monomial
+    for name in monomial:
+        assert ALL_FIXTURES[name]() == expected[name]  # relations and bound
+    loops = quiver(["1"], [(f"a{i}", "1", "1") for i in range(6)])
+    with pytest.raises(NotAdmissible) as err:
+        algebra(loops, [zero_relation(loops, [f"a{i}", f"a{i}"]) for i in range(6)])
+    assert err.value.cap == 64

@@ -1,5 +1,6 @@
 """The package states its invariants as typed errors, never as asserts,
-so that python -O strips no check, and imports only what it uses."""
+so that python -O strips no check, imports only what it uses, and reads
+no environment variable, so no setting outside its arguments steers it."""
 
 import ast
 from pathlib import Path
@@ -40,3 +41,17 @@ def test_package_imports_only_what_it_uses():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
     assert unused == []
+
+
+def test_package_reads_no_environment():
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (
+                isinstance(node, ast.Import) and any(alias.name.split(".")[0] == "os" for alias in node.names)
+                or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "os"
+                or isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv")
+                or isinstance(node, ast.Name) and node.id in ("environ", "getenv")
+            ):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
