@@ -100,7 +100,7 @@ def induced_algebra(alg: AlgebraPresentation, arrow_ids: frozenset[str]) -> Alge
         # collects its rows inside the subquiver
         if eng.dead(p):
             return True
-        if not eng.linear or not eng.has_term(p):
+        if eng.term_free(p):
             return False
         blk = eng.block(p)
         if p not in done:
@@ -320,25 +320,21 @@ def component_of_path(alg: AlgebraPresentation, comps: tuple[Component, ...],
 
 def omega_relations(alg: AlgebraPresentation) -> tuple[Path, ...]:
     """Zero relations of length above two all of whose proper subpaths
-    survive, found by growing fully-nonzero paths one arrow at a time."""
+    survive.  Paths grow one arrow at a time from those outside the
+    ideal, so a visited path in the ideal has a surviving prefix, and it
+    is one of these when its suffix survives too."""
     q = alg.quiver
     out = []
-    fn = {Path((a.id,), a.source, a.target) for a in q.arrows}
-    while fn:
-        nxt = set()
-        for p in fn:
-            for a in q.arrows_from(p.target):
-                cand = Path(p.arrows + (a.id,), p.source, a.target)
-                suffix = Path(cand.arrows[1:], q.arrow(cand.arrows[1]).source, cand.target)
-                if suffix not in fn:
-                    continue
-                if path_in_ideal(alg, cand):
-                    if len(cand) > 2:
-                        out.append(cand)
-                else:
-                    nxt.add(cand)
-        fn = nxt
-    return tuple(sorted(set(out), key=_colkey))
+
+    def in_ideal(p: Path) -> bool:
+        if not path_in_ideal(alg, p):
+            return False
+        if len(p) > 2 and not path_in_ideal(alg, Path(p.arrows[1:], q.arrow(p.arrows[1]).source, p.target)):
+            out.append(p)
+        return True
+
+    _grow(q, in_ideal, alg.bound)
+    return tuple(sorted(out, key=_colkey))
 
 
 @dataclass(frozen=True)

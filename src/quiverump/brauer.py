@@ -39,11 +39,6 @@ class Half:
     edge: str
     slot: int
 
-    def token(self, loop: bool) -> str:
-        if loop:
-            return self.edge + ("^" if self.slot == 0 else "~")
-        return self.edge
-
 
 @dataclass(frozen=True)
 class BrauerGraph:
@@ -132,7 +127,13 @@ def brauer_graph(vertices, edges, orders=None) -> BrauerGraph:
     raised together.
     """
     diags: list[str] = []
-    vlist = [(str(v), int(m)) for v, m in vertices]
+    vlist: list[tuple[str, int]] = []
+    for v, m in vertices:
+        try:
+            vlist.append((str(v), int(m)))
+        except (TypeError, ValueError):
+            diags.append(f"vertex {v}: multiplicity must be an integer, got {m!r}")
+            vlist.append((str(v), 1))  # keeps v declared for the edge checks
     elist = [(str(e), str(a), str(b)) for e, a, b in edges]
 
     vids = [v for v, _ in vlist]

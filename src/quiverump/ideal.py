@@ -18,10 +18,16 @@ the cap on m is then only a ceiling, never a search depth.
 Membership is decided block-locally: starting from a path, repeatedly
 replace an occurrence of one linear-relation term by a sibling term.
 The paths reachable that way form the only coordinates its coset can
-touch, so a small row reduction per block answers every query.  A path
-that holds no relation term reaches nothing and lies in no relation
-copy: it is its own block, outside the ideal unless a zero relation or
-the bound kills it, and no block is ever built for it.
+touch, so a small row reduction per block answers every query.  One pass
+over the embedded relation copies finds the block and reduces its rows:
+each copy's row brings its columns in as members.  A path that holds no
+relation term reaches nothing and lies in no relation copy: it is its
+own block, outside the ideal unless a zero relation or the bound kills
+it, and no block is ever built for it.
+
+Paths are grown in one place, _grow, one layer per length: the listed
+coordinates, the identified admissibility bound, and the walks of
+analysis over induced ideals and omega relations all go through it.
 
 Each presentation object carries one engine, built on its first query
 and freed with it; equal copies build their own.
@@ -107,7 +113,8 @@ def linear_relation(q: Quiver, terms: Sequence[tuple[Fraction | int, Iterable[st
         path = p if isinstance(p, Path) else q.path(p)
         built.append((Fraction(coef), path))
     built.sort(key=lambda t: t[1].arrows)
-    lead = built[0][0]
+    # no terms, or a zero lead: LinearRelation rejects the terms as given
+    lead = built[0][0] if built and built[0][0] else Fraction(1)
     coeffs = tuple(c / lead for c, _ in built)
     paths = tuple(p for _, p in built)
     return LinearRelation(coeffs, paths)
@@ -143,7 +150,7 @@ class AlgebraPresentation:
 
     @cached_property
     def _engine(self) -> _Engine:
-        return _Engine(self.quiver, self.ideal.zero_paths, self.ideal.linear, self.bound)
+        return _Engine(self.ideal.zero_paths, self.ideal.linear, self.bound)
 
     def __getstate__(self):
         # the engine is a cache: pickles and copies leave it behind
@@ -241,14 +248,16 @@ def _span(seeds: Iterable[Path], linear: Sequence[LinearRelation], dead,
           veto=None) -> tuple[set[Path], RowBasis]:
     """Members and row span of the block grown from seeds.
 
-    Closes the seeds under swapping one embedded relation term for a
-    sibling term, dropping paths dead() rejects, then row-reduces every
-    embedded relation copy through a member, again without dead columns.
-    A copy (relation, prefix, suffix) with veto(...) true takes part in
-    neither step.
+    Finds each embedded relation copy (relation, prefix, suffix) through a
+    member once, reduces its row without the columns dead() rejects, and
+    takes those columns in as members; so the members close under swapping
+    one embedded term for a sibling term, and every copy through a member
+    is reduced.  A copy with veto(...) true takes part in neither.
     """
     members = set(seeds)
     frontier = list(members)
+    basis = RowBasis()
+    seen: set[tuple] = set()
     while frontier:
         cur = frontier.pop()
         w = cur.arrows
@@ -257,35 +266,21 @@ def _span(seeds: Iterable[Path], linear: Sequence[LinearRelation], dead,
                 t = term.arrows
                 for pos in occurrences(t, w):
                     prefix, suffix = w[:pos], w[pos + len(t):]
-                    if veto is not None and veto(rel, prefix, suffix):
-                        continue
-                    for other in rel.paths:
-                        if other is term:
-                            continue
-                        cand = Path(prefix + other.arrows + suffix, cur.source, cur.target)
-                        if cand not in members and not dead(cand):
-                            members.add(cand)
-                            frontier.append(cand)
-    basis = RowBasis()
-    seen: set[tuple] = set()
-    for memb in sorted(members, key=_colkey):
-        w = memb.arrows
-        for rel in linear:
-            for term in rel.paths:
-                t = term.arrows
-                for pos in occurrences(t, w):
-                    prefix, suffix = w[:pos], w[pos + len(t):]
-                    if veto is not None and veto(rel, prefix, suffix):
-                        continue
                     ekey = (rel, prefix, suffix)
                     if ekey in seen:
                         continue
                     seen.add(ekey)
+                    if veto is not None and veto(rel, prefix, suffix):
+                        continue
                     row: dict[Path, Fraction] = {}
                     for coef, tp in rel.terms():
-                        cand = Path(prefix + tp.arrows + suffix, memb.source, memb.target)
-                        if not dead(cand):
-                            row[cand] = row.get(cand, _F0) + coef
+                        cand = Path(prefix + tp.arrows + suffix, cur.source, cur.target)
+                        if dead(cand):
+                            continue
+                        row[cand] = coef
+                        if cand not in members:
+                            members.add(cand)
+                            frontier.append(cand)
                     basis.add(row)
     return members, basis
 
@@ -301,19 +296,21 @@ class _Block:
 
 
 class _Engine:
-    def __init__(self, q: Quiver, zero_paths: Sequence[Path],
+    def __init__(self, zero_paths: Sequence[Path],
                  linear: Sequence[LinearRelation], bound: int):
-        self.q = q
         self.bound = bound
         self.zero_divisible = zero_divisor(zero_paths)
         self.linear = tuple(linear)
-        # a path holding no term is its own block; callers test
-        # `not self.linear` first, so monomial queries skip the scan
         self.has_term = zero_divisor(t for rel in self.linear for t in rel.paths)
         self._blocks: dict[Path, _Block] = {}
 
     def dead(self, p: Path) -> bool:
         return len(p) >= self.bound or self.zero_divisible(p)
+
+    def term_free(self, p: Path) -> bool:
+        """Whether p holds no relation term, so that it is its own block;
+        a monomial engine answers without scanning p."""
+        return not self.linear or not self.has_term(p)
 
     def block(self, p: Path) -> _Block:
         cached = self._blocks.get(p)
@@ -328,17 +325,17 @@ class _Engine:
 
     def in_ideal(self, p: Path) -> bool:
         if p.is_trivial:
-            raise TrivialPath("trivial paths are never in an admissible ideal")
+            raise TrivialPath("membership is undefined for trivial paths")
         if self.dead(p):
             return True
-        if not self.linear or not self.has_term(p):
+        if self.term_free(p):
             return False
         return self.block(p).nf[p] == ()
 
     def coset(self, p: Path) -> frozenset[Path]:
         if self.in_ideal(p):
             raise PathInIdeal(f"{p} lies in the ideal")
-        if not self.linear or not self.has_term(p):
+        if self.term_free(p):
             return frozenset([p])
         blk = self.block(p)
         key = blk.nf[p]
@@ -414,27 +411,31 @@ def admissibility_bound(q: Quiver, zero: Sequence[ZeroRelation] = (),
     A monomial ideal holds exactly the paths some zero relation divides,
     so m is one more than the longest path longest_avoiding finds, and no
     path is listed; a cycle of its states proves the ideal not admissible
-    whatever the cap.  With identifications the search goes up from below
-    with a frontier of paths not yet certified; a path certified at stage
-    L stays in the ideal after any extension, so only children of frontier
-    paths need testing.  In both cases cap is only a ceiling: NotAdmissible
-    is raised when some path of length cap lies outside the ideal.  Sound
-    and exact whenever the presented ideal is admissible at all.
+    whatever the cap.  With identifications _grow walks up from the arrows
+    and extends only the paths not yet certified: a path certified at
+    length L stays in the ideal after any extension.  m is one more than
+    the longest path left.  In both cases cap is only a ceiling:
+    NotAdmissible is raised when some path of length cap lies outside the
+    ideal.  Sound and exact whenever the presented ideal is admissible at
+    all.
     """
     zero_paths = tuple(r.path for r in zero)
     if not linear:
         return max(longest_avoiding(q, zero_paths, cap) + 1, 2)
-    frontier: list[Path] = [Path((a.id,), a.source, a.target) for a in q.arrows]
-    for stage in range(2, cap + 1):
-        children: set[Path] = set()
-        for p in frontier:
-            for a in q.arrows_from(p.target):
-                children.add(Path(p.arrows + (a.id,), p.source, a.target))
-        engine = _Engine(q, zero_paths, linear, bound=stage + 1)
-        frontier = [c for c in sorted(children, key=_colkey) if not engine.in_ideal(c)]
-        if not frontier:
-            return stage
-    raise NotAdmissible(cap)
+    engines: dict[int, _Engine] = {}
+
+    def in_ideal(p: Path) -> bool:
+        # a path of length L is tested in the truncation at L + 1, on an
+        # engine of its own length, so no block holds a longer path
+        eng = engines.get(len(p))
+        if eng is None:
+            eng = engines[len(p)] = _Engine(zero_paths, linear, len(p) + 1)
+        return eng.in_ideal(p)
+
+    outside = _grow(q, in_ideal, cap)
+    if outside and len(outside[-1]) >= cap:
+        raise NotAdmissible(cap)
+    return len(outside[-1]) + 1 if outside else 2
 
 
 # -- public membership API ---------------------------------------------------
@@ -442,8 +443,6 @@ def admissibility_bound(q: Quiver, zero: Sequence[ZeroRelation] = (),
 
 def path_in_ideal(alg: AlgebraPresentation, p: Path) -> bool:
     """Exact membership of a path in the ideal."""
-    if p.is_trivial:
-        raise TrivialPath("membership is undefined for trivial paths")
     return alg._engine.in_ideal(p)
 
 
@@ -455,7 +454,7 @@ def coset_paths(alg: AlgebraPresentation, p: Path) -> frozenset[Path]:
 def coset_key(alg: AlgebraPresentation, p: Path):
     """Hashable canonical tag of the coset p + I (for grouping)."""
     eng = alg._engine
-    if not eng.linear or not eng.has_term(p):
+    if eng.term_free(p):
         return ((p, Fraction(1)),)
     return eng.block(p).nf[p]
 

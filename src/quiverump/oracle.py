@@ -1,10 +1,16 @@
 """Brute-force reference computations.
 
 Everything here works by exhaustive path enumeration plus exact linear
-algebra, with none of the structural shortcuts used elsewhere in the
-package; the point is to have an independent answer to compare against.
-Runtimes are exponential in principle and fine in practice because an
-admissible ideal caps path length at the bound.
+algebra; runtimes are exponential in principle and fine in practice
+because an admissible ideal caps path length at the bound.
+
+Two routines are independent of the structural code: global_basis
+reduces every embedded copy of every identification over all the
+coordinates of the truncated quotient at once, and dimension_bruteforce
+reads the dimension off it.  The others enumerate paths here but take
+membership and cosets from the membership engine in ideal (path_in_ideal,
+coset_key, coset_paths), which the structural code uses too; they check
+the structural shortcuts, not the engine.
 """
 
 from __future__ import annotations
@@ -21,7 +27,23 @@ from .ideal import (
     coset_paths,
     path_in_ideal,
 )
-from .quiver import Path, divides
+from .quiver import Path, Quiver, divides, occurrences
+
+
+def _outside(q: Quiver, dead) -> list[Path]:
+    """Paths dead() rejects on no prefix, by exhaustive extension one layer
+    per length; dead() must reject every path from some length on."""
+    out: list[Path] = []
+    layer = [Path((a.id,), a.source, a.target) for a in q.arrows]
+    while layer:
+        keep = [p for p in layer if not dead(p)]
+        out.extend(keep)
+        layer = [
+            Path(p.arrows + (a.id,), p.source, a.target)
+            for p in keep
+            for a in q.arrows_from(p.target)
+        ]
+    return out
 
 
 def nonzero_paths(alg: AlgebraPresentation) -> tuple[Path, ...]:
@@ -30,18 +52,7 @@ def nonzero_paths(alg: AlgebraPresentation) -> tuple[Path, ...]:
     Pruning on membership is sound: extensions of a path in the ideal
     stay in the ideal.
     """
-    q = alg.quiver
-    out: list[Path] = []
-    frontier = [Path((a.id,), a.source, a.target) for a in q.arrows]
-    while frontier:
-        keep = [p for p in frontier if not path_in_ideal(alg, p)]
-        out.extend(keep)
-        frontier = [
-            Path(p.arrows + (a.id,), p.source, a.target)
-            for p in keep
-            for a in q.arrows_from(p.target)
-        ]
-    return tuple(sorted(out, key=_colkey))
+    return tuple(sorted(_outside(alg.quiver, lambda p: path_in_ideal(alg, p)), key=_colkey))
 
 
 def maximal_paths(alg: AlgebraPresentation) -> tuple[Path, ...]:
@@ -106,57 +117,45 @@ def ump_bruteforce(alg: AlgebraPresentation) -> OracleUmp:
     return OracleUmp(True, None, classes)
 
 
-def _truncation_live(alg: AlgebraPresentation) -> list[Path]:
-    # coordinates of the truncated quotient: short and not divisible by a
-    # zero relation (paths killed by identifications are still coordinates)
-    q = alg.quiver
+def global_basis(alg: AlgebraPresentation) -> tuple[list[Path], RowBasis]:
+    """Coordinates of the truncated quotient and the reduced span of every
+    embedded copy of every identification over them.
+
+    The coordinates are the paths shorter than the bound that no zero
+    relation divides; paths killed by identifications are still
+    coordinates.  A path lies in the ideal exactly when its coordinate
+    vector reduces to zero, and two paths share a coset exactly when their
+    reductions agree."""
     zeros = alg.ideal.zero_paths
 
-    def ok(p: Path) -> bool:
-        return len(p) < alg.bound and not any(divides(z, p) for z in zeros)
+    def dead(p: Path) -> bool:
+        return len(p) >= alg.bound or any(divides(z, p) for z in zeros)
 
-    out: list[Path] = []
-    frontier = [p for a in q.arrows
-                if ok(p := Path((a.id,), a.source, a.target))]
-    while frontier:
-        out.extend(frontier)
-        frontier = [
-            cand
-            for p in frontier
-            for a in q.arrows_from(p.target)
-            if ok(cand := Path(p.arrows + (a.id,), p.source, a.target))
-        ]
-    return out
-
-
-def dimension_bruteforce(alg: AlgebraPresentation, include_trivial: bool = True) -> int:
-    """Vector space dimension of the quotient, by exhausting coordinates and
-    row reducing every embedded copy of every identification."""
-    live = _truncation_live(alg)
-    base = len(alg.quiver.vertices) if include_trivial else 0
-    if alg.is_monomial:
-        return base + len(live)
+    live = _outside(alg.quiver, dead)
     basis = RowBasis()
     seen: set[tuple] = set()
     for memb in sorted(live, key=_colkey):
+        w = memb.arrows
         for rel in alg.ideal.linear:
             for term in rel.paths:
-                tlen = len(term.arrows)
-                for pos in range(len(memb.arrows) - tlen + 1):
-                    if memb.arrows[pos:pos + tlen] != term.arrows:
+                t = term.arrows
+                for pos in occurrences(t, w):
+                    prefix, suffix = w[:pos], w[pos + len(t):]
+                    if (rel, prefix, suffix) in seen:
                         continue
-                    prefix = memb.arrows[:pos]
-                    suffix = memb.arrows[pos + tlen:]
-                    ekey = (rel, prefix, suffix)
-                    if ekey in seen:
-                        continue
-                    seen.add(ekey)
+                    seen.add((rel, prefix, suffix))
                     vec: dict[Path, Fraction] = {}
                     for coef, tp in rel.terms():
                         cand = Path(prefix + tp.arrows + suffix, memb.source, memb.target)
-                        if len(cand) < alg.bound and not any(
-                            divides(z, cand) for z in alg.ideal.zero_paths
-                        ):
-                            vec[cand] = vec.get(cand, Fraction(0)) + coef
+                        if not dead(cand):
+                            vec[cand] = coef
                     basis.add(vec)
+    return live, basis
+
+
+def dimension_bruteforce(alg: AlgebraPresentation, include_trivial: bool = True) -> int:
+    """Vector space dimension of the quotient: its coordinates less the rank
+    of the global basis."""
+    live, basis = global_basis(alg)
+    base = len(alg.quiver.vertices) if include_trivial else 0
     return base + len(live) - len(basis)

@@ -1,8 +1,19 @@
-"""Checks that hold of every induced ideal, shared by the example tests
-and the generated ones, and a bound reference that lists paths."""
+"""Checks that hold of every presentation and every induced ideal, shared
+by the example tests and the generated ones, and bound references that
+list paths."""
+
+from fractions import Fraction
 
 from quiverump.errors import NotAdmissible
-from quiverump.ideal import admissibility_bound, coset_paths, minimalize_relations, path_in_ideal
+from quiverump.ideal import (
+    AlgebraPresentation,
+    IdealPresentation,
+    coset_key,
+    coset_paths,
+    minimalize_relations,
+    path_in_ideal,
+)
+from quiverump.oracle import global_basis
 from quiverump.quiver import Path, divides
 
 
@@ -37,12 +48,31 @@ def enumerated_bound(q, zero_paths, cap):
     return max(longest + 1, 2)
 
 
+def reduced_bound(q, zero, linear, cap):
+    """Least m >= 2 with every path of q of length m in the ideal, or
+    NotAdmissible(cap) once a path of length cap lies outside it.
+
+    Truncates the presentation at cap + 1 and reduces over the oracle's
+    global basis, with no membership engine: the longest path outside the
+    span, plus one.  It reads the bound the stage walk of
+    admissibility_bound reads, because for L <= cap all paths of length L
+    lie in I + R^(L+1), as that walk tests, exactly when all lie in
+    I + R^(cap+1)."""
+    truncated = AlgebraPresentation(q, IdealPresentation(tuple(zero), tuple(linear), cap + 1))
+    live, basis = global_basis(truncated)
+    longest = max((len(p) for p in live if basis.reduce({p: Fraction(1)})), default=0)
+    if longest >= cap:
+        raise NotAdmissible(cap)
+    return max(longest + 1, 2)
+
+
 def check_induced(alg, induced):
     """Each induced presentation holds exactly the subquiver paths of
     length <= alg.bound that alg's ideal holds, and gives each of the
     others the subquiver part of its coset in alg; its bound is the
     least m with every path of length m in its ideal (listed, for a
-    monomial one), and none of its relations is redundant."""
+    monomial one, and reduced over the global basis otherwise), and none
+    of its relations is redundant."""
     for sub in induced:
         arrows = set(sub.quiver.arrow_ids)
         for p in paths_up_to(sub.quiver, alg.bound):
@@ -52,7 +82,22 @@ def check_induced(alg, induced):
                 assert coset_paths(sub, p) == {m for m in coset_paths(alg, p) if set(m.arrows) <= arrows}, p
         zero, linear = sub.ideal.zero, sub.ideal.linear
         if linear:
-            assert sub.bound == admissibility_bound(sub.quiver, zero, linear)
+            assert sub.bound == reduced_bound(sub.quiver, zero, linear, alg.bound)
         else:
             assert sub.bound == enumerated_bound(sub.quiver, sub.ideal.zero_paths, alg.bound)
         assert minimalize_relations(sub.quiver, zero, linear, sub.bound)[2] == ()
+
+
+def check_global_basis(alg):
+    """On every coordinate of the truncated quotient, path_in_ideal and the
+    partition by coset_key agree with the oracle's global basis, which
+    reduces every embedded identification at once and shares no block."""
+    live, basis = global_basis(alg)
+    by_key, by_normal = {}, {}
+    for p in live:
+        normal = basis.normal_key({p: Fraction(1)})
+        assert path_in_ideal(alg, p) == (normal == ()), p
+        if normal:
+            by_key.setdefault(coset_key(alg, p), set()).add(p)
+            by_normal.setdefault(normal, set()).add(p)
+    assert {frozenset(c) for c in by_key.values()} == {frozenset(c) for c in by_normal.values()}

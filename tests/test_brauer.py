@@ -87,11 +87,12 @@ def test_rejects_empty_edge_set():
 def test_collects_multiple_diagnostics():
     with pytest.raises(BrauerValidationError) as err:
         brauer_graph(
-            [("u", 0), ("u", 1)],
-            [("e", "u", "ghost")],
+            [("u", 0), ("u", 1), ("v", "x")],
+            [("e", "u", "ghost"), ("f", "u", "v")],
         )
     diags = " | ".join(err.value.diagnostics)
-    assert "multiplicity" in diags
+    assert "multiplicity must be at least 1" in diags
+    assert "vertex v: multiplicity must be an integer, got 'x'" in diags
     assert "duplicate vertex ids" in diags
     assert "undeclared endpoint" in diags
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from invariants import check_induced, enumerated_bound
+from invariants import check_global_basis, check_induced, enumerated_bound, reduced_bound
 from quiverump.analysis import components
 
 from quiverump.brauer import (
@@ -119,9 +119,55 @@ def identified_algebras(draw):
 @given(identified_algebras())
 def test_identifications_match_enumeration(alg):
     assert ump_report(alg, "auto").is_ump == ump_bruteforce(alg).is_ump
+    check_global_basis(alg)
     ump_report(alg, "cross-check")
     if is_special_multiserial(alg):
         check_induced(alg, [c.algebra for c in components(alg)])
+
+
+@st.composite
+def identified_presentations(draw):
+    """1-3 vertices and 2-4 arrows (loops and cycles allowed), random
+    length-2 zero relations, 1-2 identifications p = c*r between distinct
+    parallel paths of length 2 or 3, and a cap of 2-5: some are admissible
+    below the cap and some are not."""
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(2, 4))
+    vertex = st.sampled_from([str(v) for v in range(n)])
+    ends = draw(st.lists(st.tuples(vertex, vertex), min_size=m, max_size=m))
+    q = quiver([str(v) for v in range(n)], [(f"a{i}", s, t) for i, (s, t) in enumerate(ends)])
+    pairs = _paths_of_length(q, 2)
+    walks = {w: q.path(w) for w in pairs + _paths_of_length(q, 3)}
+    parallel = [(u, v) for u in walks for v in walks
+                if u < v and (walks[u].source, walks[u].target) == (walks[v].source, walks[v].target)]
+    assume(parallel)
+    ids = draw(st.lists(st.sampled_from(parallel), min_size=1, max_size=2, unique=True))
+    coef = st.sampled_from([Fraction(-1), Fraction(1), Fraction(2), Fraction(-1, 2)])
+    linear = [linear_relation(q, [(1, u), (draw(coef), v)]) for u, v in ids]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return q, [zero_relation(q, p) for p in sorted(chosen)], linear, draw(st.integers(2, 5))
+
+
+def test_identified_bounds_match_the_global_basis():
+    outcomes: set[str] = set()
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(identified_presentations())
+    def run(case):
+        q, zero, linear, cap = case
+        try:
+            expected = reduced_bound(q, zero, linear, cap)
+        except NotAdmissible:
+            with pytest.raises(NotAdmissible) as err:
+                admissibility_bound(q, zero, linear, cap=cap)
+            assert err.value.cap == cap
+            outcomes.add("not admissible")
+            return
+        assert admissibility_bound(q, zero, linear, cap=cap) == expected
+        outcomes.add("bound")
+
+    run()
+    assert outcomes == {"bound", "not admissible"}
 
 
 @st.composite

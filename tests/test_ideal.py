@@ -50,6 +50,10 @@ def test_relation_validation():
     with pytest.raises(InvalidPresentation):
         linear_relation(q, [(1, "aa"), (0, "aaa")])  # zero coefficient
     with pytest.raises(InvalidPresentation):
+        linear_relation(q, [(0, "aa"), (1, "aaa")])  # zero coefficient on the term sorting first
+    with pytest.raises(InvalidPresentation):
+        linear_relation(q, [])  # no terms
+    with pytest.raises(InvalidPresentation):
         linear_relation(q, [(1, "aa"), (-1, "aa")])  # repeated term
 
 

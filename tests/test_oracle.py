@@ -10,6 +10,7 @@ from fixtures import (
     petal_hub,
     two_loops_line,
 )
+from invariants import check_global_basis
 from quiverump.oracle import (
     dimension_bruteforce,
     maximal_classes,
@@ -115,3 +116,8 @@ def test_longest_nonzero_is_one_below_bound(name):
     alg = ALL_FIXTURES[name]()
     longest = max(len(p) for p in nonzero_paths(alg))
     assert longest == alg.bound - 1
+
+
+@pytest.mark.parametrize("name", sorted(ALL_FIXTURES))
+def test_membership_and_cosets_match_the_global_basis(name):
+    check_global_basis(ALL_FIXTURES[name]())

@@ -1,8 +1,11 @@
 """The package states its invariants as typed errors, never as asserts,
 so that python -O strips no check, imports only what it uses, and reads
-no environment variable, so no setting outside its arguments steers it."""
+no environment variable, so no setting outside its arguments steers it;
+and it still offers every name and signature the benchmark harness uses."""
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 import quiverump
@@ -55,3 +58,42 @@ def test_package_reads_no_environment():
             ):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+HARNESS = Path(__file__).resolve().parents[1] / "bench" / "harness.py"
+
+
+def test_bench_harness_still_binds():
+    """Every name bench/harness.py imports from quiverump exists, and every
+    call it makes to one, directly or through its call(label, fn, *args)
+    wrapper, binds to the current signature."""
+    tree = ast.parse(HARNESS.read_text(), filename=str(HARNESS))
+    imported, missing = {}, []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "quiverump":
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                if hasattr(module, alias.name):
+                    imported[alias.asname or alias.name] = getattr(module, alias.name)
+                else:
+                    missing.append(f"{node.module}.{alias.name}")
+    unbound = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        args = node.args
+        if isinstance(node.func, ast.Name) and node.func.id in imported:
+            fn = imported[node.func.id]
+        elif isinstance(node.func, ast.Name) and node.func.id == "call" and len(args) > 1 \
+                and isinstance(args[1], ast.Name) and args[1].id in imported:
+            fn, args = imported[args[1].id], args[2:]
+        else:
+            continue
+        if any(isinstance(a, ast.Starred) for a in args) or any(k.arg is None for k in node.keywords):
+            continue
+        try:
+            inspect.signature(fn).bind(*args, **{k.arg: k.value for k in node.keywords})
+        except TypeError as err:
+            unbound.append(f"harness.py:{node.lineno} {fn.__name__}: {err}")
+    assert imported and missing == []
+    assert unbound == []
