@@ -62,12 +62,13 @@ def induced_algebra(alg: AlgebraPresentation, arrow_ids: frozenset[str]) -> Alge
     Otherwise grows the subquiver's paths one layer per length and
     extends only those the parent's engine puts outside the ideal.  A
     visited path in the ideal is generated by the parent's zero relations
-    or by the rows of its engine block that stay in the subquiver; a path
-    with a proper prefix in the ideal lies in the ideal through that
-    prefix, so it is never visited.  Children of length alg.bound that no
-    generator found so far divides close the truncation off, and the
-    bound is one more than the longest path outside the ideal (at least
-    2).
+    or by the rows of its engine block that stay in the subquiver; a lone
+    path (see ideal) is its own one-row block and becomes a zero relation
+    with no block built.  A path with a proper prefix in the ideal lies in
+    the ideal through that prefix, so it is never visited.  Children of
+    length alg.bound that no generator found so far divides close the
+    truncation off, and the bound is one more than the longest path
+    outside the ideal (at least 2).
     """
     q = alg.quiver
     sub = q.subquiver([a.id for a in q.arrows if a.id in arrow_ids])
@@ -102,6 +103,9 @@ def induced_algebra(alg: AlgebraPresentation, arrow_ids: frozenset[str]) -> Alge
             return True
         if eng.term_free(p):
             return False
+        if eng.lone(p):
+            zero.append(ZeroRelation(p))
+            return True
         blk = eng.block(p)
         if p not in done:
             done.update(blk.members)

@@ -130,10 +130,14 @@ def brauer_graph(vertices, edges, orders=None) -> BrauerGraph:
     vlist: list[tuple[str, int]] = []
     for v, m in vertices:
         try:
-            vlist.append((str(v), int(m)))
+            n = int(m)
         except (TypeError, ValueError):
+            n = None
+        # int() truncates 2.5 and reads True as 1; a string must parse whole
+        if n is None or isinstance(m, bool) or (not isinstance(m, str) and n != m):
             diags.append(f"vertex {v}: multiplicity must be an integer, got {m!r}")
-            vlist.append((str(v), 1))  # keeps v declared for the edge checks
+            n = 1  # keeps v declared for the edge checks
+        vlist.append((str(v), n))
     elist = [(str(e), str(a), str(b)) for e, a, b in edges]
 
     vids = [v for v, _ in vlist]

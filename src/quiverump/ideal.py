@@ -20,10 +20,16 @@ replace an occurrence of one linear-relation term by a sibling term.
 The paths reachable that way form the only coordinates its coset can
 touch, so a small row reduction per block answers every query.  One pass
 over the embedded relation copies finds the block and reduces its rows:
-each copy's row brings its columns in as members.  A path that holds no
-relation term reaches nothing and lies in no relation copy: it is its
-own block, outside the ideal unless a zero relation or the bound kills
-it, and no block is ever built for it.
+each copy's row brings its columns in as members; the copies in a path
+are found through an index of the relation terms by first arrow.  A path
+that holds no relation term reaches nothing and lies in no relation
+copy: it is its own block, outside the ideal unless a zero relation or
+the bound kills it, and no block is ever built for it.  Nor is one built
+for a lone path, one that holds a term but whose relation copies have
+only dead siblings (a zero relation or the bound kills every other term
+in its context): each copy's row is the path alone, so it is its own
+block and lies in the ideal, like a full turn of a Brauer graph algebra
+extended by one arrow.
 
 Paths are grown in one place, _grow, one layer per length: the listed
 coordinates, the identified admissibility bound, and the walks of
@@ -179,6 +185,7 @@ def zero_divisor(zero_paths: Iterable[Path]) -> Callable[[Path], bool]:
 # -- sparse exact row reduction ----------------------------------------------
 
 _F0 = Fraction(0)
+_F1 = Fraction(1)
 
 
 def _colkey(p: Path):
@@ -244,15 +251,39 @@ class RowBasis:
         return tuple(sorted(red.items(), key=lambda kv: self.key(kv[0])))
 
 
-def _span(seeds: Iterable[Path], linear: Sequence[LinearRelation], dead,
-          veto=None) -> tuple[set[Path], RowBasis]:
+def _copy_index(linear: Sequence[LinearRelation]) -> Callable[[tuple[str, ...]], list[tuple]]:
+    """Lister of the embedded relation copies (relation, prefix, suffix) in
+    an arrow sequence, ordered by relation, term and position.
+
+    The terms are indexed once by their first arrow, so listing costs per
+    arrow of the sequence, not per relation.
+    """
+    index: dict[str, list[tuple]] = {}
+    for i, rel in enumerate(linear):
+        for j, term in enumerate(rel.paths):
+            index.setdefault(term.arrows[0], []).append((i, j, rel, term.arrows))
+
+    def copies(w: tuple[str, ...]) -> list[tuple]:
+        found = sorted(
+            (i, j, pos, rel, len(t))
+            for pos, a in enumerate(w)
+            for i, j, rel, t in index.get(a, ())
+            if w[pos:pos + len(t)] == t
+        )
+        return [(rel, w[:pos], w[pos + k:]) for _, _, pos, rel, k in found]
+
+    return copies
+
+
+def _span(seeds: Iterable[Path], copies, dead, veto=None) -> tuple[set[Path], RowBasis]:
     """Members and row span of the block grown from seeds.
 
     Finds each embedded relation copy (relation, prefix, suffix) through a
-    member once, reduces its row without the columns dead() rejects, and
-    takes those columns in as members; so the members close under swapping
-    one embedded term for a sibling term, and every copy through a member
-    is reduced.  A copy with veto(...) true takes part in neither.
+    member once, by copies() of its arrows, reduces its row without the
+    columns dead() rejects, and takes those columns in as members; so the
+    members close under swapping one embedded term for a sibling term, and
+    every copy through a member is reduced.  A copy with veto(...) true
+    takes part in neither.
     """
     members = set(seeds)
     frontier = list(members)
@@ -260,28 +291,23 @@ def _span(seeds: Iterable[Path], linear: Sequence[LinearRelation], dead,
     seen: set[tuple] = set()
     while frontier:
         cur = frontier.pop()
-        w = cur.arrows
-        for rel in linear:
-            for term in rel.paths:
-                t = term.arrows
-                for pos in occurrences(t, w):
-                    prefix, suffix = w[:pos], w[pos + len(t):]
-                    ekey = (rel, prefix, suffix)
-                    if ekey in seen:
-                        continue
-                    seen.add(ekey)
-                    if veto is not None and veto(rel, prefix, suffix):
-                        continue
-                    row: dict[Path, Fraction] = {}
-                    for coef, tp in rel.terms():
-                        cand = Path(prefix + tp.arrows + suffix, cur.source, cur.target)
-                        if dead(cand):
-                            continue
-                        row[cand] = coef
-                        if cand not in members:
-                            members.add(cand)
-                            frontier.append(cand)
-                    basis.add(row)
+        for ekey in copies(cur.arrows):
+            if ekey in seen:
+                continue
+            seen.add(ekey)
+            rel, prefix, suffix = ekey
+            if veto is not None and veto(rel, prefix, suffix):
+                continue
+            row: dict[Path, Fraction] = {}
+            for coef, tp in rel.terms():
+                cand = Path(prefix + tp.arrows + suffix, cur.source, cur.target)
+                if dead(cand):
+                    continue
+                row[cand] = coef
+                if cand not in members:
+                    members.add(cand)
+                    frontier.append(cand)
+            basis.add(row)
     return members, basis
 
 
@@ -302,6 +328,8 @@ class _Engine:
         self.zero_divisible = zero_divisor(zero_paths)
         self.linear = tuple(linear)
         self.has_term = zero_divisor(t for rel in self.linear for t in rel.paths)
+        self.copies = _copy_index(self.linear)
+        self._lone: dict[Path, bool] = {}
         self._blocks: dict[Path, _Block] = {}
 
     def dead(self, p: Path) -> bool:
@@ -312,11 +340,23 @@ class _Engine:
         a monomial engine answers without scanning p."""
         return not self.linear or not self.has_term(p)
 
+    def lone(self, p: Path) -> bool:
+        """Whether every relation copy through p, a path holding a term, has
+        only dead siblings, so that p is its own block and lies in the
+        ideal; the verdict is kept, so a repeated query is a lookup."""
+        hit = self._lone.get(p)
+        if hit is None:
+            w = p.arrows
+            sibs = (prefix + tp.arrows + suffix
+                    for rel, prefix, suffix in self.copies(w) for tp in rel.paths)
+            hit = self._lone[p] = all(s == w or self.dead(Path(s, p.source, p.target)) for s in sibs)
+        return hit
+
     def block(self, p: Path) -> _Block:
         cached = self._blocks.get(p)
         if cached is not None:
             return cached
-        members, basis = _span((p,), self.linear, self.dead)
+        members, basis = _span((p,), self.copies, self.dead)
         nf = {memb: basis.normal_key({memb: Fraction(1)}) for memb in members}
         blk = _Block(frozenset(members), basis, nf)
         for memb in members:
@@ -324,13 +364,16 @@ class _Engine:
         return blk
 
     def in_ideal(self, p: Path) -> bool:
+        """Membership of p in I.  A dead path lies in I, a term-free path is
+        its own block outside I, and a lone path is its own block inside
+        I; only the others build a block and read its normal form."""
         if p.is_trivial:
             raise TrivialPath("membership is undefined for trivial paths")
         if self.dead(p):
             return True
         if self.term_free(p):
             return False
-        return self.block(p).nf[p] == ()
+        return self.lone(p) or self.block(p).nf[p] == ()
 
     def coset(self, p: Path) -> frozenset[Path]:
         if self.in_ideal(p):
@@ -452,10 +495,17 @@ def coset_paths(alg: AlgebraPresentation, p: Path) -> frozenset[Path]:
 
 
 def coset_key(alg: AlgebraPresentation, p: Path):
-    """Hashable canonical tag of the coset p + I (for grouping)."""
+    """Hashable canonical tag of the coset p + I (for grouping), () exactly
+    when p lies in the ideal, dead paths included.  It takes the steps of
+    _Engine.in_ideal: a term-free path is tagged by itself and a lone one
+    by (), and only the others read their block's normal form."""
     eng = alg._engine
+    if eng.dead(p):
+        return ()
     if eng.term_free(p):
-        return ((p, Fraction(1)),)
+        return ((p, _F1),)
+    if eng.lone(p):
+        return ()
     return eng.block(p).nf[p]
 
 
@@ -521,7 +571,9 @@ def _removable(q: Quiver, candidate, zero_others: list[ZeroRelation],
         return rel is candidate and not prefix and not suffix
 
     linear = list(linear_others) if cand_is_zero else [*linear_others, candidate]
-    _, basis = _span(vec, linear, dead, veto)
+    if not linear:
+        return False  # no identification spans a live column
+    _, basis = _span(vec, _copy_index(linear), dead, veto)
     return not basis.reduce(vec)
 
 

@@ -27,7 +27,7 @@ from .ideal import (
     coset_paths,
     path_in_ideal,
 )
-from .quiver import Path, Quiver, divides, occurrences
+from .quiver import Path, Quiver, occurrences
 
 
 def _outside(q: Quiver, dead) -> list[Path]:
@@ -126,12 +126,16 @@ def global_basis(alg: AlgebraPresentation) -> tuple[list[Path], RowBasis]:
     coordinates.  A path lies in the ideal exactly when its coordinate
     vector reduces to zero, and two paths share a coset exactly when their
     reductions agree."""
-    zeros = alg.ideal.zero_paths
+    # a path is dead when some window of it is a zero relation
+    words = {z.arrows for z in alg.ideal.zero_paths}
+    lengths = sorted({len(z) for z in words})
 
     def dead(p: Path) -> bool:
-        return len(p) >= alg.bound or any(divides(z, p) for z in zeros)
+        w = p.arrows
+        return len(w) >= alg.bound or any(w[i:i + k] in words for k in lengths for i in range(len(w) - k + 1))
 
     live = _outside(alg.quiver, dead)
+    coordinates = set(live)  # every path that is not dead
     basis = RowBasis()
     seen: set[tuple] = set()
     for memb in sorted(live, key=_colkey):
@@ -147,7 +151,7 @@ def global_basis(alg: AlgebraPresentation) -> tuple[list[Path], RowBasis]:
                     vec: dict[Path, Fraction] = {}
                     for coef, tp in rel.terms():
                         cand = Path(prefix + tp.arrows + suffix, memb.source, memb.target)
-                        if not dead(cand):
+                        if cand in coordinates:
                             vec[cand] = coef
                     basis.add(vec)
     return live, basis

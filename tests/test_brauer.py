@@ -97,6 +97,18 @@ def test_collects_multiple_diagnostics():
     assert "undeclared endpoint" in diags
 
 
+@pytest.mark.parametrize("m", [2.5, True, False])
+def test_rejects_non_integral_and_boolean_multiplicities(m):
+    with pytest.raises(BrauerValidationError) as err:
+        brauer_graph([("v", m), ("w", 1)], [("e", "v", "w")])
+    assert err.value.diagnostics == (f"vertex v: multiplicity must be an integer, got {m!r}",)
+
+
+def test_accepts_integral_multiplicities_of_any_numeric_type():
+    g = brauer_graph([("v", 2.0), ("w", "3")], [("e", "v", "w")])
+    assert g.vertices == (("v", 2), ("w", 3))
+
+
 def test_rejects_disconnected_graph():
     with pytest.raises(BrauerValidationError) as err:
         brauer_graph(

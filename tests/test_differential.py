@@ -68,6 +68,7 @@ def test_auto_matches_enumeration_and_saturations_partition(alg):
 
     if is_special_multiserial(alg):
         check_induced(alg, [c.algebra for c in components(alg)])
+    check_global_basis(alg)
 
 
 @st.composite
@@ -92,6 +93,41 @@ def test_brauer_trees_match_classification_and_enumeration(g):
     assert brauer_dimension(g) == dimension_bruteforce(ba.algebra)
     component_vertex_bijection(ba)
     check_induced(ba.algebra, [c.algebra for c in components(ba.algebra)])
+    check_global_basis(ba.algebra)
+
+
+@st.composite
+def brauer_graphs(draw):
+    """Connected Brauer graphs on 1-4 vertices that are not trees: a
+    random spanning tree plus 1-2 extra edges, each a loop, a second edge
+    between adjacent vertices, or a chord; multiplicities 1-3 and a random
+    cyclic order of the half-edges at each vertex."""
+    n = draw(st.integers(1, 4))
+    vertices = [(f"v{i}", draw(st.integers(1, 3))) for i in range(n)]
+    ends = [(draw(st.integers(0, i - 1)), i) for i in range(1, n)]
+    ends += draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), min_size=1, max_size=2))
+    edges = [(f"e{k}", f"v{a}", f"v{b}") for k, (a, b) in enumerate(ends)]
+    orders = {}
+    for v, _ in vertices:
+        halves = []
+        for e, a, b in edges:
+            if a == b == v:
+                halves += [e + "^", e + "~"]
+            elif v in (a, b):
+                halves.append(e)
+        orders[v] = draw(st.permutations(halves))
+    return brauer_graph(vertices, edges, orders)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(brauer_graphs())
+def test_brauer_graphs_with_loops_and_multiple_edges_match_enumeration(g):
+    ba = brauer_algebra(g)
+    assert ump_report(ba.algebra, "auto").is_ump == ump_bruteforce(ba.algebra).is_ump == classify(g).is_ump
+    assert brauer_dimension(g) == dimension_bruteforce(ba.algebra)
+    component_vertex_bijection(ba)
+    check_induced(ba.algebra, [c.algebra for c in components(ba.algebra)])
+    check_global_basis(ba.algebra)
 
 
 @st.composite

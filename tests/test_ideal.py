@@ -16,6 +16,8 @@ from fixtures import (
     petal_hub,
     two_loops_line,
 )
+from invariants import paths_up_to
+from quiverump.brauer import brauer_algebra, brauer_graph
 from quiverump.errors import (
     InvalidPresentation,
     NotAdmissible,
@@ -36,7 +38,9 @@ from quiverump.ideal import (
     zero_divisor,
     zero_relation,
 )
+from quiverump.oracle import ump_bruteforce
 from quiverump.quiver import occurrences, quiver
+from quiverump.ump import ump_report
 
 
 def test_relation_validation():
@@ -241,6 +245,20 @@ def test_arrow_membership_and_lengths():
     assert coset_paths(A, q.path("abcd")) == {q.path("abcd"), q.path("ef")}
 
 
+def test_coset_key_of_a_path_at_the_bound_is_empty():
+    A = petal_hub()
+    p = A.quiver.path("bcdabcd")  # length 7 = bound: in the ideal, as a dead path
+    assert path_in_ideal(A, p)
+    assert coset_key(A, p) == ()
+
+
+@pytest.mark.parametrize("name", sorted(ALL_FIXTURES))
+def test_coset_key_is_empty_exactly_in_the_ideal(name):
+    A = ALL_FIXTURES[name]()
+    for p in paths_up_to(A.quiver, A.bound):  # dead paths included
+        assert (coset_key(A, p) == ()) == path_in_ideal(A, p), p
+
+
 def test_queries_share_one_engine():
     A = two_loops_line()
     q = A.quiver
@@ -312,6 +330,30 @@ def test_term_free_paths_build_no_block(name):
     for p in live:
         if not any(occurrences(t, p.arrows) for t in terms):
             assert p not in blocks
+
+
+def _brauer_tree():
+    g = brauer_graph([("u", 2), ("v", 3), ("w", 2)], [("e", "u", "v"), ("f", "v", "w")])
+    return brauer_algebra(g).algebra
+
+
+WITH_BRAUER_TREE = {**ALL_FIXTURES, "brauer_tree": _brauer_tree}
+
+
+@pytest.mark.parametrize("name", sorted(WITH_BRAUER_TREE))
+def test_lone_paths_build_no_block(name):
+    # a path whose relation copies have only dead siblings is its own
+    # block and lies in I: no one-member block in I is ever built
+    A = WITH_BRAUER_TREE[name]()
+    ump_report(A, "auto")
+    ump_bruteforce(A)
+    for p in live_paths(A):
+        path_in_ideal(A, p)
+        coset_key(A, p)
+    eng = A._engine
+    assert not [p for p, blk in eng._blocks.items() if blk.members == {p} and blk.nf[p] == ()]
+    if name == "brauer_tree":
+        assert any(eng._lone.values())
 
 
 class _Walked(Exception):
