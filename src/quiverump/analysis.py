@@ -18,6 +18,7 @@ from .errors import (
     InvariantViolation,
     NotAdmissible,
     NotSpecialMultiserial,
+    PathInIdeal,
     TrivialPath,
 )
 from .ideal import (
@@ -29,7 +30,6 @@ from .ideal import (
     _colkey,
     _grow,
     coset_key,
-    coset_paths,
     is_special_multiserial,
     linear_relation,
     longest_avoiding,
@@ -109,10 +109,17 @@ def induced_algebra(alg: AlgebraPresentation, arrow_ids: frozenset[str]) -> Alge
         blk = eng.block(p)
         if p not in done:
             done.update(blk.members)
-            basis = RowBasis(key=key)
-            for row in blk.basis.rows.values():
-                basis.add(row)
-            for row in basis.rows.values():
+            # re-reduce only when that can leave a subquiver row: when every
+            # member, so every column, lies in the subquiver, the rows are
+            # already reduced in that order, and a block's only row keeps
+            # its columns outside the subquiver
+            rows = blk.basis.rows.values()
+            if len(rows) > 1 and not all(is_sub(m) for m in blk.members):
+                basis = RowBasis(key=key)
+                for row in rows:
+                    basis.add(row)
+                rows = basis.rows.values()
+            for row in rows:
                 if not all(is_sub(c) for c in row):
                     continue
                 items = sorted(row.items(), key=lambda kv: _colkey(kv[0]))
@@ -362,8 +369,12 @@ def global_maximal_classes(alg: AlgebraPresentation,
             paths.add(m)
             ids.add(comp.id)
     out = []
-    for paths, ids in groups.values():
-        coset = coset_paths(alg, next(iter(paths)))
+    for key, (paths, ids) in groups.items():
+        m = next(iter(paths))
+        if key == ():
+            raise PathInIdeal(f"{m} lies in the ideal")
+        # coset_key has answered m: its coset is read off, with no new test
+        coset = alg._engine.seen_coset(m)
         if coset != frozenset(paths):
             raise InvariantViolation("a maximal class holds paths no component synthesized")
         rep = min(coset, key=lambda p: p.arrows)

@@ -50,6 +50,11 @@ class BrauerGraph:
         object.__setattr__(self, "_mult", dict(self.vertices))
         object.__setattr__(self, "_ends", {e: (a, b) for e, a, b in self.edges})
         object.__setattr__(self, "_order", dict(self.orders))
+        valency: dict[str, int] = {}
+        for _, a, b in self.edges:
+            valency[a] = valency.get(a, 0) + 1
+            valency[b] = valency.get(b, 0) + 1
+        object.__setattr__(self, "_valency", valency)
 
     @property
     def vertex_ids(self) -> tuple[str, ...]:
@@ -69,17 +74,10 @@ class BrauerGraph:
         a, b = self._ends[e]
         return a == b
 
-    def halves_at(self, v: str) -> tuple[Half, ...]:
-        out = []
-        for e, a, b in self.edges:
-            if a == v:
-                out.append(Half(e, 0))
-            if b == v:
-                out.append(Half(e, 1))
-        return tuple(out)
-
     def valency(self, v: str) -> int:
-        return len(self.halves_at(v))
+        """Number of half-edges at v: a loop at v gives two, and a vertex
+        no edge reaches none."""
+        return self._valency.get(v, 0)
 
     def is_truncated(self, v: str) -> bool:
         return self.valency(v) * self._mult[v] == 1

@@ -31,6 +31,16 @@ in its context): each copy's row is the path alone, so it is its own
 block and lies in the ideal, like a full turn of a Brauer graph algebra
 extended by one arrow.
 
+Whether a zero relation or a relation term occurs in a path is asked
+of a window test, zero_divisor, that indexes the relation words by first
+arrow: a path is read once, and at each arrow only the windows of the
+lengths that start there are looked up.  Each relation set is indexed
+once.  An engine holds the window tests of its zero relations and of its
+terms and the copy index; the stage engines of admissibility_bound are
+truncations of one engine and share all three, and minimalize_relations
+keeps one window test and one copy index for all its candidates, built
+again only after it drops a relation of their kind.
+
 Paths are grown in one place, _grow, one layer per length: the listed
 coordinates, the identified admissibility bound, and the walks of
 analysis over induced ideals and omega relations all go through it.
@@ -41,6 +51,7 @@ and freed with it; equal copies build their own.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -52,7 +63,7 @@ from .errors import (
     PathInIdeal,
     TrivialPath,
 )
-from .quiver import Path, Quiver, occurrences
+from .quiver import Path, Quiver
 
 
 # -- relation types ----------------------------------------------------------
@@ -169,15 +180,35 @@ class AlgebraPresentation:
 def zero_divisor(zero_paths: Iterable[Path]) -> Callable[[Path], bool]:
     """Predicate telling whether one of the given paths divides a path.
 
-    Looks up every window of the path in a set of the relation arrow
-    sequences, one window length per distinct relation length.
+    The relation arrow sequences are indexed by their first arrow, which
+    keeps the distinct lengths of the sequences starting there, shortest
+    first.  A path is tested position by position, and only the windows
+    of those lengths are looked up in the set of sequences: about one
+    lookup per arrow when, as in Brauer and monomial relation sets, about
+    one length starts at each arrow.  Build it once per relation set; an
+    engine and its truncations share theirs.
     """
     seqs = frozenset(z.arrows for z in zero_paths)
-    lengths = sorted({len(s) for s in seqs})
+    if () in seqs:
+        return lambda p: True  # a trivial path divides every path
+    starts: dict[str, set[int]] = {}
+    for s in seqs:
+        starts.setdefault(s[0], set()).add(len(s))
+    lengths = {a: tuple(sorted(ks)) for a, ks in starts.items()}.get
 
     def divisible(p: Path) -> bool:
+        # a window cut short by the end of the path is a factor of it too,
+        # so it may match a sequence without any check of its length
         w = p.arrows
-        return any(w[i:i + k] in seqs for k in lengths for i in range(len(w) - k + 1))
+        i = 0
+        for a in w:
+            ks = lengths(a)
+            if ks is not None:
+                for k in ks:
+                    if w[i:i + k] in seqs:
+                        return True
+            i += 1
+        return False
 
     return divisible
 
@@ -332,8 +363,18 @@ class _Engine:
         self._lone: dict[Path, bool] = {}
         self._blocks: dict[Path, _Block] = {}
 
+    def truncated(self, bound: int) -> _Engine:
+        """The engine of the same relations truncated at another bound: it
+        shares the window tests and the copy index, which do not depend on
+        the bound, and starts its own lone and block caches, which do."""
+        eng = copy.copy(self)
+        eng.bound = bound
+        eng._lone = {}
+        eng._blocks = {}
+        return eng
+
     def dead(self, p: Path) -> bool:
-        return len(p) >= self.bound or self.zero_divisible(p)
+        return len(p.arrows) >= self.bound or self.zero_divisible(p)
 
     def term_free(self, p: Path) -> bool:
         """Whether p holds no relation term, so that it is its own block;
@@ -378,9 +419,16 @@ class _Engine:
     def coset(self, p: Path) -> frozenset[Path]:
         if self.in_ideal(p):
             raise PathInIdeal(f"{p} lies in the ideal")
-        if self.term_free(p):
+        return self.seen_coset(p)
+
+    def seen_coset(self, p: Path) -> frozenset[Path]:
+        """The coset of p, a path outside I that in_ideal or coset_key has
+        already answered, so that its block, if it has one, is built: p
+        alone when it is term-free and has none, else the members of its
+        block with p's normal form.  No test is run again."""
+        blk = self._blocks.get(p)
+        if blk is None:
             return frozenset([p])
-        blk = self.block(p)
         key = blk.nf[p]
         return frozenset(m for m in blk.members if blk.nf[m] == key)
 
@@ -465,15 +513,16 @@ def admissibility_bound(q: Quiver, zero: Sequence[ZeroRelation] = (),
     zero_paths = tuple(r.path for r in zero)
     if not linear:
         return max(longest_avoiding(q, zero_paths, cap) + 1, 2)
-    engines: dict[int, _Engine] = {}
+    base = stage = _Engine(zero_paths, linear, 2)
 
     def in_ideal(p: Path) -> bool:
-        # a path of length L is tested in the truncation at L + 1, on an
-        # engine of its own length, so no block holds a longer path
-        eng = engines.get(len(p))
-        if eng is None:
-            eng = engines[len(p)] = _Engine(zero_paths, linear, len(p) + 1)
-        return eng.in_ideal(p)
+        # a path of length L is tested in the truncation at L + 1, on a
+        # stage engine of its own length, so no block holds a longer path;
+        # _grow asks shortest first, so each stage is truncated once
+        nonlocal stage
+        if stage.bound != len(p) + 1:
+            stage = base.truncated(len(p) + 1)
+        return stage.in_ideal(p)
 
     outside = _grow(q, in_ideal, cap)
     if outside and len(outside[-1]) >= cap:
@@ -539,41 +588,49 @@ def _grow(q: Quiver, dead, longest: int) -> list[Path]:
 # -- minimal generating sets ---------------------------------------------------
 
 
-def _relation_vec(rel) -> dict[Path, Fraction]:
-    if isinstance(rel, ZeroRelation):
-        return {rel.path: Fraction(1)}
-    return {p: c for c, p in rel.terms()}
+def _removable(q: Quiver, candidate, zs: list[ZeroRelation], divisible: Callable[[Path], bool],
+               copies: Callable | None, bound: int) -> bool:
+    """Whether candidate lies in <others> + R*I + I*R, the others being the
+    current relations but the candidate (so the set still generates without
+    it).  Columns longer than the bound, columns divisible by another zero
+    relation, and proper multiples of the candidate itself all lie in that
+    target space and are projected away.
 
-
-def _removable(q: Quiver, candidate, zero_others: list[ZeroRelation],
-               linear_others: list[LinearRelation], bound: int) -> bool:
-    """Whether candidate lies in <others> + R*I + I*R (so the set still
-    generates without it).  Columns longer than the bound, columns divisible
-    by another zero relation, and proper multiples of the candidate itself
-    all lie in that target space and are projected away."""
-    divisible = zero_divisor(r.path for r in zero_others)
-    cand_is_zero = isinstance(candidate, ZeroRelation)
-    cand_seq = candidate.path.arrows if cand_is_zero else None
-
-    def dead(p: Path) -> bool:
-        if len(p) > bound or divisible(p):
+    divisible indexes the current zero relations zs and copies the current
+    linear relations, or is None when there are none; both index the
+    candidate too, so they serve every candidate until a relation is
+    dropped.  A zero candidate divides exactly its own multiples, so only
+    the candidate's own column asks whether another zero relation divides
+    it: a twin, or a proper factor, which lies in the candidate less its
+    last or its first arrow."""
+    if isinstance(candidate, ZeroRelation):
+        p = candidate.path
+        seq = p.arrows
+        head = Path(seq[:-1], p.source, q.arrow(seq[-1]).source)
+        tail = Path(seq[1:], q.arrow(seq[0]).target, p.target)
+        if (len(p) > bound or divisible(head) or divisible(tail)
+                or any(r is not candidate and r.path.arrows == seq for r in zs)):
             return True
-        if cand_is_zero and p.arrows != cand_seq and occurrences(cand_seq, p.arrows):
-            return True
-        return False
 
-    vec = {p: c for p, c in _relation_vec(candidate).items() if not dead(p)}
-    if not vec:
-        return True
+        def dead(c: Path) -> bool:
+            return len(c) > bound or (c.arrows != seq and divisible(c))
+
+        vec = {p: _F1}
+    else:
+        def dead(c: Path) -> bool:
+            return len(c) > bound or divisible(c)
+
+        vec = {c: coef for coef, c in candidate.terms() if not dead(c)}
+        if not vec:
+            return True
+    if copies is None:
+        return False  # no identification spans a live column
 
     def veto(rel, prefix, suffix) -> bool:
         # a linear candidate may span rows only through proper multiples
         return rel is candidate and not prefix and not suffix
 
-    linear = list(linear_others) if cand_is_zero else [*linear_others, candidate]
-    if not linear:
-        return False  # no identification spans a live column
-    _, basis = _span(vec, _copy_index(linear), dead, veto)
+    _, basis = _span(vec, copies, dead, veto)
     return not basis.reduce(vec)
 
 
@@ -589,17 +646,28 @@ def minimalize_relations(q: Quiver, zero: Sequence[ZeroRelation],
 
     Returns (zero, linear, removed).  Candidates are scanned longest first
     so redundant high powers go before the short relations that imply them;
-    the scan order is deterministic, and the result is idempotent.
+    the scan order is deterministic, and the result is idempotent.  The
+    window test of the zero relations and the copy index of the linear ones
+    are built once and again only after a relation of their kind is
+    dropped.
     """
     zs = list(zero)
     ls = list(linear)
     removed = []
-    for cand in sorted(list(zs) + list(ls), key=_candidate_key):
-        zo = [r for r in zs if r is not cand]
-        lo = [r for r in ls if r is not cand]
-        if _removable(q, cand, zo, lo, bound):
+    divisible = copies = None
+    for cand in sorted(zs + ls, key=_candidate_key):
+        if divisible is None:
+            divisible = zero_divisor(r.path for r in zs)
+        if copies is None and ls:
+            copies = _copy_index(ls)
+        if _removable(q, cand, zs, divisible, copies, bound):
             removed.append(cand)
-            zs, ls = zo, lo
+            if isinstance(cand, ZeroRelation):
+                zs = [r for r in zs if r is not cand]
+                divisible = None
+            else:
+                ls = [r for r in ls if r is not cand]
+                copies = None
     return tuple(zs), tuple(ls), tuple(removed)
 
 

@@ -3,6 +3,7 @@
 import pytest
 
 from quiverump.brauer import (
+    BrauerGraph,
     Half,
     brauer_algebra,
     brauer_dimension,
@@ -162,6 +163,22 @@ def test_successor_guards():
     with pytest.raises(NotIncident):
         g.successor("u", Half("e", 1))  # that half sits at w
     assert g.successor("u", Half("e", 0)) == Half("e", 0)
+
+
+@pytest.mark.parametrize("name", sorted(ALL_GRAPHS))
+def test_valency_counts_every_end_of_every_edge(name):
+    g = ALL_GRAPHS[name]()
+    for v in g.vertex_ids:
+        ends = sum((a == v) + (b == v) for _, a, b in g.edges)
+        assert g.valency(v) == ends == len(g.order(v))
+
+
+def test_valency_of_a_graph_built_directly():
+    # no validation runs: a loop counts twice, an unreached vertex not at all
+    g = BrauerGraph((("v", 1), ("w", 2), ("x", 1)),
+                    (("e", "v", "v"), ("f", "v", "w")), ())
+    assert [g.valency(v) for v in ("v", "w", "x")] == [3, 1, 0]
+    assert g.is_truncated("w") is False and g.is_truncated("x") is False
 
 
 # -- the four one-edge shapes ---------------------------------------------------

@@ -4,6 +4,8 @@ import weakref
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import quiverump.ideal
 from fixtures import (
@@ -26,6 +28,7 @@ from quiverump.errors import (
 )
 from quiverump.ideal import (
     AlgebraPresentation,
+    _Engine,
     admissibility_bound,
     algebra,
     coset_key,
@@ -39,7 +42,7 @@ from quiverump.ideal import (
     zero_relation,
 )
 from quiverump.oracle import ump_bruteforce
-from quiverump.quiver import occurrences, quiver
+from quiverump.quiver import Path, occurrences, quiver
 from quiverump.ump import ump_report
 
 
@@ -166,6 +169,36 @@ def test_zero_divisor():
     assert not never(q.path("aaab"))
 
 
+_WORDS = st.text(alphabet="abc", min_size=1, max_size=4).map(tuple)
+
+
+@st.composite
+def _relation_sets_and_paths(draw):
+    """Arrow sequences on the loops a, b, c at one vertex, with prefixes and
+    extensions of each other, so that they share first arrows and one can
+    be a prefix of another, and a path that often strings several of them
+    together, so that their windows overlap."""
+    base = draw(st.lists(_WORDS, max_size=5))
+    words = list(base)
+    for w in base:
+        if draw(st.booleans()):
+            words.append(w[:draw(st.integers(1, len(w)))])
+        if draw(st.booleans()):
+            words.append(w + draw(_WORDS))
+    glue = st.text(alphabet="abc", max_size=2).map(tuple)
+    pieces = st.sampled_from(words) if words else glue
+    path = tuple(a for piece in draw(st.lists(st.one_of(pieces, glue), max_size=5)) for a in piece)
+    return words, path
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(_relation_sets_and_paths())
+def test_zero_divisor_matches_a_scan_of_every_window(case):
+    words, w = case
+    divisible = zero_divisor(Path(z, "1", "1") for z in words)
+    assert divisible(Path(w, "1", "1")) == any(occurrences(z, w) for z in words)
+
+
 def test_live_paths_enumeration():
     B = loop_meets_twocycle()
     qb = B.quiver
@@ -182,6 +215,16 @@ def test_minimalize_drops_divisible_monomial():
     assert zs == (short,)
     assert ls == ()
     assert removed == (longer,)
+
+
+def test_minimalize_drops_twins_and_multiples_of_a_suffix():
+    q = quiver(["1", "2", "3", "4"],
+               [("a", "1", "2"), ("b", "2", "3"), ("c", "3", "4")])
+    first, twin = zero_relation(q, "bc"), zero_relation(q, "bc")
+    longer = zero_relation(q, "abc")
+    zs, ls, removed = minimalize_relations(q, [first, longer, twin], [], bound=3)
+    assert len(zs) == 1 and zs[0] is twin
+    assert len(removed) == 2 and removed[0] is longer and removed[1] is first
 
 
 def test_minimalize_drops_power_implied_by_identification():
@@ -375,3 +418,66 @@ def test_monomial_presentations_build_without_an_engine(monkeypatch):
     with pytest.raises(NotAdmissible) as err:
         algebra(loops, [zero_relation(loops, [f"a{i}", f"a{i}"]) for i in range(6)])
     assert err.value.cap == 64
+
+
+@pytest.mark.parametrize("name", sorted(WITH_BRAUER_TREE))
+def test_stage_engines_share_the_indexes_and_agree_with_fresh_ones(name):
+    A = WITH_BRAUER_TREE[name]()
+    zero, linear = A.ideal.zero_paths, A.ideal.linear
+    base = A._engine
+    live = live_paths(A)
+    for p in live:
+        path_in_ideal(A, p)  # the stages must not read the base's caches
+    stages = {}
+    for p in paths_up_to(A.quiver, A.bound):
+        for bound in (len(p) + 1, A.bound):
+            stage = stages.get(bound)
+            if stage is None:
+                stage = stages[bound] = base.truncated(bound)
+                assert stage.zero_divisible is base.zero_divisible
+                assert stage.has_term is base.has_term and stage.copies is base.copies
+                assert stage._blocks is not base._blocks and stage._lone is not base._lone
+            assert stage.in_ideal(p) == _Engine(zero, linear, bound).in_ideal(p), (p, bound)
+    assert [path_in_ideal(A, p) for p in live] == [base.in_ideal(p) for p in live]
+
+
+class _Builds:
+    """Counts the calls of the index constructors it wraps."""
+
+    def __init__(self, monkeypatch):
+        self.calls = {"zero_divisor": 0, "_copy_index": 0}
+        for name in self.calls:
+            monkeypatch.setattr(quiverump.ideal, name, self._counted(name, getattr(quiverump.ideal, name)))
+
+    def _counted(self, name, build):
+        def counted(*args):
+            self.calls[name] += 1
+            return build(*args)
+        return counted
+
+
+@pytest.mark.parametrize("name", ["two_loops_line", "petal_hub", "brauer_tree"])
+def test_admissibility_stages_index_each_relation_set_once(name, monkeypatch):
+    A = WITH_BRAUER_TREE[name]()
+    builds = _Builds(monkeypatch)
+    assert admissibility_bound(A.quiver, A.ideal.zero, A.ideal.linear) == A.bound
+    assert A.bound >= 4  # several stages
+    # one window index of the zero relations, one of the terms, one copy index
+    assert builds.calls == {"zero_divisor": 2, "_copy_index": 1}
+
+
+def test_minimalize_rebuilds_an_index_only_after_a_drop(monkeypatch):
+    q = two_loops_line().quiver
+    zero = [zero_relation(q, w) for w in ("ab", "ac", "ba", "bc", "ed", "aaa")]
+    lin = [
+        linear_relation(q, [(1, "aa"), (-1, "bb")]),
+        linear_relation(q, [(2, "aa"), (-2, "bb")]),
+        linear_relation(q, [(1, "aaa"), (-1, "bba")]),
+    ]
+    builds = _Builds(monkeypatch)
+    zs, ls, removed = minimalize_relations(q, zero, lin, bound=4)
+    assert ls == (lin[1],) and zs == tuple(zero[:5])
+    dropped_linear = sum(1 for r in removed if r in lin)
+    assert dropped_linear == 2
+    assert builds.calls["_copy_index"] <= 1 + dropped_linear
+    assert builds.calls["zero_divisor"] <= 1 + len(removed) - dropped_linear
