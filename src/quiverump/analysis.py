@@ -18,7 +18,6 @@ from .errors import (
     InvariantViolation,
     NotAdmissible,
     NotSpecialMultiserial,
-    PathInIdeal,
     TrivialPath,
 )
 from .ideal import (
@@ -30,6 +29,7 @@ from .ideal import (
     _colkey,
     _grow,
     coset_key,
+    coset_paths,
     is_special_multiserial,
     linear_relation,
     longest_avoiding,
@@ -62,13 +62,13 @@ def induced_algebra(alg: AlgebraPresentation, arrow_ids: frozenset[str]) -> Alge
     Otherwise grows the subquiver's paths one layer per length and
     extends only those the parent's engine puts outside the ideal.  A
     visited path in the ideal is generated by the parent's zero relations
-    or by the rows of its engine block that stay in the subquiver; a lone
-    path (see ideal) is its own one-row block and becomes a zero relation
-    with no block built.  A path with a proper prefix in the ideal lies in
-    the ideal through that prefix, so it is never visited.  Children of
-    length alg.bound that no generator found so far divides close the
-    truncation off, and the bound is one more than the longest path
-    outside the ideal (at least 2).
+    or by the rows of its engine block that stay in the subquiver; the one
+    row of a lone path's block (see ideal) is the path, a zero relation.
+    A path with a proper prefix in the ideal lies in the ideal through
+    that prefix, so it is never visited.  Children of length alg.bound
+    that no generator found so far divides close the truncation off, and
+    the bound is one more than the longest path outside the ideal (at
+    least 2).
     """
     q = alg.quiver
     sub = q.subquiver([a.id for a in q.arrows if a.id in arrow_ids])
@@ -101,19 +101,16 @@ def induced_algebra(alg: AlgebraPresentation, arrow_ids: frozenset[str]) -> Alge
         # collects its rows inside the subquiver
         if eng.dead(p):
             return True
-        if eng.term_free(p):
-            return False
-        if eng.lone(p):
-            zero.append(ZeroRelation(p))
-            return True
         blk = eng.block(p)
+        if blk is None:
+            return False
         if p not in done:
             done.update(blk.members)
             # re-reduce only when that can leave a subquiver row: when every
             # member, so every column, lies in the subquiver, the rows are
             # already reduced in that order, and a block's only row keeps
             # its columns outside the subquiver
-            rows = blk.basis.rows.values()
+            rows = blk.rows
             if len(rows) > 1 and not all(is_sub(m) for m in blk.members):
                 basis = RowBasis(key=key)
                 for row in rows:
@@ -369,12 +366,8 @@ def global_maximal_classes(alg: AlgebraPresentation,
             paths.add(m)
             ids.add(comp.id)
     out = []
-    for key, (paths, ids) in groups.items():
-        m = next(iter(paths))
-        if key == ():
-            raise PathInIdeal(f"{m} lies in the ideal")
-        # coset_key has answered m: its coset is read off, with no new test
-        coset = alg._engine.seen_coset(m)
+    for paths, ids in groups.values():
+        coset = coset_paths(alg, next(iter(paths)))
         if coset != frozenset(paths):
             raise InvariantViolation("a maximal class holds paths no component synthesized")
         rep = min(coset, key=lambda p: p.arrows)

@@ -27,9 +27,7 @@ from .ideal import (
     linear_relation,
     zero_relation,
 )
-from .quiver import Path, quiver
-
-_LABEL_OK = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_")
+from .quiver import _LABEL, Path, quiver
 
 
 @dataclass(frozen=True)
@@ -142,7 +140,7 @@ def brauer_graph(vertices, edges, orders=None) -> BrauerGraph:
     if len(set(vids)) != len(vids):
         diags.append("duplicate vertex ids")
     for v, m in vlist:
-        if not v or not set(v) <= _LABEL_OK:
+        if not _LABEL.match(v):
             diags.append(f"bad vertex id {v!r}")
         if m < 1:
             diags.append(f"vertex {v}: multiplicity must be at least 1, got {m}")
@@ -153,7 +151,7 @@ def brauer_graph(vertices, edges, orders=None) -> BrauerGraph:
         diags.append("edge and vertex ids must not overlap")
     known = set(vids)
     for e, a, b in elist:
-        if not e or not set(e) <= _LABEL_OK:
+        if not _LABEL.match(e):
             diags.append(f"bad edge id {e!r}")
         for end in (a, b):
             if end not in known:

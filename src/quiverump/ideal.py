@@ -20,26 +20,27 @@ replace an occurrence of one linear-relation term by a sibling term.
 The paths reachable that way form the only coordinates its coset can
 touch, so a small row reduction per block answers every query.  One pass
 over the embedded relation copies finds the block and reduces its rows:
-each copy's row brings its columns in as members; the copies in a path
-are found through an index of the relation terms by first arrow.  A path
-that holds no relation term reaches nothing and lies in no relation
-copy: it is its own block, outside the ideal unless a zero relation or
-the bound kills it, and no block is ever built for it.  Nor is one built
-for a lone path, one that holds a term but whose relation copies have
-only dead siblings (a zero relation or the bound kills every other term
-in its context): each copy's row is the path alone, so it is its own
-block and lies in the ideal, like a full turn of a Brauer graph algebra
-extended by one arrow.
+each copy's row brings its columns in as members.  The copies in a path
+are listed by one index of the relation terms by first arrow, and
+_Engine.block decides a live path's block from one such listing.  A path
+with no copy holds no relation term and reaches nothing: it is its own
+block, outside the ideal, and none is built.  A lone path holds a term,
+but every copy through it has only dead siblings (a zero relation or the
+bound kills every other term in its context): each copy's row is the
+path alone, so its block is that one row, in the ideal, and no span is
+grown, like a full turn of a Brauer graph algebra extended by one arrow.
+Every other path grows its block by the one pass.  Membership, coset
+tags and cosets are all read off dead() and block().
 
-Whether a zero relation or a relation term occurs in a path is asked
-of a window test, zero_divisor, that indexes the relation words by first
-arrow: a path is read once, and at each arrow only the windows of the
-lengths that start there are looked up.  Each relation set is indexed
-once.  An engine holds the window tests of its zero relations and of its
-terms and the copy index; the stage engines of admissibility_bound are
-truncations of one engine and share all three, and minimalize_relations
-keeps one window test and one copy index for all its candidates, built
-again only after it drops a relation of their kind.
+Whether a zero relation occurs in a path is asked of a window test,
+zero_divisor, that indexes the relation words by first arrow: a path is
+read once, and at each arrow only the windows of the lengths that start
+there are looked up.  Each relation set is indexed once.  An engine holds
+the window test of its zero relations and the copy index of its terms;
+the stage engines of admissibility_bound are truncations of one engine
+and share both, and minimalize_relations keeps one window test and one
+copy index for all its candidates, built again only after it drops a
+relation of their kind.
 
 Paths are grown in one place, _grow, one layer per length: the listed
 coordinates, the identified admissibility bound, and the walks of
@@ -282,26 +283,42 @@ class RowBasis:
         return tuple(sorted(red.items(), key=lambda kv: self.key(kv[0])))
 
 
-def _copy_index(linear: Sequence[LinearRelation]) -> Callable[[tuple[str, ...]], list[tuple]]:
+def _copy_index(linear: Sequence[LinearRelation]) -> Callable[[tuple[str, ...]], Sequence[tuple]]:
     """Lister of the embedded relation copies (relation, prefix, suffix) in
-    an arrow sequence, ordered by relation, term and position.
+    an arrow sequence, ordered by relation, term and position, and empty
+    when the sequence holds no relation term.
 
     The terms are indexed once by their first arrow, so listing costs per
-    arrow of the sequence, not per relation.
+    arrow of the sequence, not per relation; the list is built only on a
+    hit.
     """
     index: dict[str, list[tuple]] = {}
-    for i, rel in enumerate(linear):
-        for j, term in enumerate(rel.paths):
-            index.setdefault(term.arrows[0], []).append((i, j, rel, term.arrows))
+    rels: list[LinearRelation] = []  # by rank, the order of the terms
+    for rel in linear:
+        for term in rel.paths:
+            t = term.arrows
+            index.setdefault(t[0], []).append((len(rels), len(t), t))
+            rels.append(rel)
+    get = index.get
 
-    def copies(w: tuple[str, ...]) -> list[tuple]:
-        found = sorted(
-            (i, j, pos, rel, len(t))
-            for pos, a in enumerate(w)
-            for i, j, rel, t in index.get(a, ())
-            if w[pos:pos + len(t)] == t
-        )
-        return [(rel, w[:pos], w[pos + k:]) for _, _, pos, rel, k in found]
+    def copies(w: tuple[str, ...]) -> Sequence[tuple]:
+        found = None
+        pos = 0
+        for a in w:
+            entries = get(a)
+            if entries is not None:
+                for rank, k, t in entries:
+                    if w[pos:pos + k] == t:
+                        if found is None:
+                            found = []
+                        found.append((rank, pos, k))
+            pos += 1
+        if found is None:
+            return ()
+        found.sort()
+        for i, (rank, pos, k) in enumerate(found):
+            found[i] = (rels[rank], w[:pos], w[pos + k:])
+        return found
 
     return copies
 
@@ -348,7 +365,7 @@ def _span(seeds: Iterable[Path], copies, dead, veto=None) -> tuple[set[Path], Ro
 @dataclass
 class _Block:
     members: frozenset[Path]
-    basis: RowBasis
+    rows: tuple[dict[Path, Fraction], ...]  # reduced echelon form
     nf: dict[Path, tuple]
 
 
@@ -358,79 +375,60 @@ class _Engine:
         self.bound = bound
         self.zero_divisible = zero_divisor(zero_paths)
         self.linear = tuple(linear)
-        self.has_term = zero_divisor(t for rel in self.linear for t in rel.paths)
         self.copies = _copy_index(self.linear)
-        self._lone: dict[Path, bool] = {}
         self._blocks: dict[Path, _Block] = {}
 
     def truncated(self, bound: int) -> _Engine:
         """The engine of the same relations truncated at another bound: it
-        shares the window tests and the copy index, which do not depend on
-        the bound, and starts its own lone and block caches, which do."""
+        shares the zero window test and the copy index, which do not depend
+        on the bound, and starts its own block cache, which does."""
         eng = copy.copy(self)
         eng.bound = bound
-        eng._lone = {}
         eng._blocks = {}
         return eng
 
     def dead(self, p: Path) -> bool:
         return len(p.arrows) >= self.bound or self.zero_divisible(p)
 
-    def term_free(self, p: Path) -> bool:
-        """Whether p holds no relation term, so that it is its own block;
-        a monomial engine answers without scanning p."""
-        return not self.linear or not self.has_term(p)
+    def block(self, p: Path) -> _Block | None:
+        """The block of a live path p, decided from one listing of its copies:
+        None when there is none (p holds no relation term, so it is its own
+        block outside I), the one row p alone when every copy has only dead
+        siblings (p is lone, its own block inside I), else the span grown
+        from p.  A block is kept for each of its members, so a repeated
+        query is a lookup; a monomial engine answers None at once."""
+        if not self.linear:
+            return None
+        blk = self._blocks.get(p)
+        if blk is not None:
+            return blk
+        w = p.arrows
+        found = self.copies(w)
+        if not found:
+            return None
+        for rel, prefix, suffix in found:
+            for tp in rel.paths:
+                s = prefix + tp.arrows + suffix
+                if s != w and not self.dead(Path(s, p.source, p.target)):
+                    return self._spanned(p)
+        blk = self._blocks[p] = _Block(frozenset((p,)), ({p: _F1},), {p: ()})
+        return blk
 
-    def lone(self, p: Path) -> bool:
-        """Whether every relation copy through p, a path holding a term, has
-        only dead siblings, so that p is its own block and lies in the
-        ideal; the verdict is kept, so a repeated query is a lookup."""
-        hit = self._lone.get(p)
-        if hit is None:
-            w = p.arrows
-            sibs = (prefix + tp.arrows + suffix
-                    for rel, prefix, suffix in self.copies(w) for tp in rel.paths)
-            hit = self._lone[p] = all(s == w or self.dead(Path(s, p.source, p.target)) for s in sibs)
-        return hit
-
-    def block(self, p: Path) -> _Block:
-        cached = self._blocks.get(p)
-        if cached is not None:
-            return cached
+    def _spanned(self, p: Path) -> _Block:
         members, basis = _span((p,), self.copies, self.dead)
-        nf = {memb: basis.normal_key({memb: Fraction(1)}) for memb in members}
-        blk = _Block(frozenset(members), basis, nf)
-        for memb in members:
-            self._blocks[memb] = blk
+        nf = {m: basis.normal_key({m: _F1}) for m in members}
+        blk = _Block(frozenset(members), tuple(basis.rows.values()), nf)
+        for m in members:
+            self._blocks[m] = blk
         return blk
 
     def in_ideal(self, p: Path) -> bool:
-        """Membership of p in I.  A dead path lies in I, a term-free path is
-        its own block outside I, and a lone path is its own block inside
-        I; only the others build a block and read its normal form."""
         if p.is_trivial:
             raise TrivialPath("membership is undefined for trivial paths")
         if self.dead(p):
             return True
-        if self.term_free(p):
-            return False
-        return self.lone(p) or self.block(p).nf[p] == ()
-
-    def coset(self, p: Path) -> frozenset[Path]:
-        if self.in_ideal(p):
-            raise PathInIdeal(f"{p} lies in the ideal")
-        return self.seen_coset(p)
-
-    def seen_coset(self, p: Path) -> frozenset[Path]:
-        """The coset of p, a path outside I that in_ideal or coset_key has
-        already answered, so that its block, if it has one, is built: p
-        alone when it is term-free and has none, else the members of its
-        block with p's normal form.  No test is run again."""
-        blk = self._blocks.get(p)
-        if blk is None:
-            return frozenset([p])
-        key = blk.nf[p]
-        return frozenset(m for m in blk.members if blk.nf[m] == key)
+        blk = self.block(p)
+        return blk is not None and blk.nf[p] == ()
 
 
 # -- admissibility -----------------------------------------------------------
@@ -539,23 +537,27 @@ def path_in_ideal(alg: AlgebraPresentation, p: Path) -> bool:
 
 
 def coset_paths(alg: AlgebraPresentation, p: Path) -> frozenset[Path]:
-    """All paths congruent to p modulo the ideal, p included."""
-    return alg._engine.coset(p)
+    """All paths congruent to p modulo the ideal, p included: the members
+    of its block with its normal form, or p alone when it has none."""
+    eng = alg._engine
+    if eng.in_ideal(p):
+        raise PathInIdeal(f"{p} lies in the ideal")
+    blk = eng.block(p)
+    if blk is None:
+        return frozenset((p,))
+    key = blk.nf[p]
+    return frozenset(m for m in blk.members if blk.nf[m] == key)
 
 
 def coset_key(alg: AlgebraPresentation, p: Path):
     """Hashable canonical tag of the coset p + I (for grouping), () exactly
-    when p lies in the ideal, dead paths included.  It takes the steps of
-    _Engine.in_ideal: a term-free path is tagged by itself and a lone one
-    by (), and only the others read their block's normal form."""
+    when p lies in the ideal, dead paths included: the normal form of p in
+    its block, and p itself when it holds no relation term."""
     eng = alg._engine
     if eng.dead(p):
         return ()
-    if eng.term_free(p):
-        return ((p, _F1),)
-    if eng.lone(p):
-        return ()
-    return eng.block(p).nf[p]
+    blk = eng.block(p)
+    return ((p, _F1),) if blk is None else blk.nf[p]
 
 
 def live_paths(alg: AlgebraPresentation) -> tuple[Path, ...]:

@@ -16,9 +16,17 @@ from .errors import InvalidPresentation, NonComposable, TrivialDivisor, UnknownL
 _LABEL = re.compile(r"[A-Za-z0-9_]+\Z")
 
 
+def _check_label(label: str, kind: str) -> None:
+    if not _LABEL.match(label):
+        raise InvalidPresentation(f"bad {kind} label {label!r}: use [A-Za-z0-9_]+")
+
+
 @dataclass(frozen=True)
 class Vertex:
     id: str
+
+    def __post_init__(self):
+        _check_label(self.id, "vertex")
 
 
 @dataclass(frozen=True)
@@ -26,6 +34,9 @@ class Arrow:
     id: str
     source: str
     target: str
+
+    def __post_init__(self):
+        _check_label(self.id, "arrow")
 
 
 @dataclass(frozen=True)
@@ -56,11 +67,6 @@ class Path:
         return ".".join(self.arrows)
 
 
-def _check_label(label: str, kind: str) -> None:
-    if not _LABEL.match(label):
-        raise InvalidPresentation(f"bad {kind} label {label!r}: use [A-Za-z0-9_]+")
-
-
 @dataclass(frozen=True)
 class Quiver:
     vertices: tuple[Vertex, ...]
@@ -70,9 +76,9 @@ class Quiver:
     _in: dict = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
+        # labels were checked when the vertices and arrows were made
         vids = set()
         for v in self.vertices:
-            _check_label(v.id, "vertex")
             if v.id in vids:
                 raise InvalidPresentation(f"duplicate vertex id {v.id!r}")
             vids.add(v.id)
@@ -80,7 +86,6 @@ class Quiver:
         out: dict[str, list[Arrow]] = {v.id: [] for v in self.vertices}
         inc: dict[str, list[Arrow]] = {v.id: [] for v in self.vertices}
         for a in self.arrows:
-            _check_label(a.id, "arrow")
             if a.id in by_id:
                 raise InvalidPresentation(f"duplicate arrow id {a.id!r}")
             if a.id in vids:

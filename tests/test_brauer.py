@@ -85,6 +85,12 @@ def test_rejects_empty_edge_set():
     assert any("no edges" in d for d in err.value.diagnostics)
 
 
+def test_rejects_bad_vertex_and_edge_ids():
+    with pytest.raises(BrauerValidationError) as err:
+        brauer_graph([("u v", 1), ("w", 1)], [("e-1", "u v", "w")])
+    assert err.value.diagnostics == ("bad vertex id 'u v'", "bad edge id 'e-1'")
+
+
 def test_collects_multiple_diagnostics():
     with pytest.raises(BrauerValidationError) as err:
         brauer_graph(

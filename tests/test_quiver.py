@@ -1,5 +1,6 @@
 import pytest
 
+import quiverump.quiver
 from quiverump.errors import (
     InvalidPresentation,
     NonComposable,
@@ -7,7 +8,9 @@ from quiverump.errors import (
     UnknownLabel,
 )
 from quiverump.quiver import (
+    Arrow,
     Path,
+    Vertex,
     concat,
     concat_all,
     divides,
@@ -42,6 +45,13 @@ def test_validation_rejects_bad_labels():
         quiver(["1", "2"], [("1", "1", "2")])
     with pytest.raises(UnknownLabel):
         quiver(["1"], [("a", "1", "9")])
+    # a vertex or an arrow checks its own label when it is made
+    with pytest.raises(InvalidPresentation):
+        Vertex("x y")
+    with pytest.raises(InvalidPresentation):
+        Arrow("a b", "1", "2")
+    with pytest.raises(InvalidPresentation):
+        Vertex("")
 
 
 def test_paths_compose_left_to_right(cft):
@@ -97,6 +107,15 @@ def test_subquiver(cft):
     assert sub.arrow_ids == ("f", "g", "h")
     with pytest.raises(UnknownLabel):
         cft.subquiver(["z"])
+
+
+def test_subquiver_checks_no_label(cft, monkeypatch):
+    # the parent's vertices and arrows checked their labels when made
+    def checked(label, kind):
+        raise AssertionError(f"{kind} label {label!r} checked again")
+
+    monkeypatch.setattr(quiverump.quiver, "_check_label", checked)
+    assert cft.subquiver(["f", "g", "h"]).arrow_ids == ("f", "g", "h")
 
 
 def test_path_string_forms():
