@@ -204,6 +204,27 @@ def _loop_with_dead_identification():
     return algebra(q, zero, [linear_relation(q, [(1, "cc"), (1, "ccc")])])
 
 
+def _two_arrow_pairs():
+    """a,c: 1->2 and b,d: 2->1 with ad = cb = ba = da = dc = 0 and ab = cd.
+
+    Special multiserial with one line component abcd, whose induced ideal
+    holds ab - cd but neither ab nor cd: it is not monomial."""
+    q = quiver(["1", "2"], [("a", "1", "2"), ("b", "2", "1"), ("c", "1", "2"), ("d", "2", "1")])
+    zero = [zero_relation(q, w) for w in ("ad", "cb", "ba", "da", "dc")]
+    return algebra(q, zero, [linear_relation(q, [(1, "ab"), (-1, "cd")])])
+
+
+def test_auto_enumerates_when_a_component_ideal_is_not_monomial():
+    alg = _two_arrow_pairs()
+    rep = ump_report(alg, "auto")
+    assert rep.route == "oracle"
+    assert rep.notes == ("component ideals are not all monomial; enumerated",)
+    assert rep.is_ump is False
+    assert rep.is_ump == ump_bruteforce(alg).is_ump
+    with pytest.raises(NotApplicable):
+        ump_report(alg, route="main")
+
+
 @pytest.mark.parametrize("build", [_branching_squares, _loop_with_dead_identification])
 def test_auto_agrees_with_enumeration_on_identified_terms(build):
     alg = build()
