@@ -1,17 +1,22 @@
-"""Decomposition of an algebra along its ramifications graph.
+"""Decomposition of an algebra along its ramifications graph, on positions.
 
 Each weak component of the graph is a line or a cycle of saturations
-(special multiserial algebras admit nothing else).  A component carries
-the subquiver its arrows span, the ideal induced on it, and, when that
-ideal is monomial, the classification of its relations into junction
-relations (length two, joining two saturation endpoints) and the
-remaining ordered relations, from which the maximal nonzero paths of
-the component are synthesized without any enumeration.
+(special multiserial algebras admit nothing else).  An arrow composes
+nonzero with at most one arrow on each side, so every nonzero path of a
+component is a window (i, L) of its component path omega: the L arrows
+from position i on, read on around omega when it closes.  One sweep finds
+l(i), the longest nonzero window at each position.  The maximal paths
+and the minimal zero windows (ordered relations, with sigma) follow from
+l with no further query, the junction relations (length-2 paths off
+omega) from the quiver.  The induced ideal is monomial exactly when the
+nonzero windows are independent modulo the ideal, tested per block; its
+presentation is built only on demand.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import (
     CrossComponentPath,
@@ -147,19 +152,25 @@ class Component:
     id: str
     omegas: tuple[Path, ...]  # in line order, or the cycle's fixed rotation
     shape: str  # "single" | "line" | "cycle"
-    algebra: AlgebraPresentation
     omega: Path  # concatenation of the saturations along the order
-    closes: bool
-    junction_relations: tuple[Path, ...]
-    ordered_relations: tuple[Path, ...]  # sorted by start position in omega
+    closes: bool  # whether windows read on around omega
+    lengths: tuple[int, ...]  # l(i): the longest nonzero window at position i
+    junction_relations: tuple[Path, ...]  # the length-2 paths off omega
+    ordered_relations: tuple[Path, ...]  # minimal zero windows, by position
     sigma: tuple[int, ...]
-    maximal: tuple[Path, ...]
+    maximal: tuple[Path, ...]  # maximal windows, by position
     eta: int
     is_ump: bool | None  # None when the induced ideal is not monomial
+    parent: AlgebraPresentation = field(repr=False, compare=False)
 
     @property
     def arrow_ids(self) -> frozenset[str]:
         return frozenset(a for w in self.omegas for a in w.arrows)
+
+    @cached_property
+    def algebra(self) -> AlgebraPresentation:
+        """The induced presentation, built on first use; no verdict needs it."""
+        return induced_algebra(self.parent, self.arrow_ids)
 
 
 def _order_nodes(g: RamificationsGraph, nodes: frozenset[Path]) -> tuple[list[Path], str]:
@@ -192,40 +203,6 @@ def divides_power(u: Path, omega: Path) -> bool:
     return bool(occurrences(u.arrows, omega.arrows * reps))
 
 
-def _synthesize_maximal(parent_alg: AlgebraPresentation, omega: Path,
-                        srels: list[Path], closes: bool) -> tuple[Path, ...]:
-    """Maximal nonzero paths of a component, read off the ordered relations."""
-    q = parent_alg.quiver
-    w = omega.arrows
-    if not srels:
-        return (omega,)
-    pos = [w.index(s.arrows[0]) for s in srels]
-    sig = [len(s) - 1 for s in srels]
-    pieces: list[tuple[str, ...]] = []
-    if closes:
-        wrap = w[pos[-1] + 1:] + w[:pos[0]] + srels[0].arrows[:sig[0]]
-        if wrap[0] != w[(pos[-1] + 1) % len(w)]:
-            raise InvariantViolation("wrap-around piece does not follow the last ordered relation")
-        pieces.append(wrap)
-    else:
-        head = w[:pos[0]] + srels[0].arrows[:sig[0]]
-        if head[0] != w[0]:
-            raise InvariantViolation("head piece does not start the component path")
-        pieces.append(head)
-        pieces.append(srels[-1].arrows[1:] + w[pos[-1] + len(srels[-1].arrows):])
-    for i in range(len(srels) - 1):
-        piece = w[pos[i] + 1: pos[i + 1]] + srels[i + 1].arrows[:sig[i + 1]]
-        if piece[0] != w[pos[i] + 1]:
-            raise InvariantViolation("piece does not follow its ordered relation")
-        pieces.append(piece)
-    out: list[Path] = []
-    for arrs in pieces:
-        p = q.path(arrs)
-        if p not in out:
-            out.append(p)
-    return tuple(out)
-
-
 def _eta(omega: Path, targets: list[Path]) -> int:
     if omega.target != omega.source:
         if not all(divides(t, omega) for t in targets):
@@ -238,45 +215,97 @@ def _eta(omega: Path, targets: list[Path]) -> int:
     raise InvariantViolation("relation escapes every power of the component path")
 
 
+def _lengths(alg: AlgebraPresentation, window, n: int, closes: bool) -> list[int]:
+    """l(i) at each of the n positions of omega, by one two-pointer sweep: a
+    suffix of a nonzero window is nonzero, so position i starts at
+    max(l(i-1) - 1, 1).  Each query moves the window's end on or closes a
+    position: at most 2n + bound queries, none on a window of length bound."""
+    out: list[int] = []
+    length = 1
+    for i in range(n):
+        length = max(length - 1, 1)
+        cap = alg.bound - 1 if closes else min(n - i, alg.bound - 1)
+        while length < cap and not path_in_ideal(alg, window(i, length + 1)):
+            length += 1
+        out.append(length)
+    return out
+
+
+def _windows_independent(alg: AlgebraPresentation, word: tuple[str, ...], window,
+                         lengths: list[int], closes: bool) -> bool:
+    """Whether the nonzero windows are linearly independent modulo I, that
+    is, whether I meets the component's path algebra in a monomial ideal.
+
+    The engine's blocks are direct summands, so this is decided per block.
+    A window holding no relation term is its own coset.  Those holding the
+    term at position i, found with no query, are the windows (j, L) that
+    start d positions before it with d + len(term) <= L <= l(j)."""
+    n = len(lengths)
+    pos = {a: i for i, a in enumerate(word[:n])}
+    held: set[tuple[int, int]] = set()  # (j, L) of the windows holding a term
+    for t in (term.arrows for rel in alg.ideal.linear for term in rel.paths):
+        i, k = pos.get(t[0]), len(t)
+        if i is not None and k <= lengths[i] and word[i:i + k] == t:
+            for d in range(min(n if closes else i + 1, alg.bound - k)):
+                held.update(((i - d) % n, L) for L in range(d + k, lengths[(i - d) % n] + 1))
+    rows: dict[int, list] = {}  # the normal forms of those windows, by block
+    for j, length in held:
+        blk = alg._engine.block(p := window(j, length))
+        rows.setdefault(id(blk), []).append(blk.nf[p])
+    for nfs in rows.values():
+        basis = RowBasis()  # one nonzero normal form is independent alone
+        if len(nfs) > 1 and not all(basis.add(dict(nf)) for nf in nfs):
+            return False
+    return True
+
+
 def _build_component(alg: AlgebraPresentation, g: RamificationsGraph,
                      cid: str, nodes: frozenset[Path]) -> Component:
     q = alg.quiver
     order, shape = _order_nodes(g, nodes)
     omega = concat_all(order)
-    arrow_ids = frozenset(a for w in order for a in w.arrows)
-    induced = induced_algebra(alg, arrow_ids)
 
-    closes = False
-    if omega.target == omega.source:
-        closes = not path_in_ideal(alg, q.path([omega.arrows[-1], omega.arrows[0]]))
+    closes = omega.target == omega.source and not path_in_ideal(
+        alg, q.path([omega.arrows[-1], omega.arrows[0]]))
     if shape == "cycle" and not closes:
         raise InvariantViolation("cycle component whose path does not close")
     if shape == "line" and len(order) > 1 and closes:
         raise InvariantViolation("line component whose path closes")
 
-    if not induced.is_monomial:
-        return Component(cid, tuple(order), shape, induced, omega, closes,
-                         (), (), (), (), 0, None)
+    # the window (i, L) is the path of the L arrows of omega from position i
+    # on, read around omega when it closes
+    n = len(omega)
+    word = omega.arrows * (alg.bound // n + 2) if closes else omega.arrows
+    arrows = [q.arrow(a) for a in word]
 
-    rels = [r.path for r in induced.ideal.zero]
-    lasts = {x.arrows[-1] for x in order}
-    firsts = {x.arrows[0] for x in order}
+    def window(i: int, length: int) -> Path:
+        return Path(word[i:i + length], arrows[i].source, arrows[i + length - 1].target)
+
+    ls = _lengths(alg, window, n, closes)
+    if not (alg.is_monomial or _windows_independent(alg, word, window, ls, closes)):
+        return Component(cid, tuple(order), shape, omega, closes, tuple(ls),
+                         (), (), (), (), 0, None, alg)
+
+    # the minimal paths in I: the pairs that leave omega (an arrow has one
+    # nonzero continuation), and the windows one longer than l(i) whose
+    # suffix survives
+    inside, along = set(omega.arrows), set(zip(word, word[1:]))
     junction = tuple(
-        r for r in rels
-        if len(r) == 2 and r.arrows[0] in lasts and r.arrows[1] in firsts
+        Path((x.id, y.id), x.source, y.target)
+        for x in arrows[:n] for y in q.arrows_from(x.target)
+        if y.id in inside and (x.id, y.id) not in along
     )
-    srels = [r for r in rels if r not in junction]
-    starts = [omega.arrows.index(r.arrows[0]) for r in srels]
-    if len(set(starts)) != len(srels):
-        raise InvariantViolation("ordered relations must start apart")
-    srels = [r for _, r in sorted(zip(starts, srels))]
-    sigma = tuple(len(r) - 1 for r in srels)
-    maximal = _synthesize_maximal(alg, omega, srels, closes)
-    eta = _eta(omega, srels + list(maximal))
-    k = len(srels)
+    ordered = [window(i, ls[i] + 1) for i in range(n)
+               if (closes or i + ls[i] < n) and ls[(i + 1) % n] >= ls[i]]
+    sigma = tuple(len(r) - 1 for r in ordered)
+    # the maximal windows: those not the suffix of a nonzero window
+    maximal = tuple(window(i, ls[i]) for i in range(n)
+                    if (ls[i - 1] if closes or i else 0) <= ls[i])
+    eta = _eta(omega, ordered + list(maximal))
+    k = len(ordered)
     ump = (k == 0) or all(s == 1 for s in sigma) or (k == 1 and closes)
-    return Component(cid, tuple(order), shape, induced, omega, closes,
-                     junction, tuple(srels), sigma, maximal, eta, ump)
+    return Component(cid, tuple(order), shape, omega, closes, tuple(ls),
+                     junction, tuple(ordered), sigma, maximal, eta, ump, alg)
 
 
 def components(alg: AlgebraPresentation) -> tuple[Component, ...]:

@@ -200,7 +200,7 @@ def _auto(alg: AlgebraPresentation
         ), None
     if alg.is_monomial:
         return _structural_report(alg, comps, "monomial-corollary", ()), comps
-    if all(c.algebra.is_monomial for c in comps):
+    if all(c.is_ump is not None for c in comps):
         return _structural_report(alg, comps, "main-theorem", ()), comps
     return _oracle_report(
         alg, "oracle", ("component ideals are not all monomial; enumerated",)
@@ -250,7 +250,7 @@ def ump_report(alg: AlgebraPresentation, route: str = "auto") -> UmpReport:
             raise NotApplicable(
                 f"structural route needs a special multiserial algebra; {exc.witness}"
             ) from None
-        if not all(c.algebra.is_monomial for c in comps):
+        if not all(c.is_ump is not None for c in comps):
             raise NotApplicable(
                 "structural route needs every component ideal monomial"
             )

@@ -1,6 +1,6 @@
-"""Checks that hold of every presentation and every induced ideal, shared
-by the example tests and the generated ones, and bound references that
-list paths."""
+"""Checks that hold of every presentation, every induced ideal and every
+component, shared by the example tests and the generated ones, and bound
+references that list paths."""
 
 from fractions import Fraction
 
@@ -13,7 +13,7 @@ from quiverump.ideal import (
     minimalize_relations,
     path_in_ideal,
 )
-from quiverump.oracle import global_basis
+from quiverump.oracle import global_basis, maximal_paths, nonzero_paths
 from quiverump.quiver import Path, divides
 
 
@@ -101,3 +101,25 @@ def check_global_basis(alg):
             by_key.setdefault(coset_key(alg, p), set()).add(p)
             by_normal.setdefault(normal, set()).add(p)
     assert {frozenset(c) for c in by_key.values()} == {frozenset(c) for c in by_normal.values()}
+
+
+def maximal_windows(comp):
+    """Arrow sequences of the windows (i, l(i)) of a component that no
+    longer nonzero window ends with: l(i-1) <= l(i), where a line has no
+    position before its first."""
+    n, ls = len(comp.omega), comp.lengths
+    word = comp.omega.arrows * (max(ls) // n + 2)
+    return {word[i:i + k] for i, k in enumerate(ls) if (ls[i - 1] if comp.closes or i else 0) <= k}
+
+
+def check_windows(alg, comps):
+    """The window lengths of the components against enumeration: they count
+    every nonzero path once, their maximal windows are the maximal paths,
+    and each component is called monomial exactly when its induced
+    presentation (built by induced_algebra) is."""
+    assert sum(sum(c.lengths) for c in comps) == len(nonzero_paths(alg))
+    assert set().union(*map(maximal_windows, comps)) == {p.arrows for p in maximal_paths(alg)}
+    for c in comps:
+        assert (c.is_ump is not None) == c.algebra.is_monomial, c.id
+        if c.is_ump is not None:
+            assert {m.arrows for m in c.maximal} == maximal_windows(c), c.id

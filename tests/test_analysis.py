@@ -1,9 +1,10 @@
-"""Component decomposition, induced ideals, and maximal path synthesis."""
+"""Component decomposition on positions, induced ideals, and maximal classes."""
 
 import pytest
 
 import quiverump.analysis
 from quiverump.analysis import (
+    _lengths,
     component_of_path,
     components,
     divides_power,
@@ -11,10 +12,12 @@ from quiverump.analysis import (
     induced_algebra,
     omega_relations,
 )
+from quiverump.brauer import brauer_algebra
 from quiverump.errors import CrossComponentPath, NotSpecialMultiserial, TrivialPath
 from quiverump.ideal import (
     AlgebraPresentation,
     IdealPresentation,
+    _Engine,
     algebra,
     is_special_multiserial,
     linear_relation,
@@ -22,6 +25,7 @@ from quiverump.ideal import (
 from quiverump.omega import omega_map
 from quiverump.oracle import maximal_classes
 from quiverump.quiver import quiver
+from quiverump.ump import ump_report
 
 from fixtures import (
     ALL_FIXTURES,
@@ -33,7 +37,8 @@ from fixtures import (
     petal_hub,
     two_loops_line,
 )
-from invariants import check_induced
+from invariants import check_induced, check_windows
+from test_brauer import ALL_GRAPHS
 
 
 def _zero_strs(alg):
@@ -195,7 +200,9 @@ def test_induced_ideal_keeps_identification_inside_subquiver():
 def test_induced_ideals_are_the_parent_ideal_on_the_subquiver(name):
     A = ALL_FIXTURES[name]()
     if is_special_multiserial(A):
-        induced = [c.algebra for c in components(A)]
+        comps = components(A)
+        check_windows(A, comps)
+        induced = [c.algebra for c in comps]
     else:
         # no components; restrict to each saturation and to the whole quiver
         arrow_sets = {frozenset(w.arrows) for w in omega_map(A.quiver).values()}
@@ -214,7 +221,8 @@ def _no_walk(*args, **kwargs):
 
 def _restrictions(A):
     if is_special_multiserial(A):
-        return components(A)
+        # the induced presentation is lazy: force it, so the walk is tried
+        return [(c, c.algebra) for c in components(A)]
     arrow_sets = sorted({frozenset(w.arrows) for w in omega_map(A.quiver).values()}, key=sorted)
     return [induced_algebra(A, s) for s in arrow_sets + [frozenset(A.quiver.arrow_ids)]]
 
@@ -341,3 +349,51 @@ def test_global_classes_agree_with_enumeration(build):
     assert {c.representative for c in structural} == {
         c.representative for c in brute
     }
+
+
+def _structural_cases():
+    """Fresh presentations of the special multiserial fixtures and of the
+    Brauer graphs of test_brauer."""
+    cases = [(name, build()) for name, build in sorted(ALL_FIXTURES.items())]
+    cases += [(name, brauer_algebra(build()).algebra) for name, build in sorted(ALL_GRAPHS.items())]
+    return [(name, A) for name, A in cases if is_special_multiserial(A)]
+
+
+def test_auto_builds_no_induced_presentation(monkeypatch):
+    expected = {name: ump_report(A, "auto") for name, A in _structural_cases()}
+
+    def refuse(*args, **kwargs):
+        raise _Walked("the structural route built an induced presentation")
+
+    monkeypatch.setattr(quiverump.analysis, "induced_algebra", refuse)
+    for name, A in _structural_cases():
+        assert ump_report(A, "auto") == expected[name], name
+    with pytest.raises(_Walked):
+        components(petal_hub())[0].algebra
+
+
+def test_the_sweep_asks_at_most_two_queries_per_position_plus_the_bound(monkeypatch):
+    asked = []  # per sweep: [queries, positions, bound]
+    sweeping = False
+    in_ideal = _Engine.in_ideal
+
+    def counting(self, p):
+        if sweeping:
+            asked[-1][0] += 1
+        return in_ideal(self, p)
+
+    def sweep(alg, window, n, closes):
+        nonlocal sweeping
+        asked.append([0, n, alg.bound])
+        sweeping = True
+        try:
+            return _lengths(alg, window, n, closes)
+        finally:
+            sweeping = False
+
+    monkeypatch.setattr(_Engine, "in_ideal", counting)
+    monkeypatch.setattr(quiverump.analysis, "_lengths", sweep)
+    built = sum(len(components(A)) for _, A in _structural_cases())
+    assert len(asked) == built
+    assert all(queries <= 2 * n + bound for queries, n, bound in asked), asked
+    assert any(queries > 0 for queries, _, _ in asked)

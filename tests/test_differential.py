@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from invariants import check_global_basis, check_induced, enumerated_bound, reduced_bound
+from invariants import check_global_basis, check_induced, check_windows, enumerated_bound, reduced_bound
 from quiverump.analysis import components
 
 from quiverump.brauer import (
@@ -67,7 +67,9 @@ def test_auto_matches_enumeration_and_saturations_partition(alg):
     assert all(om[a] == w for w in sats for a in w.arrows)
 
     if is_special_multiserial(alg):
-        check_induced(alg, [c.algebra for c in components(alg)])
+        comps = components(alg)
+        check_windows(alg, comps)
+        check_induced(alg, [c.algebra for c in comps])
     check_global_basis(alg)
 
 
@@ -92,7 +94,9 @@ def test_brauer_trees_match_classification_and_enumeration(g):
     assert ump_report(ba.algebra, "auto").is_ump == ump_bruteforce(ba.algebra).is_ump == classify(g).is_ump
     assert brauer_dimension(g) == dimension_bruteforce(ba.algebra)
     component_vertex_bijection(ba)
-    check_induced(ba.algebra, [c.algebra for c in components(ba.algebra)])
+    comps = components(ba.algebra)
+    check_windows(ba.algebra, comps)
+    check_induced(ba.algebra, [c.algebra for c in comps])
     check_global_basis(ba.algebra)
 
 
@@ -126,7 +130,9 @@ def test_brauer_graphs_with_loops_and_multiple_edges_match_enumeration(g):
     assert ump_report(ba.algebra, "auto").is_ump == ump_bruteforce(ba.algebra).is_ump == classify(g).is_ump
     assert brauer_dimension(g) == dimension_bruteforce(ba.algebra)
     component_vertex_bijection(ba)
-    check_induced(ba.algebra, [c.algebra for c in components(ba.algebra)])
+    comps = components(ba.algebra)
+    check_windows(ba.algebra, comps)
+    check_induced(ba.algebra, [c.algebra for c in comps])
     check_global_basis(ba.algebra)
 
 
@@ -158,7 +164,9 @@ def test_identifications_match_enumeration(alg):
     check_global_basis(alg)
     ump_report(alg, "cross-check")
     if is_special_multiserial(alg):
-        check_induced(alg, [c.algebra for c in components(alg)])
+        comps = components(alg)
+        check_windows(alg, comps)
+        check_induced(alg, [c.algebra for c in comps])
 
 
 @st.composite
@@ -322,7 +330,7 @@ def saturation_chains(draw):
 
 
 def _theorem_branch(comp) -> str:
-    # the first disjunct of the component test in analysis._build_component
+    # which disjunct of the main theorem's test decides Component.is_ump
     if not comp.ordered_relations:
         return "no ordered relation"
     if all(s == 1 for s in comp.sigma):
@@ -344,6 +352,7 @@ def test_saturation_chains_match_enumeration_on_every_branch():
         assert report.is_ump == ump_bruteforce(alg).is_ump
         ump_report(alg, "cross-check")
         comps = components(alg)
+        check_windows(alg, comps)
         check_induced(alg, [c.algebra for c in comps])
         branches.update(_theorem_branch(c) for c in comps)
         verdicts.add(report.is_ump)
