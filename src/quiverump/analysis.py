@@ -265,8 +265,7 @@ def _build_component(alg: AlgebraPresentation, g: RamificationsGraph,
     order, shape = _order_nodes(g, nodes)
     omega = concat_all(order)
 
-    closes = omega.target == omega.source and not path_in_ideal(
-        alg, q.path([omega.arrows[-1], omega.arrows[0]]))
+    closes = omega.target == omega.source and omega.arrows[0] in alg._after[omega.arrows[-1]]
     if shape == "cycle" and not closes:
         raise InvariantViolation("cycle component whose path does not close")
     if shape == "line" and len(order) > 1 and closes:
@@ -333,8 +332,7 @@ def component_of_path(alg: AlgebraPresentation, comps: tuple[Component, ...],
     junction inside the ideal means the path straddles components."""
     if p.is_trivial:
         raise TrivialPath("trivial paths belong to no component")
-    q = alg.quiver
-    om = omega_map(q)
+    om = omega_map(alg.quiver)
     for x, y in zip(p.arrows, p.arrows[1:]):
         wx, wy = om[x], om[y]
         if wx == wy:
@@ -343,7 +341,7 @@ def component_of_path(alg: AlgebraPresentation, comps: tuple[Component, ...],
                 continue
         if wx.arrows[-1] != x or wy.arrows[0] != y:
             raise InvariantViolation(f"{x}.{y} neither continues a saturation nor joins two")
-        if path_in_ideal(alg, q.path([x, y])):
+        if y not in alg._after[x]:
             raise CrossComponentPath(f"{p}: junction {x}.{y} falls in the ideal")
     w0 = om[p.arrows[0]]
     for comp in comps:

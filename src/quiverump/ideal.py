@@ -48,6 +48,15 @@ analysis over induced ideals and omega relations all go through it.
 
 Each presentation object carries one engine, built on its first query
 and freed with it; equal copies build their own.
+
+Beside the engine it carries one table of the nonzero length-2
+compositions: for each arrow, the arrows after it whose composition with
+it survives, in arrows_from order, asked of the engine once per
+composable pair on first use.  The special multiserial test, the
+ramifications graph, the closing test and junction test of analysis, and
+the one-arrow paddings of ump.quick_non_ump all read it, so no pair is
+asked twice.  Like the engine it is a cache: copies and pickles leave it
+behind.
 """
 
 from __future__ import annotations
@@ -170,8 +179,16 @@ class AlgebraPresentation:
     def _engine(self) -> _Engine:
         return _Engine(self.ideal.zero_paths, self.ideal.linear, self.bound)
 
+    @cached_property
+    def _after(self) -> dict[str, tuple[str, ...]]:
+        """The arrows composing nonzero after each arrow, in arrows_from order."""
+        q, in_ideal = self.quiver, self._engine.in_ideal
+        return {a.id: tuple(b.id for b in q.arrows_from(a.target)
+                            if not in_ideal(Path((a.id, b.id), a.source, b.target)))
+                for a in q.arrows}
+
     def __getstate__(self):
-        # the engine is a cache: pickles and copies leave it behind
+        # the engine and the table are caches: pickles and copies leave them behind
         return {"quiver": self.quiver, "ideal": self.ideal}
 
 
@@ -713,15 +730,13 @@ class SpecialMultiserialResult:
 
 def is_special_multiserial(alg: AlgebraPresentation) -> SpecialMultiserialResult:
     """Each arrow composes nonzero with at most one arrow on each side."""
-    q = alg.quiver
+    q, after = alg.quiver, alg._after
     for a in q.arrows:
-        good = [b.id for b in q.arrows_from(a.target)
-                if not path_in_ideal(alg, Path((a.id, b.id), a.source, b.target))]
+        good = after[a.id]
         if len(good) > 1:
             return SpecialMultiserialResult(False, SMWitness(a.id, "right", (good[0], good[1])))
     for a in q.arrows:
-        good = [b.id for b in q.arrows_into(a.source)
-                if not path_in_ideal(alg, Path((b.id, a.id), b.source, a.target))]
+        good = [b.id for b in q.arrows_into(a.source) if a.id in after[b.id]]
         if len(good) > 1:
             return SpecialMultiserialResult(False, SMWitness(a.id, "left", (good[0], good[1])))
     return SpecialMultiserialResult(True)

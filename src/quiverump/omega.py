@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ideal import AlgebraPresentation, _colkey, path_in_ideal
+from .ideal import AlgebraPresentation, _colkey
 from .quiver import Arrow, Path, Quiver
 
 
@@ -80,18 +80,14 @@ class RamificationsGraph:
 
 
 def ramifications_graph(alg: AlgebraPresentation) -> RamificationsGraph:
-    """Distinct saturations, joined when their junction survives the ideal."""
-    q = alg.quiver
-    nodes = sorted(set(omega_map(q).values()), key=_colkey)
-    starting_at: dict[str, list[Path]] = {}
-    for w in nodes:
-        starting_at.setdefault(w.source, []).append(w)
-    edges = []
-    for wa in nodes:
-        for wb in starting_at.get(wa.target, ()):
-            if wa == wb:
-                continue
-            x, y = q.arrow(wa.arrows[-1]), q.arrow(wb.arrows[0])
-            if not path_in_ideal(alg, Path((x.id, y.id), x.source, y.target)):
-                edges.append((wa, wb))
-    return RamificationsGraph(tuple(nodes), tuple(edges))
+    """Distinct saturations, joined when their junction survives the ideal.
+
+    A saturation ends at a branching vertex, where every arrow out begins
+    a saturation, unless it is a standalone cycle, which only itself
+    follows; so the saturations after one are those of the nonzero
+    successors of its last arrow."""
+    om = omega_map(alg.quiver)
+    nodes = sorted(set(om.values()), key=_colkey)
+    after = alg._after
+    edges = tuple((wa, om[b]) for wa in nodes for b in after[wa.arrows[-1]] if om[b] != wa)
+    return RamificationsGraph(tuple(nodes), edges)

@@ -55,22 +55,22 @@ def nonzero_paths(alg: AlgebraPresentation) -> tuple[Path, ...]:
     return tuple(sorted(_outside(alg.quiver, lambda p: path_in_ideal(alg, p)), key=_colkey))
 
 
+def extensions_die(alg: AlgebraPresentation, p: Path) -> bool:
+    """Whether every one-arrow extension of p, on either side, lies in the
+    ideal: p is maximal exactly when it also lies outside it."""
+    q = alg.quiver
+    return all(
+        path_in_ideal(alg, Path(p.arrows + (a.id,), p.source, a.target))
+        for a in q.arrows_from(p.target)
+    ) and all(
+        path_in_ideal(alg, Path((a.id,) + p.arrows, a.source, p.target))
+        for a in q.arrows_into(p.source)
+    )
+
+
 def maximal_paths(alg: AlgebraPresentation) -> tuple[Path, ...]:
     """Nonzero paths that fall into the ideal under every one-arrow extension."""
-    q = alg.quiver
-    out = []
-    for p in nonzero_paths(alg):
-        right = all(
-            path_in_ideal(alg, Path(p.arrows + (a.id,), p.source, a.target))
-            for a in q.arrows_from(p.target)
-        )
-        left = all(
-            path_in_ideal(alg, Path((a.id,) + p.arrows, a.source, p.target))
-            for a in q.arrows_into(p.source)
-        )
-        if left and right:
-            out.append(p)
-    return tuple(out)
+    return tuple(p for p in nonzero_paths(alg) if extensions_die(alg, p))
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ _LABEL = re.compile(r"[A-Za-z0-9_]+\Z")
 
 
 def _check_label(label: str, kind: str) -> None:
-    if not _LABEL.match(label):
+    if not isinstance(label, str) or not _LABEL.match(label):
         raise InvalidPresentation(f"bad {kind} label {label!r}: use [A-Za-z0-9_]+")
 
 

@@ -31,7 +31,7 @@ from .analysis import (
 )
 from .errors import CrossCheckMismatch, InvariantViolation, NotApplicable, NotSpecialMultiserial
 from .ideal import AlgebraPresentation, _colkey, coset_key, path_in_ideal
-from .oracle import ump_bruteforce
+from .oracle import extensions_die, ump_bruteforce
 from .quiver import Path
 
 ROUTES = ("auto", "main", "oracle", "cross-check")
@@ -74,19 +74,6 @@ def _saturate(alg: AlgebraPresentation, p: Path) -> Path:
     return p
 
 
-def _is_maximal(alg: AlgebraPresentation, p: Path) -> bool:
-    q = alg.quiver
-    if path_in_ideal(alg, p):
-        return False
-    return all(
-        path_in_ideal(alg, Path(p.arrows + (a.id,), p.source, a.target))
-        for a in q.arrows_from(p.target)
-    ) and all(
-        path_in_ideal(alg, Path((a.id,) + p.arrows, a.source, p.target))
-        for a in q.arrows_into(p.source)
-    )
-
-
 def quick_non_ump(alg: AlgebraPresentation) -> tuple[Path, Path, str] | None:
     """Advisory search for a refuting pair grown from identification terms.
 
@@ -96,21 +83,16 @@ def quick_non_ump(alg: AlgebraPresentation) -> tuple[Path, Path, str] | None:
     against the definitions, so it is sound for any algebra; None just
     means the shortcut found nothing.
     """
-    q = alg.quiver
+    q, after = alg.quiver, alg._after
     seeds: set[Path] = set()
     for rel in alg.ideal.linear:
         for term in rel.paths:
             if not path_in_ideal(alg, term):
                 seeds.add(term)
             first, last = term.arrows[0], term.arrows[-1]
-            for b in q.arrows_into(q.arrow(first).source):
-                pad = q.path([b.id, first])
-                if not path_in_ideal(alg, pad):
-                    seeds.add(pad)
-            for g in q.arrows_from(q.arrow(last).target):
-                pad = q.path([last, g.id])
-                if not path_in_ideal(alg, pad):
-                    seeds.add(pad)
+            seeds.update(q.path([b.id, first]) for b in q.arrows_into(q.arrow(first).source)
+                         if first in after[b.id])
+            seeds.update(q.path([last, g]) for g in after[last])
     sats = sorted({_saturate(alg, s) for s in seeds}, key=_colkey)
     for i, u in enumerate(sats):
         for v in sats[i + 1:]:
@@ -119,7 +101,7 @@ def quick_non_ump(alg: AlgebraPresentation) -> tuple[Path, Path, str] | None:
             shared = set(u.arrows) & set(v.arrows)
             if not shared:
                 continue
-            if not (_is_maximal(alg, u) and _is_maximal(alg, v)):
+            if any(path_in_ideal(alg, p) or not extensions_die(alg, p) for p in (u, v)):
                 continue
             return (u, v, min(shared))
     return None

@@ -12,7 +12,7 @@ from quiverump.analysis import (
     induced_algebra,
     omega_relations,
 )
-from quiverump.brauer import brauer_algebra
+from quiverump.brauer import brauer_algebra, brauer_graph
 from quiverump.errors import CrossComponentPath, NotSpecialMultiserial, TrivialPath
 from quiverump.ideal import (
     AlgebraPresentation,
@@ -22,7 +22,7 @@ from quiverump.ideal import (
     is_special_multiserial,
     linear_relation,
 )
-from quiverump.omega import omega_map
+from quiverump.omega import omega_map, ramifications_graph
 from quiverump.oracle import maximal_classes
 from quiverump.quiver import quiver
 from quiverump.ump import ump_report
@@ -397,3 +397,40 @@ def test_the_sweep_asks_at_most_two_queries_per_position_plus_the_bound(monkeypa
     assert len(asked) == built
     assert all(queries <= 2 * n + bound for queries, n, bound in asked), asked
     assert any(queries > 0 for queries, _, _ in asked)
+
+
+def test_the_entry_tests_ask_each_composable_pair_once(monkeypatch):
+    """The special multiserial test, the ramifications graph and the
+    components read one table of the nonzero length-2 compositions, so
+    outside the sweep they ask each composable arrow pair once."""
+    asked = 0
+    sweeping = False
+    in_ideal = _Engine.in_ideal
+
+    def counting(self, p):
+        nonlocal asked
+        if not sweeping:
+            asked += 1
+        return in_ideal(self, p)
+
+    def sweep(*args):
+        nonlocal sweeping
+        sweeping = True
+        try:
+            return _lengths(*args)
+        finally:
+            sweeping = False
+
+    tree = brauer_graph([("u", 2), ("v", 3), ("w", 1), ("x", 2)],
+                        [("e1", "u", "v"), ("e2", "v", "w"), ("e3", "v", "x")])
+    cases = _structural_cases() + [("brauer_tree", brauer_algebra(tree).algebra)]
+    monkeypatch.setattr(_Engine, "in_ideal", counting)
+    monkeypatch.setattr(quiverump.analysis, "_lengths", sweep)
+    for name, built in cases:
+        A = AlgebraPresentation(built.quiver, built.ideal)  # no engine, no table yet
+        q = A.quiver
+        asked = 0
+        assert is_special_multiserial(A)
+        ramifications_graph(A)
+        components(A)
+        assert asked == sum(len(q.arrows_from(a.target)) for a in q.arrows), name

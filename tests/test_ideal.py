@@ -1,3 +1,4 @@
+import copy
 import gc
 import pickle
 import weakref
@@ -274,6 +275,18 @@ def test_special_multiserial_detection():
     assert not res2
 
 
+def test_special_multiserial_left_witness():
+    # every arrow has one nonzero successor at most, but a has two nonzero
+    # predecessors, listed in arrows_into order: d before c
+    q = quiver(["1", "2", "3", "4"], [("a", "3", "4"), ("d", "2", "3"), ("c", "1", "3")])
+    res = is_special_multiserial(algebra(q))
+    assert not res
+    assert res.witness.arrow == "a"
+    assert res.witness.side == "left"
+    assert res.witness.pair == ("d", "c")
+    assert str(res.witness) == "a has nonzero compositions da and ca"
+
+
 def test_arrow_membership_and_lengths():
     A = petal_hub()
     q = A.quiver
@@ -318,10 +331,13 @@ def test_queries_share_one_engine():
 def test_equal_copies_build_their_own_engine(name):
     A = ALL_FIXTURES[name]()
     live = live_paths(A)  # builds A's engine before the copies are taken
-    copies = [AlgebraPresentation(A.quiver, A.ideal), pickle.loads(pickle.dumps(A))]
+    after = A._after  # and its table of nonzero compositions
+    copies = [AlgebraPresentation(A.quiver, A.ideal), pickle.loads(pickle.dumps(A)), copy.copy(A)]
     for B in copies:
         assert B == A
+        assert "_engine" not in vars(B) and "_after" not in vars(B)
         assert B._engine is not A._engine
+        assert B._after == after
         assert [path_in_ideal(B, p) for p in live] == [path_in_ideal(A, p) for p in live]
         assert [coset_key(B, p) for p in live] == [coset_key(A, p) for p in live]
 

@@ -54,6 +54,15 @@ def test_validation_rejects_bad_labels():
         Vertex("")
 
 
+def test_a_label_that_is_not_a_string_is_a_bad_label():
+    with pytest.raises(InvalidPresentation):
+        quiver([1, 2], [("a", 1, 2)])
+    with pytest.raises(InvalidPresentation):
+        quiver(["1", "2"], [(None, "1", "2")])
+    with pytest.raises(InvalidPresentation):
+        Arrow(b"a", "1", "2")
+
+
 def test_paths_compose_left_to_right(cft):
     p = cft.path("dab")
     assert p.source == "4" and p.target == "3" and len(p) == 3
