@@ -15,7 +15,7 @@ presentation is built only on demand.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 from .errors import (
@@ -33,8 +33,6 @@ from .ideal import (
     ZeroRelation,
     _colkey,
     _grow,
-    coset_key,
-    coset_paths,
     is_special_multiserial,
     linear_relation,
     longest_avoiding,
@@ -43,6 +41,7 @@ from .ideal import (
     zero_divisor,
 )
 from .omega import RamificationsGraph, omega_map, ramifications_graph
+from .oracle import MaximalClass, classes_of
 from .quiver import Path, concat_all, divides, occurrences
 
 
@@ -159,7 +158,7 @@ class Component:
     ordered_relations: tuple[Path, ...]  # minimal zero windows, by position
     sigma: tuple[int, ...]
     maximal: tuple[Path, ...]  # maximal windows, by position
-    eta: int
+    eta: int  # the least e with every ordered and maximal window in omega^e
     is_ump: bool | None  # None when the induced ideal is not monomial
     parent: AlgebraPresentation = field(repr=False, compare=False)
 
@@ -201,18 +200,6 @@ def divides_power(u: Path, omega: Path) -> bool:
         return bool(divides(u, omega))
     reps = len(u) // len(omega) + 2
     return bool(occurrences(u.arrows, omega.arrows * reps))
-
-
-def _eta(omega: Path, targets: list[Path]) -> int:
-    if omega.target != omega.source:
-        if not all(divides(t, omega) for t in targets):
-            raise InvariantViolation("relation escapes the component path")
-        return 1
-    cap = max((len(t) for t in targets), default=1) // len(omega) + 2
-    for exp in range(1, cap + 1):
-        if all(occurrences(t.arrows, omega.arrows * exp) for t in targets):
-            return exp
-    raise InvariantViolation("relation escapes every power of the component path")
 
 
 def _lengths(alg: AlgebraPresentation, window, n: int, closes: bool) -> list[int]:
@@ -294,17 +281,19 @@ def _build_component(alg: AlgebraPresentation, g: RamificationsGraph,
         for x in arrows[:n] for y in q.arrows_from(x.target)
         if y.id in inside and (x.id, y.id) not in along
     )
-    ordered = [window(i, ls[i] + 1) for i in range(n)
+    ordered = [(i, ls[i] + 1) for i in range(n)
                if (closes or i + ls[i] < n) and ls[(i + 1) % n] >= ls[i]]
-    sigma = tuple(len(r) - 1 for r in ordered)
     # the maximal windows: those not the suffix of a nonzero window
-    maximal = tuple(window(i, ls[i]) for i in range(n)
-                    if (ls[i - 1] if closes or i else 0) <= ls[i])
-    eta = _eta(omega, ordered + list(maximal))
+    maximal = [(i, ls[i]) for i in range(n) if (ls[i - 1] if closes or i else 0) <= ls[i]]
+    # the arrows of omega are distinct, so the window (i, L) lies in the
+    # power omega^e exactly when i + L <= e*n
+    eta = max(((i + L + n - 1) // n for i, L in ordered + maximal), default=1) if closes else 1
+    sigma = tuple(L - 1 for _, L in ordered)
     k = len(ordered)
     ump = (k == 0) or all(s == 1 for s in sigma) or (k == 1 and closes)
-    return Component(cid, tuple(order), shape, omega, closes, tuple(ls),
-                     junction, tuple(ordered), sigma, maximal, eta, ump, alg)
+    return Component(cid, tuple(order), shape, omega, closes, tuple(ls), junction,
+                     tuple(window(*w) for w in ordered), sigma,
+                     tuple(window(*w) for w in maximal), eta, ump, alg)
 
 
 def components(alg: AlgebraPresentation) -> tuple[Component, ...]:
@@ -372,31 +361,12 @@ def omega_relations(alg: AlgebraPresentation) -> tuple[Path, ...]:
     return tuple(sorted(out, key=_colkey))
 
 
-@dataclass(frozen=True)
-class MaximalClass:
-    representative: Path
-    paths: frozenset[Path]
-    components: tuple[str, ...]
-
-
 def global_maximal_classes(alg: AlgebraPresentation,
                            comps: tuple[Component, ...]) -> tuple[MaximalClass, ...]:
-    """Residue classes of the synthesized maximal paths of all components.
+    """Residue classes of the maximal windows of all components.
 
     Identifications can merge paths from different components into one
     class; the class then records every contributing component."""
-    groups: dict[tuple, tuple[set[Path], set[str]]] = {}
-    for comp in comps:
-        for m in comp.maximal:
-            k = coset_key(alg, m)
-            paths, ids = groups.setdefault(k, (set(), set()))
-            paths.add(m)
-            ids.add(comp.id)
-    out = []
-    for paths, ids in groups.values():
-        coset = coset_paths(alg, next(iter(paths)))
-        if coset != frozenset(paths):
-            raise InvariantViolation("a maximal class holds paths no component synthesized")
-        rep = min(coset, key=lambda p: p.arrows)
-        out.append(MaximalClass(rep, coset, tuple(sorted(ids))))
-    return tuple(sorted(out, key=lambda c: _colkey(c.representative)))
+    owner = {m: comp.id for comp in comps for m in comp.maximal}
+    return tuple(replace(c, components=tuple(sorted({owner[p] for p in c.paths})))
+                 for c in classes_of(alg, owner))

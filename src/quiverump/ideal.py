@@ -523,8 +523,17 @@ def admissibility_bound(q: Quiver, zero: Sequence[ZeroRelation] = (),
     the longest path left.  In both cases cap is only a ceiling:
     NotAdmissible is raised when some path of length cap lies outside the
     ideal.  Sound and exact whenever the presented ideal is admissible at
-    all.
+    all.  Every relation term must be a path of q, endpoints included; a
+    term that is not raises UnknownLabel (an arrow off q) or
+    InvalidPresentation before any search.
     """
+    for term in [r.path for r in zero] + [t for r in linear for t in r.paths]:
+        end = term.source
+        for a in map(q.arrow, term.arrows):  # UnknownLabel for an arrow off q
+            end = a.target if a.source == end else None  # None once the walk breaks
+        if end != term.target:
+            raise InvalidPresentation(f"relation term {term} is no path of the quiver "
+                                      f"from {term.source} to {term.target}")
     zero_paths = tuple(r.path for r in zero)
     if not linear:
         return max(longest_avoiding(q, zero_paths, cap) + 1, 2)
@@ -570,6 +579,8 @@ def coset_key(alg: AlgebraPresentation, p: Path):
     """Hashable canonical tag of the coset p + I (for grouping), () exactly
     when p lies in the ideal, dead paths included: the normal form of p in
     its block, and p itself when it holds no relation term."""
+    if p.is_trivial:
+        raise TrivialPath("coset tags are undefined for trivial paths")
     eng = alg._engine
     if eng.dead(p):
         return ()

@@ -11,12 +11,18 @@ reads the dimension off it.  The others enumerate paths here but take
 membership and cosets from the membership engine in ideal (path_in_ideal,
 coset_key, coset_paths), which the structural code uses too; they check
 the structural shortcuts, not the engine.
+
+The class layer is written once, here, for every route: the structural
+routes list the maximal paths off their components, enumeration lists
+them by extension, and both group them with classes_of and look for two
+classes sharing an arrow with shared_arrow.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable, Sequence
 
 from .errors import InvariantViolation
 from .ideal import (
@@ -74,47 +80,65 @@ def maximal_paths(alg: AlgebraPresentation) -> tuple[Path, ...]:
 
 
 @dataclass(frozen=True)
-class OracleClass:
+class MaximalClass:
+    """A residue class of maximal paths; a structural class also records
+    the components that contributed its paths."""
+
     representative: Path
     paths: frozenset[Path]
+    components: tuple[str, ...] = ()
 
 
-def maximal_classes(alg: AlgebraPresentation) -> tuple[OracleClass, ...]:
-    """Maximal nonzero paths grouped into residue classes modulo the ideal."""
+def classes_of(alg: AlgebraPresentation, maximal: Iterable[Path]) -> tuple[MaximalClass, ...]:
+    """The given maximal paths grouped into residue classes modulo the
+    ideal, each represented by its least arrow sequence.
+
+    Maximality is a property of the class, so the given paths must
+    exhaust every coset they meet."""
     groups: dict[tuple, list[Path]] = {}
-    for p in maximal_paths(alg):
+    for p in maximal:
         groups.setdefault(coset_key(alg, p), []).append(p)
     out = []
     for members in groups.values():
         coset = coset_paths(alg, members[0])
-        # maximality is a property of the class, so the enumerated members
-        # must exhaust the coset
         if coset != frozenset(members):
-            raise InvariantViolation("enumerated maximal paths do not exhaust their coset")
-        rep = min(coset, key=lambda p: p.arrows)
-        out.append(OracleClass(rep, coset))
+            raise InvariantViolation("the listed maximal paths do not exhaust their coset")
+        out.append(MaximalClass(min(coset, key=lambda p: p.arrows), coset))
     return tuple(sorted(out, key=lambda c: _colkey(c.representative)))
 
 
-@dataclass(frozen=True)
-class OracleUmp:
-    is_ump: bool
-    witness: tuple[Path, Path, str] | None
-    classes: tuple[OracleClass, ...]
+def maximal_classes(alg: AlgebraPresentation) -> tuple[MaximalClass, ...]:
+    """Maximal nonzero paths grouped into residue classes modulo the ideal."""
+    return classes_of(alg, maximal_paths(alg))
 
 
-def ump_bruteforce(alg: AlgebraPresentation) -> OracleUmp:
-    """Unique maximal path test: no two distinct maximal classes may share
-    an arrow, counting every path in each class."""
-    classes = maximal_classes(alg)
+def shared_arrow(classes: Sequence[MaximalClass]) -> tuple[Path, Path, str] | None:
+    """The first two paths of distinct classes that share an arrow, with
+    the least arrow they share, or None when no two classes do: the
+    classes in order, and within each its paths by _colkey."""
     for i, ci in enumerate(classes):
         for cj in classes[i + 1:]:
             for p1 in sorted(ci.paths, key=_colkey):
                 for p2 in sorted(cj.paths, key=_colkey):
                     shared = set(p1.arrows) & set(p2.arrows)
                     if shared:
-                        return OracleUmp(False, (p1, p2, min(shared)), classes)
-    return OracleUmp(True, None, classes)
+                        return (p1, p2, min(shared))
+    return None
+
+
+@dataclass(frozen=True)
+class OracleUmp:
+    is_ump: bool
+    witness: tuple[Path, Path, str] | None
+    classes: tuple[MaximalClass, ...]
+
+
+def ump_bruteforce(alg: AlgebraPresentation) -> OracleUmp:
+    """Unique maximal path test: no two distinct maximal classes may share
+    an arrow, counting every path in each class."""
+    classes = maximal_classes(alg)
+    witness = shared_arrow(classes)
+    return OracleUmp(witness is None, witness, classes)
 
 
 def global_basis(alg: AlgebraPresentation) -> tuple[list[Path], RowBasis]:

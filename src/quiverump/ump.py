@@ -22,7 +22,6 @@ from dataclasses import dataclass, replace
 
 from .analysis import (
     Component,
-    MaximalClass,
     component_of_path,
     components,
     divides_power,
@@ -31,7 +30,7 @@ from .analysis import (
 )
 from .errors import CrossCheckMismatch, InvariantViolation, NotApplicable, NotSpecialMultiserial
 from .ideal import AlgebraPresentation, _colkey, coset_key, path_in_ideal
-from .oracle import extensions_die, ump_bruteforce
+from .oracle import MaximalClass, extensions_die, shared_arrow, ump_bruteforce
 from .quiver import Path
 
 ROUTES = ("auto", "main", "oracle", "cross-check")
@@ -127,20 +126,6 @@ def _relation_level_verdict(alg: AlgebraPresentation,
     return True
 
 
-def _witness_from_classes(classes: tuple[MaximalClass, ...]
-                          ) -> tuple[Path, Path, str] | None:
-    for i, c1 in enumerate(classes):
-        a1 = {a for p in c1.paths for a in p.arrows}
-        for c2 in classes[i + 1:]:
-            shared = a1 & {a for p in c2.paths for a in p.arrows}
-            if shared:
-                a = min(shared)
-                u = min((p for p in c1.paths if a in p.arrows), key=_colkey)
-                v = min((p for p in c2.paths if a in p.arrows), key=_colkey)
-                return (u, v, a)
-    return None
-
-
 def _structural_report(alg: AlgebraPresentation,
                        comps: tuple[Component, ...],
                        route: str,
@@ -148,19 +133,15 @@ def _structural_report(alg: AlgebraPresentation,
     per = tuple((c.id, bool(c.is_ump)) for c in comps)
     verdict = all(v for _, v in per)
     classes = global_maximal_classes(alg, comps)
-    witness = None if verdict else _witness_from_classes(classes)
+    witness = None if verdict else shared_arrow(classes)
     if not verdict and witness is None:
         raise InvariantViolation("a component fails UMP but no two maximal classes share an arrow")
     return UmpReport(verdict, route, witness, per, classes, notes)
 
 
-def _oracle_report(alg: AlgebraPresentation, route: str,
-                   notes: tuple[str, ...]) -> UmpReport:
+def _oracle_report(alg: AlgebraPresentation, notes: tuple[str, ...]) -> UmpReport:
     brute = ump_bruteforce(alg)
-    classes = tuple(
-        MaximalClass(c.representative, c.paths, ()) for c in brute.classes
-    )
-    return UmpReport(brute.is_ump, route, brute.witness, (), classes, notes)
+    return UmpReport(brute.is_ump, "oracle", brute.witness, (), brute.classes, notes)
 
 
 def _auto(alg: AlgebraPresentation
@@ -177,16 +158,12 @@ def _auto(alg: AlgebraPresentation
                 ("not special multiserial; refuted by identification witness "
                  "without enumeration",),
             ), None
-        return _oracle_report(
-            alg, "oracle", ("not special multiserial; enumerated",)
-        ), None
+        return _oracle_report(alg, ("not special multiserial; enumerated",)), None
     if alg.is_monomial:
         return _structural_report(alg, comps, "monomial-corollary", ()), comps
     if all(c.is_ump is not None for c in comps):
         return _structural_report(alg, comps, "main-theorem", ()), comps
-    return _oracle_report(
-        alg, "oracle", ("component ideals are not all monomial; enumerated",)
-    ), None
+    return _oracle_report(alg, ("component ideals are not all monomial; enumerated",)), None
 
 
 def ump_report(alg: AlgebraPresentation, route: str = "auto") -> UmpReport:
@@ -223,7 +200,7 @@ def ump_report(alg: AlgebraPresentation, route: str = "auto") -> UmpReport:
         return replace(rep, notes=rep.notes + notes)
 
     if route == "oracle":
-        return _oracle_report(alg, "oracle", ())
+        return _oracle_report(alg, ())
 
     if route == "main":
         try:

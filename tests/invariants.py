@@ -14,7 +14,7 @@ from quiverump.ideal import (
     path_in_ideal,
 )
 from quiverump.oracle import global_basis, maximal_paths, nonzero_paths
-from quiverump.quiver import Path, divides
+from quiverump.quiver import Path, divides, occurrences
 
 
 def paths_up_to(q, longest):
@@ -115,11 +115,19 @@ def maximal_windows(comp):
 def check_windows(alg, comps):
     """The window lengths of the components against enumeration: they count
     every nonzero path once, their maximal windows are the maximal paths,
-    and each component is called monomial exactly when its induced
-    presentation (built by induced_algebra) is."""
+    each component is called monomial exactly when its induced
+    presentation (built by induced_algebra) is, and eta is the least
+    exponent whose power of omega holds every ordered relation and every
+    maximal window."""
     assert sum(sum(c.lengths) for c in comps) == len(nonzero_paths(alg))
     assert set().union(*map(maximal_windows, comps)) == {p.arrows for p in maximal_paths(alg)}
     for c in comps:
         assert (c.is_ump is not None) == c.algebra.is_monomial, c.id
         if c.is_ump is not None:
             assert {m.arrows for m in c.maximal} == maximal_windows(c), c.id
+            windows = [w.arrows for w in c.ordered_relations + c.maximal]
+
+            def holds(e):
+                return all(occurrences(w, c.omega.arrows * e) for w in windows)
+
+            assert holds(c.eta) and (c.eta == 1 or not holds(c.eta - 1)), c.id

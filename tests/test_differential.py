@@ -32,6 +32,18 @@ from quiverump.quiver import quiver
 from quiverump.ump import ump_report
 
 
+def _auto_agrees(alg):
+    """The auto report of alg, after checking it against enumeration: the
+    verdict always, and on a structural route also the maximal classes
+    (paths and representatives) and the witness."""
+    rep, brute = ump_report(alg, "auto"), ump_bruteforce(alg)
+    assert rep.is_ump == brute.is_ump
+    if rep.route != "oracle":
+        assert [(c.representative, c.paths) for c in rep.classes] == [(c.representative, c.paths) for c in brute.classes]
+        assert rep.witness == brute.witness
+    return rep
+
+
 def _paths_of_length(q, k):
     layer = [(a.id,) for a in q.arrows]
     for _ in range(k - 1):
@@ -58,7 +70,7 @@ def monomial_algebras(draw):
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(monomial_algebras())
 def test_auto_matches_enumeration_and_saturations_partition(alg):
-    assert ump_report(alg, "auto").is_ump == ump_bruteforce(alg).is_ump
+    _auto_agrees(alg)
 
     q = alg.quiver
     om = omega_map(q)
@@ -91,7 +103,7 @@ def brauer_trees(draw):
 @given(brauer_trees())
 def test_brauer_trees_match_classification_and_enumeration(g):
     ba = brauer_algebra(g)
-    assert ump_report(ba.algebra, "auto").is_ump == ump_bruteforce(ba.algebra).is_ump == classify(g).is_ump
+    assert _auto_agrees(ba.algebra).is_ump == classify(g).is_ump
     assert brauer_dimension(g) == dimension_bruteforce(ba.algebra)
     component_vertex_bijection(ba)
     comps = components(ba.algebra)
@@ -127,7 +139,7 @@ def brauer_graphs(draw):
 @given(brauer_graphs())
 def test_brauer_graphs_with_loops_and_multiple_edges_match_enumeration(g):
     ba = brauer_algebra(g)
-    assert ump_report(ba.algebra, "auto").is_ump == ump_bruteforce(ba.algebra).is_ump == classify(g).is_ump
+    assert _auto_agrees(ba.algebra).is_ump == classify(g).is_ump
     assert brauer_dimension(g) == dimension_bruteforce(ba.algebra)
     component_vertex_bijection(ba)
     comps = components(ba.algebra)
@@ -160,7 +172,7 @@ def identified_algebras(draw):
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(identified_algebras())
 def test_identifications_match_enumeration(alg):
-    assert ump_report(alg, "auto").is_ump == ump_bruteforce(alg).is_ump
+    _auto_agrees(alg)
     check_global_basis(alg)
     ump_report(alg, "cross-check")
     if is_special_multiserial(alg):
@@ -348,8 +360,7 @@ def test_saturation_chains_match_enumeration_on_every_branch():
     @given(saturation_chains())
     def run(alg):
         assert is_special_multiserial(alg)
-        report = ump_report(alg, "auto")
-        assert report.is_ump == ump_bruteforce(alg).is_ump
+        report = _auto_agrees(alg)
         ump_report(alg, "cross-check")
         comps = components(alg)
         check_windows(alg, comps)

@@ -26,9 +26,12 @@ from quiverump.errors import (
     NotAdmissible,
     PathInIdeal,
     TrivialPath,
+    UnknownLabel,
 )
 from quiverump.ideal import (
     AlgebraPresentation,
+    LinearRelation,
+    ZeroRelation,
     _Engine,
     admissibility_bound,
     algebra,
@@ -63,6 +66,26 @@ def test_relation_validation():
         linear_relation(q, [])  # no terms
     with pytest.raises(InvalidPresentation):
         linear_relation(q, [(1, "aa"), (-1, "aa")])  # repeated term
+
+
+def test_relation_terms_must_be_paths_of_the_quiver():
+    q = quiver(["1", "2"], [("a", "1", "2"), ("b", "2", "1"), ("c", "1", "2")])
+    zero = [zero_relation(q, w) for w in ("ab", "ba", "cb", "bc")]
+    # aa and cc are no paths of q: a relation on them must not pass as an
+    # identification and make the ideal look non-monomial
+    bogus = LinearRelation((Fraction(1), Fraction(-1)), (Path(("a", "a"), "1", "2"), Path(("c", "c"), "1", "2")))
+    with pytest.raises(InvalidPresentation):
+        algebra(q, zero, [bogus])
+    with pytest.raises(InvalidPresentation):
+        admissibility_bound(q, zero, [bogus])
+    with pytest.raises(UnknownLabel):
+        algebra(q, [ZeroRelation(Path(("a", "x"), "1", "2"))])
+    with pytest.raises(InvalidPresentation):  # ab runs 1 -> 1
+        algebra(q, [ZeroRelation(Path(("a", "b"), "1", "2"))])
+    with pytest.raises(InvalidPresentation):
+        algebra(q, zero, [LinearRelation((Fraction(1), Fraction(1)), (Path(("a", "b"), "1", "2"),
+                                                                        Path(("c", "b"), "1", "2")))])
+    assert algebra(q, zero).is_monomial
 
 
 def test_linear_relation_normalization():
@@ -108,8 +131,9 @@ def test_membership_monomial():
     assert path_in_ideal(A, q.path("dabc"))  # length 4 hits the bound
     assert path_in_ideal(A, q.path("dabce"))
     assert not path_in_ideal(A, q.path("e"))
-    with pytest.raises(TrivialPath):
-        path_in_ideal(A, q.trivial("1"))
+    for ask in (path_in_ideal, coset_paths, coset_key):
+        with pytest.raises(TrivialPath):
+            ask(A, q.trivial("1"))
 
 
 def test_membership_with_identifications():
@@ -120,6 +144,9 @@ def test_membership_with_identifications():
     assert path_in_ideal(A, q.path("bbb"))
     assert path_in_ideal(A, q.path("ab"))
     assert not path_in_ideal(A, q.path("cde"))
+    for ask in (path_in_ideal, coset_paths, coset_key):
+        with pytest.raises(TrivialPath):
+            ask(A, q.trivial("1"))
 
     B = loop_meets_twocycle()
     qb = B.quiver
