@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from .errors import (
     BijectionFailure,
     BrauerValidationError,
-    InvariantViolation,
     NotIncident,
     TruncatedVertex,
 )
@@ -64,9 +63,6 @@ class BrauerGraph:
 
     def multiplicity(self, v: str) -> int:
         return self._mult[v]
-
-    def ends(self, e: str) -> tuple[str, str]:
-        return self._ends[e]
 
     def is_loop(self, e: str) -> bool:
         a, b = self._ends[e]
@@ -233,31 +229,25 @@ def brauer_algebra(g: BrauerGraph) -> BrauerAlgebra:
 
     arrow_half: dict[str, tuple[str, Half]] = {}
     arrows = []
+    turns: dict[tuple[str, Half], list[str]] = {}
     for v in spinning:
-        for h in g.order(v):
-            aid = _arrow_id(g, v, h)
+        ring = g.order(v)
+        ids = [_arrow_id(g, v, h) for h in ring]
+        for i, h in enumerate(ring):
+            aid = ids[i]
             if aid in arrow_half:
                 raise BrauerValidationError(
                     [f"generated arrow id {aid} collides; rename vertices or edges"]
                 )
             arrow_half[aid] = (v, h)
-            arrows.append((aid, h.edge, g.successor(v, h).edge))
+            arrows.append((aid, h.edge, ring[(i + 1) % len(ring)].edge))
+            turns[(v, h)] = ids[i:] + ids[:i]
     if set(a for a, _, _ in arrows) & set(g.edge_ids):
         raise BrauerValidationError(
             ["a generated arrow id collides with an edge id; rename"]
         )
     q = quiver(g.edge_ids, arrows)
-
-    cycles: dict[tuple[str, Half], Path] = {}
-    for v in spinning:
-        for h in g.order(v):
-            cur, word = h, []
-            for _ in range(g.valency(v)):
-                word.append(_arrow_id(g, v, cur))
-                cur = g.successor(v, cur)
-            if cur != h:
-                raise InvariantViolation(f"successors at {v} do not return to {h} after one turn")
-            cycles[(v, h)] = q.path(word)
+    cycles = {vh: q.path(turn) for vh, turn in turns.items()}
 
     zero = []
     linear = []
@@ -276,10 +266,7 @@ def brauer_algebra(g: BrauerGraph) -> BrauerAlgebra:
             zero.append(zero_relation(q, turn + (turn[0],)))
         # both ends truncated: the lone edge of a two-point graph, no arrows
 
-    consecutive = set()
-    for v in spinning:
-        for h in g.order(v):
-            consecutive.add((_arrow_id(g, v, h), _arrow_id(g, v, g.successor(v, h))))
+    consecutive = {(turn[0], turn[1 % len(turn)]) for turn in turns.values()}
     for x in q.arrows:
         for y in q.arrows_from(x.target):
             if (x.id, y.id) not in consecutive:

@@ -9,10 +9,11 @@ reduces every embedded copy of every identification over all the
 coordinates of the truncated quotient at once, and dimension_bruteforce
 reads the dimension off it.  The others enumerate paths here but take
 membership and cosets from the membership engine in ideal (path_in_ideal,
-coset_key, coset_paths), which the structural code uses too; they check
-the structural shortcuts, not the engine.
+coset_paths), which the structural code uses too; they check the
+structural shortcuts, not the engine.
 
-The class layer is written once, here, for every route: the structural
+The class layer is written once, here, for every route, together with
+the one report type every route returns (UmpReport): the structural
 routes list the maximal paths off their components, enumeration lists
 them by extension, and both group them with classes_of and look for two
 classes sharing an arrow with shared_arrow.
@@ -29,7 +30,6 @@ from .ideal import (
     AlgebraPresentation,
     RowBasis,
     _colkey,
-    coset_key,
     coset_paths,
     path_in_ideal,
 )
@@ -91,18 +91,22 @@ class MaximalClass:
 
 def classes_of(alg: AlgebraPresentation, maximal: Iterable[Path]) -> tuple[MaximalClass, ...]:
     """The given maximal paths grouped into residue classes modulo the
-    ideal, each represented by its least arrow sequence.
+    ideal, each represented by its least arrow sequence: one coset per
+    class, asked of the first given path it holds.
 
     Maximality is a property of the class, so the given paths must
     exhaust every coset they meet."""
-    groups: dict[tuple, list[Path]] = {}
-    for p in maximal:
-        groups.setdefault(coset_key(alg, p), []).append(p)
+    listed = tuple(maximal)
+    given = frozenset(listed)
+    grouped: set[Path] = set()
     out = []
-    for members in groups.values():
-        coset = coset_paths(alg, members[0])
-        if coset != frozenset(members):
+    for p in listed:
+        if p in grouped:
+            continue
+        coset = coset_paths(alg, p)
+        if not coset <= given:
             raise InvariantViolation("the listed maximal paths do not exhaust their coset")
+        grouped |= coset
         out.append(MaximalClass(min(coset, key=lambda p: p.arrows), coset))
     return tuple(sorted(out, key=lambda c: _colkey(c.representative)))
 
@@ -116,10 +120,11 @@ def shared_arrow(classes: Sequence[MaximalClass]) -> tuple[Path, Path, str] | No
     """The first two paths of distinct classes that share an arrow, with
     the least arrow they share, or None when no two classes do: the
     classes in order, and within each its paths by _colkey."""
-    for i, ci in enumerate(classes):
-        for cj in classes[i + 1:]:
-            for p1 in sorted(ci.paths, key=_colkey):
-                for p2 in sorted(cj.paths, key=_colkey):
+    ordered = [sorted(c.paths, key=_colkey) for c in classes]
+    for i, pi in enumerate(ordered):
+        for pj in ordered[i + 1:]:
+            for p1 in pi:
+                for p2 in pj:
                     shared = set(p1.arrows) & set(p2.arrows)
                     if shared:
                         return (p1, p2, min(shared))
@@ -127,18 +132,25 @@ def shared_arrow(classes: Sequence[MaximalClass]) -> tuple[Path, Path, str] | No
 
 
 @dataclass(frozen=True)
-class OracleUmp:
+class UmpReport:
+    """A verdict on unique maximal paths, from any route: the structural
+    routes fill in per_component, enumeration leaves it empty."""
+
     is_ump: bool
+    # "monomial-corollary" | "main-theorem" | "oracle"
+    route: str
     witness: tuple[Path, Path, str] | None
+    per_component: tuple[tuple[str, bool], ...]
     classes: tuple[MaximalClass, ...]
+    notes: tuple[str, ...] = ()
 
 
-def ump_bruteforce(alg: AlgebraPresentation) -> OracleUmp:
+def ump_bruteforce(alg: AlgebraPresentation) -> UmpReport:
     """Unique maximal path test: no two distinct maximal classes may share
     an arrow, counting every path in each class."""
     classes = maximal_classes(alg)
     witness = shared_arrow(classes)
-    return OracleUmp(witness is None, witness, classes)
+    return UmpReport(witness is None, "oracle", witness, (), classes)
 
 
 def global_basis(alg: AlgebraPresentation) -> tuple[list[Path], RowBasis]:
@@ -181,9 +193,8 @@ def global_basis(alg: AlgebraPresentation) -> tuple[list[Path], RowBasis]:
     return live, basis
 
 
-def dimension_bruteforce(alg: AlgebraPresentation, include_trivial: bool = True) -> int:
-    """Vector space dimension of the quotient: its coordinates less the rank
-    of the global basis."""
+def dimension_bruteforce(alg: AlgebraPresentation) -> int:
+    """Vector space dimension of the quotient: the trivial paths plus its
+    coordinates less the rank of the global basis."""
     live, basis = global_basis(alg)
-    base = len(alg.quiver.vertices) if include_trivial else 0
-    return base + len(live) - len(basis)
+    return len(alg.quiver.vertices) + len(live) - len(basis)

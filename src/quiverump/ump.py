@@ -14,11 +14,15 @@ long zero relation whose proper subpaths survive sits on a cyclic
 component path and is the only relation dividing its powers.  The two
 statements are equivalent, so the "cross-check" route confirms a
 structural verdict against this one as well as against enumeration.
+
+Every route answers with the one report type of the class layer,
+oracle.UmpReport, which lives there beside MaximalClass, classes_of and
+shared_arrow.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 from .analysis import (
     Component,
@@ -30,21 +34,10 @@ from .analysis import (
 )
 from .errors import CrossCheckMismatch, InvariantViolation, NotApplicable, NotSpecialMultiserial
 from .ideal import AlgebraPresentation, _colkey, coset_key, path_in_ideal
-from .oracle import MaximalClass, extensions_die, shared_arrow, ump_bruteforce
+from .oracle import UmpReport, extensions_die, shared_arrow, ump_bruteforce
 from .quiver import Path
 
 ROUTES = ("auto", "main", "oracle", "cross-check")
-
-
-@dataclass(frozen=True)
-class UmpReport:
-    is_ump: bool
-    # "monomial-corollary" | "main-theorem" | "oracle"
-    route: str
-    witness: tuple[Path, Path, str] | None
-    per_component: tuple[tuple[str, bool], ...]
-    classes: tuple[MaximalClass, ...]
-    notes: tuple[str, ...] = ()
 
 
 # -- cheap sound refutation ----------------------------------------------------
@@ -128,20 +121,14 @@ def _relation_level_verdict(alg: AlgebraPresentation,
 
 def _structural_report(alg: AlgebraPresentation,
                        comps: tuple[Component, ...],
-                       route: str,
-                       notes: tuple[str, ...]) -> UmpReport:
+                       route: str) -> UmpReport:
     per = tuple((c.id, bool(c.is_ump)) for c in comps)
     verdict = all(v for _, v in per)
     classes = global_maximal_classes(alg, comps)
     witness = None if verdict else shared_arrow(classes)
     if not verdict and witness is None:
         raise InvariantViolation("a component fails UMP but no two maximal classes share an arrow")
-    return UmpReport(verdict, route, witness, per, classes, notes)
-
-
-def _oracle_report(alg: AlgebraPresentation, notes: tuple[str, ...]) -> UmpReport:
-    brute = ump_bruteforce(alg)
-    return UmpReport(brute.is_ump, "oracle", brute.witness, (), brute.classes, notes)
+    return UmpReport(verdict, route, witness, per, classes)
 
 
 def _auto(alg: AlgebraPresentation
@@ -158,12 +145,12 @@ def _auto(alg: AlgebraPresentation
                 ("not special multiserial; refuted by identification witness "
                  "without enumeration",),
             ), None
-        return _oracle_report(alg, ("not special multiserial; enumerated",)), None
+        return replace(ump_bruteforce(alg), notes=("not special multiserial; enumerated",)), None
     if alg.is_monomial:
-        return _structural_report(alg, comps, "monomial-corollary", ()), comps
+        return _structural_report(alg, comps, "monomial-corollary"), comps
     if all(c.is_ump is not None for c in comps):
-        return _structural_report(alg, comps, "main-theorem", ()), comps
-    return _oracle_report(alg, ("component ideals are not all monomial; enumerated",)), None
+        return _structural_report(alg, comps, "main-theorem"), comps
+    return replace(ump_bruteforce(alg), notes=("component ideals are not all monomial; enumerated",)), None
 
 
 def ump_report(alg: AlgebraPresentation, route: str = "auto") -> UmpReport:
@@ -200,7 +187,7 @@ def ump_report(alg: AlgebraPresentation, route: str = "auto") -> UmpReport:
         return replace(rep, notes=rep.notes + notes)
 
     if route == "oracle":
-        return _oracle_report(alg, ())
+        return ump_bruteforce(alg)
 
     if route == "main":
         try:
@@ -213,6 +200,6 @@ def ump_report(alg: AlgebraPresentation, route: str = "auto") -> UmpReport:
             raise NotApplicable(
                 "structural route needs every component ideal monomial"
             )
-        return _structural_report(alg, comps, "main-theorem", ())
+        return _structural_report(alg, comps, "main-theorem")
 
     return _auto(alg)[0]

@@ -151,6 +151,26 @@ def test_order_token_validation():
     assert any("unknown edge" in d for d in err.value.diagnostics)
 
 
+@pytest.mark.parametrize(
+    "vertices,edges,orders,diagnostic",
+    [
+        ([("u", 1), ("w", 1)], [("e", "u", "w"), ("e", "u", "w")], None, "duplicate edge ids"),
+        ([("u", 1), ("w", 1)], [("u", "u", "w")], None, "edge and vertex ids must not overlap"),
+        ([("u", 1), ("w", 1)], [("e", "u", "w")], {"x": ["e"]}, "order for undeclared vertex 'x'"),
+        (
+            [("u", 1), ("v", 1), ("w", 2)],
+            [("e", "u", "w"), ("f", "v", "w")],
+            {"u": ["f"]},
+            "order at u: edge f is not incident",
+        ),
+    ],
+)
+def test_rejects_malformed_edges_and_orders(vertices, edges, orders, diagnostic):
+    with pytest.raises(BrauerValidationError) as err:
+        brauer_graph(vertices, edges, orders)
+    assert diagnostic in err.value.diagnostics
+
+
 def test_generated_arrow_ids_must_not_collide():
     # two ways to spell the same underscore-joined name
     with pytest.raises(BrauerValidationError):
@@ -160,6 +180,10 @@ def test_generated_arrow_ids_must_not_collide():
                 [("b_c", "a", "a_b"), ("c", "a", "a_b")],
             )
         )
+    # the arrow of edge e at u is named u_e, like the second edge
+    with pytest.raises(BrauerValidationError) as err:
+        brauer_algebra(brauer_graph([("u", 1), ("v", 1)], [("e", "u", "v"), ("u_e", "u", "v")]))
+    assert err.value.diagnostics == ("a generated arrow id collides with an edge id; rename",)
 
 
 def test_successor_guards():

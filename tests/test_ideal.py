@@ -66,6 +66,11 @@ def test_relation_validation():
         linear_relation(q, [])  # no terms
     with pytest.raises(InvalidPresentation):
         linear_relation(q, [(1, "aa"), (-1, "aa")])  # repeated term
+    with pytest.raises(InvalidPresentation):  # two terms, one coefficient
+        LinearRelation((Fraction(1),), (q.path("aa"), q.path("aaa")))
+    parallel = quiver(["1", "2"], [("a", "1", "2"), ("b", "1", "2")])
+    with pytest.raises(InvalidPresentation):
+        linear_relation(parallel, [(1, "a"), (-1, "b")])  # terms of length 1
 
 
 def test_relation_terms_must_be_paths_of_the_quiver():

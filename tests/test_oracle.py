@@ -1,5 +1,6 @@
 import pytest
 
+import quiverump.ideal
 from fixtures import (
     ALL_FIXTURES,
     chord_cycle_identified,
@@ -11,13 +12,16 @@ from fixtures import (
     two_loops_line,
 )
 from invariants import check_global_basis
+from quiverump.errors import InvariantViolation
 from quiverump.oracle import (
+    classes_of,
     dimension_bruteforce,
     maximal_classes,
     maximal_paths,
     nonzero_paths,
     ump_bruteforce,
 )
+from quiverump.ump import ump_report
 
 
 def _classes_as_sets(alg):
@@ -99,9 +103,8 @@ def test_dimensions():
     assert dimension_bruteforce(chord_cycle_monomial()) == 16
     assert dimension_bruteforce(chord_cycle_identified()) == 16
     assert dimension_bruteforce(loop_meets_twocycle()) == 7
-    assert (
-        dimension_bruteforce(loop_meets_twocycle(), include_trivial=False) == 5
-    )
+    alg = loop_meets_twocycle()
+    assert dimension_bruteforce(alg) - len(alg.quiver.vertices) == 5
 
 
 def test_nonzero_path_counts():
@@ -121,3 +124,32 @@ def test_longest_nonzero_is_one_below_bound(name):
 @pytest.mark.parametrize("name", sorted(ALL_FIXTURES))
 def test_membership_and_cosets_match_the_global_basis(name):
     check_global_basis(ALL_FIXTURES[name]())
+
+
+def test_classes_of_rejects_a_part_of_a_coset():
+    alg = two_loops_line()
+    aa = alg.quiver.path("aa")  # its coset is {aa, bb}
+    with pytest.raises(InvariantViolation):
+        classes_of(alg, [aa])
+
+
+@pytest.mark.parametrize("name", ["cycle_fork_tail", "petal_hub"])
+def test_classes_of_scans_each_class_once(name, monkeypatch):
+    alg = ALL_FIXTURES[name]()
+    maximal = maximal_paths(alg)
+    scans = []
+    dead = quiverump.ideal._Engine.dead
+
+    def counted(self, p):
+        scans.append(p)
+        return dead(self, p)
+
+    monkeypatch.setattr(quiverump.ideal._Engine, "dead", counted)
+    classes = classes_of(alg, maximal)
+    assert len(scans) == len(classes)
+
+
+@pytest.mark.parametrize("name", sorted(ALL_FIXTURES))
+def test_oracle_route_is_the_bruteforce_report(name):
+    alg = ALL_FIXTURES[name]()
+    assert ump_report(alg, "oracle") == ump_bruteforce(alg)

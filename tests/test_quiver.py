@@ -33,6 +33,12 @@ def test_builder_and_lookups(cft):
     assert cft.out_degree("4") == 3 and cft.in_degree("5") == 2
 
 
+@pytest.mark.parametrize("lookup", ["arrows_from", "arrows_into", "trivial"])
+def test_lookups_reject_an_unknown_vertex(cft, lookup):
+    with pytest.raises(UnknownLabel):
+        getattr(cft, lookup)("9")
+
+
 def test_validation_rejects_bad_labels():
     with pytest.raises(InvalidPresentation):
         quiver(["x y"], [])
@@ -90,6 +96,8 @@ def test_concat_laws(cft):
     assert concat_all([u, v, w]) == cft.path("dabce")
     # cancellation holds because endpoints and arrows are both recorded
     assert (concat(u, v) == concat(u, cft.path("bc"))) and v == cft.path("bc")
+    with pytest.raises(NonComposable):
+        concat(u, u)  # da ends at 2 and starts at 4
     with pytest.raises(InvalidPresentation):
         concat_all([])
 

@@ -97,3 +97,22 @@ def test_bench_harness_still_binds():
             unbound.append(f"harness.py:{node.lineno} {fn.__name__}: {err}")
     assert imported and missing == []
     assert unbound == []
+
+
+def test_oracle_imports_no_structural_module():
+    """The oracle is the reference answer, so it stays independent of the
+    structural code it checks."""
+    path = Path(quiverump.__file__).resolve().parent / "oracle.py"
+    structural = {"analysis", "ump", "omega", "brauer"}
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom):
+            parts = (node.module or "").split(".")
+            if parts[-1] in ("", "quiverump"):  # from . import analysis
+                parts += [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            parts = [part for alias in node.names for part in alias.name.split(".")]
+        else:
+            continue
+        found += [f"oracle.py:{node.lineno} {p}" for p in parts if p in structural]
+    assert found == []

@@ -139,11 +139,11 @@ def test_unknown_route_rejected():
 @pytest.mark.parametrize("liar", ["oracle", "relation-level"])
 def test_cross_check_mismatch_raises(monkeypatch, liar):
     import quiverump.ump as ump_mod
-    from quiverump.oracle import OracleUmp
+    from quiverump.oracle import UmpReport
 
     wrong = not VERDICTS["two_loops_line"]
     if liar == "oracle":
-        monkeypatch.setattr(ump_mod, "ump_bruteforce", lambda alg: OracleUmp(wrong, None, ()))
+        monkeypatch.setattr(ump_mod, "ump_bruteforce", lambda alg: UmpReport(wrong, "oracle", None, (), ()))
     else:
         monkeypatch.setattr(ump_mod, "_relation_level_verdict", lambda alg, comps: wrong)
     with pytest.raises(CrossCheckMismatch):
