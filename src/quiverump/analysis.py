@@ -42,7 +42,7 @@ from .ideal import (
 )
 from .omega import RamificationsGraph, omega_map, ramifications_graph
 from .oracle import MaximalClass, classes_of
-from .quiver import Path, concat_all, divides, occurrences
+from .quiver import Path, occurrences
 
 
 # -- induced ideals -----------------------------------------------------------
@@ -196,9 +196,7 @@ def _order_nodes(g: RamificationsGraph, nodes: frozenset[Path]) -> tuple[list[Pa
 def divides_power(u: Path, omega: Path) -> bool:
     """Whether u occurs in omega repeated often enough (just omega itself
     when it is not a cycle)."""
-    if omega.target != omega.source:
-        return bool(divides(u, omega))
-    reps = len(u) // len(omega) + 2
+    reps = len(u) // len(omega) + 2 if omega.target == omega.source else 1
     return bool(occurrences(u.arrows, omega.arrows * reps))
 
 
@@ -250,7 +248,8 @@ def _build_component(alg: AlgebraPresentation, g: RamificationsGraph,
                      cid: str, nodes: frozenset[Path]) -> Component:
     q = alg.quiver
     order, shape = _order_nodes(g, nodes)
-    omega = concat_all(order)
+    # each saturation ends where its successor in the order starts
+    omega = Path(tuple(a for w in order for a in w.arrows), order[0].source, order[-1].target)
 
     closes = omega.target == omega.source and omega.arrows[0] in alg._after[omega.arrows[-1]]
     if shape == "cycle" and not closes:

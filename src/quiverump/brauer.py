@@ -14,12 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import (
-    BijectionFailure,
-    BrauerValidationError,
-    NotIncident,
-    TruncatedVertex,
-)
+from .errors import BijectionFailure, BrauerValidationError
 from .ideal import (
     AlgebraPresentation,
     algebra,
@@ -79,15 +74,6 @@ class BrauerGraph:
     def order(self, v: str) -> tuple[Half, ...]:
         return self._order[v]
 
-    def successor(self, v: str, h: Half) -> Half:
-        """Next half-edge around v; only meaningful where arrows exist."""
-        if self.is_truncated(v):
-            raise TruncatedVertex(f"vertex {v} is truncated")
-        ring = self._order[v]
-        if h not in ring:
-            raise NotIncident(f"half-edge {h.edge}/{h.slot} is not incident to {v}")
-        return ring[(ring.index(h) + 1) % len(ring)]
-
 
 def _parse_token(g_edges: dict[str, tuple[str, str]], v: str, token: str) -> tuple[Half | None, str | None]:
     deco = token[-1] if token and token[-1] in "^~" else None
@@ -120,7 +106,12 @@ def brauer_graph(vertices, edges, orders=None) -> BrauerGraph:
     """
     diags: list[str] = []
     vlist: list[tuple[str, int]] = []
-    for v, m in vertices:
+    for item in vertices:
+        try:
+            v, m = item
+        except (TypeError, ValueError):
+            diags.append(f"vertex {item!r}: expected an (id, multiplicity) pair")
+            continue
         try:
             n = int(m)
         except (TypeError, ValueError):
@@ -130,7 +121,14 @@ def brauer_graph(vertices, edges, orders=None) -> BrauerGraph:
             diags.append(f"vertex {v}: multiplicity must be an integer, got {m!r}")
             n = 1  # keeps v declared for the edge checks
         vlist.append((str(v), n))
-    elist = [(str(e), str(a), str(b)) for e, a, b in edges]
+    elist = []
+    for item in edges:
+        try:
+            e, a, b = item
+        except (TypeError, ValueError):
+            diags.append(f"edge {item!r}: expected an (id, end, end) triple")
+            continue
+        elist.append((str(e), str(a), str(b)))
 
     vids = [v for v, _ in vlist]
     if len(set(vids)) != len(vids):
@@ -219,7 +217,6 @@ def _arrow_id(g: BrauerGraph, v: str, h: Half) -> str:
 class BrauerAlgebra:
     graph: BrauerGraph
     algebra: AlgebraPresentation
-    arrow_half: dict[str, tuple[str, Half]]  # arrow id -> (vertex, half-edge)
     cycles: dict[tuple[str, Half], Path]  # full turn starting at that half
 
 
@@ -227,7 +224,7 @@ def brauer_algebra(g: BrauerGraph) -> BrauerAlgebra:
     """Quiver, relations, and bookkeeping for the algebra of a Brauer graph."""
     spinning = [v for v in g.vertex_ids if not g.is_truncated(v)]
 
-    arrow_half: dict[str, tuple[str, Half]] = {}
+    made: set[str] = set()
     arrows = []
     turns: dict[tuple[str, Half], list[str]] = {}
     for v in spinning:
@@ -235,11 +232,11 @@ def brauer_algebra(g: BrauerGraph) -> BrauerAlgebra:
         ids = [_arrow_id(g, v, h) for h in ring]
         for i, h in enumerate(ring):
             aid = ids[i]
-            if aid in arrow_half:
+            if aid in made:
                 raise BrauerValidationError(
                     [f"generated arrow id {aid} collides; rename vertices or edges"]
                 )
-            arrow_half[aid] = (v, h)
+            made.add(aid)
             arrows.append((aid, h.edge, ring[(i + 1) % len(ring)].edge))
             turns[(v, h)] = ids[i:] + ids[:i]
     if set(a for a, _, _ in arrows) & set(g.edge_ids):
@@ -276,7 +273,7 @@ def brauer_algebra(g: BrauerGraph) -> BrauerAlgebra:
         (g.valency(v) * g.multiplicity(v) for v in spinning), default=1
     )
     alg = algebra(q, zero, linear, cap=max(2, longest + 1))
-    return BrauerAlgebra(g, alg, arrow_half, cycles)
+    return BrauerAlgebra(g, alg, cycles)
 
 
 # -- classification and dimension ----------------------------------------------

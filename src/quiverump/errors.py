@@ -12,11 +12,7 @@ class QuiverError(Exception):
 
 
 class NonComposable(QuiverError):
-    """Concatenation attempted between paths whose endpoints do not meet."""
-
-
-class TrivialDivisor(QuiverError):
-    """divides() called with a trivial path as the divisor."""
+    """A path asked for along arrows whose endpoints do not meet."""
 
 
 class TrivialPath(QuiverError):
@@ -60,14 +56,6 @@ class NotSpecialMultiserial(QuiverError):
 
 class NotApplicable(QuiverError):
     """A decision route was forced that the algebra does not satisfy."""
-
-
-class TruncatedVertex(QuiverError):
-    """Successor sequences are undefined at truncated vertices."""
-
-
-class NotIncident(QuiverError):
-    """The half-edge is not incident to the given vertex."""
 
 
 class BrauerValidationError(QuiverError):

@@ -29,8 +29,8 @@ but every copy through it has only dead siblings (a zero relation or the
 bound kills every other term in its context): each copy's row is the
 path alone, so its block is that one row, in the ideal, and no span is
 grown, like a full turn of a Brauer graph algebra extended by one arrow.
-Every other path grows its block by the one pass.  Membership, coset
-tags and cosets are all read off dead() and block().
+Every other path grows its block by the one pass.  Membership and
+cosets are both read off dead() and block().
 
 Whether a zero relation occurs in a path is asked of a window test,
 zero_divisor, that indexes the relation words by first arrow: a path is
@@ -138,7 +138,10 @@ def linear_relation(q: Quiver, terms: Sequence[tuple[Fraction | int, Iterable[st
     built: list[tuple[Fraction, Path]] = []
     for coef, p in terms:
         path = p if isinstance(p, Path) else q.path(p)
-        built.append((Fraction(coef), path))
+        try:
+            built.append((Fraction(coef), path))
+        except (TypeError, ValueError, OverflowError):  # NaN or infinite floats too
+            raise InvalidPresentation(f"coefficient {coef!r} is no rational number") from None
     built.sort(key=lambda t: t[1].arrows)
     # no terms, or a zero lead: LinearRelation rejects the terms as given
     lead = built[0][0] if built and built[0][0] else Fraction(1)
@@ -573,19 +576,6 @@ def coset_paths(alg: AlgebraPresentation, p: Path) -> frozenset[Path]:
         return frozenset((p,))
     key = blk.nf[p]
     return frozenset(m for m in blk.members if blk.nf[m] == key)
-
-
-def coset_key(alg: AlgebraPresentation, p: Path):
-    """Hashable canonical tag of the coset p + I (for grouping), () exactly
-    when p lies in the ideal, dead paths included: the normal form of p in
-    its block, and p itself when it holds no relation term."""
-    if p.is_trivial:
-        raise TrivialPath("coset tags are undefined for trivial paths")
-    eng = alg._engine
-    if eng.dead(p):
-        return ()
-    blk = eng.block(p)
-    return ((p, _F1),) if blk is None else blk.nf[p]
 
 
 def live_paths(alg: AlgebraPresentation) -> tuple[Path, ...]:

@@ -11,7 +11,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .errors import InvalidPresentation, NonComposable, TrivialDivisor, UnknownLabel
+from .errors import InvalidPresentation, NonComposable, UnknownLabel
 
 _LABEL = re.compile(r"[A-Za-z0-9_]+\Z")
 
@@ -115,9 +115,6 @@ class Quiver:
         except KeyError:
             raise UnknownLabel(f"unknown arrow {aid!r}") from None
 
-    def has_vertex(self, vid: str) -> bool:
-        return vid in self._out
-
     def arrows_from(self, vid: str) -> tuple[Arrow, ...]:
         if vid not in self._out:
             raise UnknownLabel(f"unknown vertex {vid!r}")
@@ -136,15 +133,10 @@ class Quiver:
 
     # -- path constructors -----------------------------------------------
 
-    def trivial(self, vid: str) -> Path:
-        if not self.has_vertex(vid):
-            raise UnknownLabel(f"unknown vertex {vid!r}")
-        return Path((), vid, vid)
-
     def path(self, arrow_ids: Iterable[str]) -> Path:
         ids = tuple(arrow_ids)
         if not ids:
-            raise InvalidPresentation("path() needs at least one arrow; use trivial()")
+            raise InvalidPresentation("path() needs at least one arrow")
         arrows = [self.arrow(a) for a in ids]
         for x, y in zip(arrows, arrows[1:]):
             if x.target != y.source:
@@ -167,37 +159,11 @@ class Quiver:
 
 def quiver(vertices: Iterable[str], arrows: Iterable[tuple[str, str, str]]) -> Quiver:
     """Convenience builder: vertex ids plus (id, source, target) triples."""
-    return Quiver(
-        tuple(Vertex(v) for v in vertices),
-        tuple(Arrow(a, s, t) for a, s, t in arrows),
-    )
-
-
-# -- path operations (quiver-independent thanks to stored endpoints) --------
-
-
-def concat(p: Path, q: Path) -> Path:
-    if p.is_trivial:
-        if p.source != q.source:
-            raise NonComposable(f"trivial at {p.source} cannot precede path at {q.source}")
-        return q
-    if q.is_trivial:
-        if p.target != q.source:
-            raise NonComposable(f"path ending at {p.target} cannot precede trivial at {q.source}")
-        return p
-    if p.target != q.source:
-        raise NonComposable(f"target {p.target} != source {q.source}")
-    return Path(p.arrows + q.arrows, p.source, q.target)
-
-
-def concat_all(paths: Iterable[Path]) -> Path:
-    items = list(paths)
-    if not items:
-        raise InvalidPresentation("concat_all() needs at least one path")
-    out = items[0]
-    for p in items[1:]:
-        out = concat(out, p)
-    return out
+    try:
+        triples = [(a, s, t) for a, s, t in arrows]
+    except (TypeError, ValueError):  # an arrow that does not unpack into three
+        raise InvalidPresentation("an arrow is an (id, source, target) triple") from None
+    return Quiver(tuple(Vertex(v) for v in vertices), tuple(Arrow(*t) for t in triples))
 
 
 def occurrences(factor: tuple[str, ...], word: tuple[str, ...]) -> list[int]:
@@ -205,9 +171,3 @@ def occurrences(factor: tuple[str, ...], word: tuple[str, ...]) -> list[int]:
     k = len(factor)
     return [i for i in range(len(word) - k + 1) if word[i : i + k] == factor]
 
-
-def divides(u: Path, v: Path) -> list[int]:
-    """Occurrence positions of u as a factor of v (may overlap)."""
-    if u.is_trivial:
-        raise TrivialDivisor("trivial paths divide everything; occurrences undefined")
-    return occurrences(u.arrows, v.arrows)

@@ -33,7 +33,7 @@ from .analysis import (
     omega_relations,
 )
 from .errors import CrossCheckMismatch, InvariantViolation, NotApplicable, NotSpecialMultiserial
-from .ideal import AlgebraPresentation, _colkey, coset_key, path_in_ideal
+from .ideal import AlgebraPresentation, _colkey, coset_paths, path_in_ideal
 from .oracle import UmpReport, extensions_die, shared_arrow, ump_bruteforce
 from .quiver import Path
 
@@ -88,10 +88,9 @@ def quick_non_ump(alg: AlgebraPresentation) -> tuple[Path, Path, str] | None:
     sats = sorted({_saturate(alg, s) for s in seeds}, key=_colkey)
     for i, u in enumerate(sats):
         for v in sats[i + 1:]:
-            if coset_key(alg, u) == coset_key(alg, v):
-                continue
+            # a saturation is nonzero, so it has a coset
             shared = set(u.arrows) & set(v.arrows)
-            if not shared:
+            if not shared or v in coset_paths(alg, u):
                 continue
             if any(path_in_ideal(alg, p) or not extensions_die(alg, p) for p in (u, v)):
                 continue

@@ -8,13 +8,12 @@ from quiverump.errors import NotAdmissible
 from quiverump.ideal import (
     AlgebraPresentation,
     IdealPresentation,
-    coset_key,
     coset_paths,
     minimalize_relations,
     path_in_ideal,
 )
 from quiverump.oracle import global_basis, maximal_paths, nonzero_paths
-from quiverump.quiver import Path, divides, occurrences
+from quiverump.quiver import Path, occurrences
 
 
 def paths_up_to(q, longest):
@@ -32,14 +31,14 @@ def enumerated_bound(q, zero_paths, cap):
     or NotAdmissible(cap) once one of length cap is divided by none.
 
     Lists the paths no zero path divides, depth first, testing each with
-    divides; a divided path is not extended, since its extensions are
+    occurrences; a divided path is not extended, since its extensions are
     divided too, and the listing stops at the first undivided path of
     length cap (listing every path would cost 6**8 on six loops)."""
     longest = 0
     stack = [Path((a.id,), a.source, a.target) for a in q.arrows]
     while stack:
         p = stack.pop()
-        if any(divides(z, p) for z in zero_paths):
+        if any(occurrences(z.arrows, p.arrows) for z in zero_paths):
             continue
         if len(p) >= cap:
             raise NotAdmissible(cap)
@@ -90,17 +89,17 @@ def check_induced(alg, induced):
 
 def check_global_basis(alg):
     """On every coordinate of the truncated quotient, path_in_ideal and the
-    partition by coset_key agree with the oracle's global basis, which
+    partition by coset_paths agree with the oracle's global basis, which
     reduces every embedded identification at once and shares no block."""
     live, basis = global_basis(alg)
-    by_key, by_normal = {}, {}
+    cosets, by_normal = set(), {}
     for p in live:
         normal = basis.normal_key({p: Fraction(1)})
         assert path_in_ideal(alg, p) == (normal == ()), p
         if normal:
-            by_key.setdefault(coset_key(alg, p), set()).add(p)
+            cosets.add(coset_paths(alg, p))
             by_normal.setdefault(normal, set()).add(p)
-    assert {frozenset(c) for c in by_key.values()} == {frozenset(c) for c in by_normal.values()}
+    assert cosets == {frozenset(c) for c in by_normal.values()}
 
 
 def maximal_windows(comp):

@@ -24,7 +24,7 @@ from quiverump.ideal import (
 )
 from quiverump.omega import omega_map, ramifications_graph
 from quiverump.oracle import maximal_classes
-from quiverump.quiver import quiver
+from quiverump.quiver import Path, quiver
 from quiverump.ump import ump_report
 
 from fixtures import (
@@ -266,7 +266,7 @@ def test_component_of_path_rejects_straddlers():
     with pytest.raises(CrossComponentPath):
         component_of_path(A, comps, q.path("eg"))
     with pytest.raises(TrivialPath):
-        component_of_path(A, comps, q.trivial("1"))
+        component_of_path(A, comps, Path((), "1", "1"))
 
 
 def test_divides_power():

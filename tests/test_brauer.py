@@ -4,18 +4,13 @@ import pytest
 
 from quiverump.brauer import (
     BrauerGraph,
-    Half,
     brauer_algebra,
     brauer_dimension,
     brauer_graph,
     classify,
     component_vertex_bijection,
 )
-from quiverump.errors import (
-    BrauerValidationError,
-    NotIncident,
-    TruncatedVertex,
-)
+from quiverump.errors import BrauerValidationError
 from quiverump.oracle import dimension_bruteforce, ump_bruteforce
 from quiverump.ump import ump_report
 
@@ -163,6 +158,10 @@ def test_order_token_validation():
             {"u": ["f"]},
             "order at u: edge f is not incident",
         ),
+        ([("u", 1, 2), ("w", 1)], [("e", "u", "w")], None, "vertex ('u', 1, 2): expected an (id, multiplicity) pair"),
+        ([None, ("w", 1)], [("e", "w", "w")], None, "vertex None: expected an (id, multiplicity) pair"),
+        ([("u", 1), ("w", 1)], [("e", "u", "w"), ("f", "u")], None, "edge ('f', 'u'): expected an (id, end, end) triple"),
+        ([("u", 1), ("w", 1)], [("e", "u", "w"), 7], None, "edge 7: expected an (id, end, end) triple"),
     ],
 )
 def test_rejects_malformed_edges_and_orders(vertices, edges, orders, diagnostic):
@@ -184,15 +183,6 @@ def test_generated_arrow_ids_must_not_collide():
     with pytest.raises(BrauerValidationError) as err:
         brauer_algebra(brauer_graph([("u", 1), ("v", 1)], [("e", "u", "v"), ("u_e", "u", "v")]))
     assert err.value.diagnostics == ("a generated arrow id collides with an edge id; rename",)
-
-
-def test_successor_guards():
-    g = one_spinning_end()
-    with pytest.raises(TruncatedVertex):
-        g.successor("w", Half("e", 1))
-    with pytest.raises(NotIncident):
-        g.successor("u", Half("e", 1))  # that half sits at w
-    assert g.successor("u", Half("e", 0)) == Half("e", 0)
 
 
 @pytest.mark.parametrize("name", sorted(ALL_GRAPHS))

@@ -34,13 +34,21 @@ from quiverump.ump import ump_report
 
 def _auto_agrees(alg):
     """The auto report of alg, after checking it against enumeration: the
-    verdict always, and on a structural route also the maximal classes
-    (paths and representatives) and the witness."""
+    verdict always, on a structural route also the maximal classes (paths
+    and representatives) and the witness, and for a refutation found
+    without enumeration (a witness but no classes) that its two paths lie
+    in distinct enumerated classes and both hold its arrow."""
     rep, brute = ump_report(alg, "auto"), ump_bruteforce(alg)
     assert rep.is_ump == brute.is_ump
     if rep.route != "oracle":
         assert [(c.representative, c.paths) for c in rep.classes] == [(c.representative, c.paths) for c in brute.classes]
         assert rep.witness == brute.witness
+    elif rep.witness is not None and not rep.classes:
+        u, v, arrow = rep.witness
+        (cu,) = [c for c in brute.classes if u in c.paths]
+        (cv,) = [c for c in brute.classes if v in c.paths]
+        assert cu != cv
+        assert arrow in u.arrows and arrow in v.arrows
     return rep
 
 

@@ -4,16 +4,13 @@ import quiverump.quiver
 from quiverump.errors import (
     InvalidPresentation,
     NonComposable,
-    TrivialDivisor,
     UnknownLabel,
 )
 from quiverump.quiver import (
     Arrow,
     Path,
     Vertex,
-    concat,
-    concat_all,
-    divides,
+    occurrences,
     quiver,
 )
 
@@ -33,7 +30,7 @@ def test_builder_and_lookups(cft):
     assert cft.out_degree("4") == 3 and cft.in_degree("5") == 2
 
 
-@pytest.mark.parametrize("lookup", ["arrows_from", "arrows_into", "trivial"])
+@pytest.mark.parametrize("lookup", ["arrows_from", "arrows_into"])
 def test_lookups_reject_an_unknown_vertex(cft, lookup):
     with pytest.raises(UnknownLabel):
         getattr(cft, lookup)("9")
@@ -60,6 +57,15 @@ def test_validation_rejects_bad_labels():
         Vertex("")
 
 
+def test_an_arrow_that_is_not_a_triple_is_rejected():
+    with pytest.raises(InvalidPresentation):
+        quiver(["1"], [("a", "1")])
+    with pytest.raises(InvalidPresentation):
+        quiver(["1"], [("a", "1", "1", "1")])
+    with pytest.raises(InvalidPresentation):
+        quiver(["1"], [None])
+
+
 def test_a_label_that_is_not_a_string_is_a_bad_label():
     with pytest.raises(InvalidPresentation):
         quiver([1, 2], [("a", 1, 2)])
@@ -81,41 +87,23 @@ def test_paths_compose_left_to_right(cft):
         cft.path([])
 
 
-def test_trivial_paths(cft):
-    t = cft.trivial("5")
+def test_trivial_paths():
+    t = Path((), "5", "5")
     assert t.is_trivial and len(t) == 0 and str(t) == "e(5)"
-    p = cft.path("gh")
-    assert concat(t, p) == p and concat(p, cft.trivial("7")) == p
-    with pytest.raises(NonComposable):
-        concat(p, t)
-
-
-def test_concat_laws(cft):
-    u, v, w = cft.path("da"), cft.path("bc"), cft.path("e")
-    assert concat(concat(u, v), w) == concat(u, concat(v, w))
-    assert concat_all([u, v, w]) == cft.path("dabce")
-    # cancellation holds because endpoints and arrows are both recorded
-    assert (concat(u, v) == concat(u, cft.path("bc"))) and v == cft.path("bc")
-    with pytest.raises(NonComposable):
-        concat(u, u)  # da ends at 2 and starts at 4
-    with pytest.raises(InvalidPresentation):
-        concat_all([])
 
 
 def test_divides_gives_all_occurrence_offsets(cft):
-    assert divides(cft.path("ab"), cft.path("dabc")) == [1]
+    assert occurrences(cft.path("ab").arrows, cft.path("dabc").arrows) == [1]
     p = cft.path("dabc")
-    assert divides(p, p) == [0]
-    with pytest.raises(TrivialDivisor):
-        divides(cft.trivial("1"), p)
-    assert divides(cft.path("gh"), cft.trivial("5")) == []
-    assert divides(cft.path("e"), cft.path("dabc")) == []
+    assert occurrences(p.arrows, p.arrows) == [0]
+    assert occurrences(cft.path("gh").arrows, Path((), "5", "5").arrows) == []
+    assert occurrences(cft.path("e").arrows, cft.path("dabc").arrows) == []
 
 
 def test_divides_overlapping_occurrences():
     q = quiver(["1"], [("a", "1", "1")])
-    assert divides(q.path("aa"), q.path("aaa")) == [0, 1]
-    assert divides(q.path("a"), q.path("aaa")) == [0, 1, 2]
+    assert occurrences(q.path("aa").arrows, q.path("aaa").arrows) == [0, 1]
+    assert occurrences(q.path("a").arrows, q.path("aaa").arrows) == [0, 1, 2]
 
 
 def test_subquiver(cft):

@@ -62,6 +62,46 @@ def test_package_reads_no_environment():
 
 HARNESS = Path(__file__).resolve().parents[1] / "bench" / "harness.py"
 
+# public names no code calls, each with the reason it stays
+UNCALLED = {
+    "component_vertex_bijection": "the paper's correspondence between components and spinning "
+                                  "vertices of a Brauer graph, which the tests compare against",
+}
+
+
+def _public_definitions(tree):
+    """(name, first line, last line) of each public module-level function
+    or class, and of each public method of a module-level class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node.lineno, node.end_lineno
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item.lineno, item.end_lineno
+
+
+def test_every_public_name_has_a_caller():
+    """A public function, class or method is referenced, by name or as an
+    attribute, somewhere in the package outside its own definition, or in
+    bench/harness.py; else it is kept alive by its own tests alone."""
+    refs = []  # (file, line, name) of every Name and Attribute
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES + [HARNESS]}
+    for path, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                refs.append((path, node.lineno, node.id))
+            elif isinstance(node, ast.Attribute):
+                refs.append((path, node.lineno, node.attr))
+    uncalled = []
+    for path in SOURCES:
+        for qualname, first, last in _public_definitions(trees[path]):
+            name = qualname.rsplit(".", 1)[-1]
+            if not any(n == name and not (p == path and first <= line <= last) for p, line, n in refs):
+                uncalled.append(qualname)
+    assert sorted(set(uncalled) - set(UNCALLED)) == []
+    assert sorted(set(UNCALLED) - set(uncalled)) == []  # every exemption is still needed
+
 
 def test_bench_harness_still_binds():
     """Every name bench/harness.py imports from quiverump exists, and every
