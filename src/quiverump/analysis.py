@@ -1,7 +1,8 @@
 """Decomposition of an algebra along its ramifications graph, on positions.
 
 Each weak component of the graph is a line or a cycle of saturations
-(special multiserial algebras admit nothing else).  An arrow composes
+(special multiserial algebras admit nothing else), and the graph's walk
+gives it in order, so omega is its saturations joined.  An arrow composes
 nonzero with at most one arrow on each side, so every nonzero path of a
 component is a window (i, L) of its component path omega: the L arrows
 from position i on, read on around omega when it closes.  One sweep finds
@@ -9,13 +10,14 @@ l(i), the longest nonzero window at each position.  The maximal paths
 and the minimal zero windows (ordered relations, with sigma) follow from
 l with no further query, the junction relations (length-2 paths off
 omega) from the quiver.  The induced ideal is monomial exactly when the
-nonzero windows are independent modulo the ideal, tested per block; its
+nonzero windows are independent modulo the ideal, tested per block on the
+windows that hold a term copy the engine lists along omega; its
 presentation is built only on demand.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import (
@@ -40,7 +42,7 @@ from .ideal import (
     path_in_ideal,
     zero_divisor,
 )
-from .omega import RamificationsGraph, omega_map, ramifications_graph
+from .omega import omega_map, ramifications_graph
 from .oracle import MaximalClass, classes_of
 from .quiver import Path, occurrences
 
@@ -172,27 +174,6 @@ class Component:
         return induced_algebra(self.parent, self.arrow_ids)
 
 
-def _order_nodes(g: RamificationsGraph, nodes: frozenset[Path]) -> tuple[list[Path], str]:
-    n = len(nodes)
-    within = [(a, b) for a, b in g.edges if a in nodes]
-    succ = dict(within)
-    if len(succ) != len(within):
-        raise InvariantViolation("saturation with two nonzero continuations")
-    if len(within) == n and n > 0:
-        start = min(nodes, key=lambda w: min(w.arrows))
-        shape = "cycle"
-    elif len(within) == n - 1:
-        seen_targets = {b for _, b in within}
-        start = min((w for w in nodes if w not in seen_targets), key=_colkey)
-        shape = "line" if n > 1 else "single"
-    else:
-        raise InvariantViolation("component is neither a line nor a cycle")
-    order = [start]
-    while len(order) < n:
-        order.append(succ[order[-1]])
-    return order, shape
-
-
 def divides_power(u: Path, omega: Path) -> bool:
     """Whether u occurs in omega repeated often enough (just omega itself
     when it is not a cycle)."""
@@ -223,14 +204,14 @@ def _windows_independent(alg: AlgebraPresentation, word: tuple[str, ...], window
 
     The engine's blocks are direct summands, so this is decided per block.
     A window holding no relation term is its own coset.  Those holding the
-    term at position i, found with no query, are the windows (j, L) that
-    start d positions before it with d + len(term) <= L <= l(j)."""
+    term copy at position i, listed by the engine's copy index with no
+    query, are the windows (j, L) that start d positions before it with
+    d + len(term) <= L <= l(j)."""
     n = len(lengths)
-    pos = {a: i for i, a in enumerate(word[:n])}
     held: set[tuple[int, int]] = set()  # (j, L) of the windows holding a term
-    for t in (term.arrows for rel in alg.ideal.linear for term in rel.paths):
-        i, k = pos.get(t[0]), len(t)
-        if i is not None and k <= lengths[i] and word[i:i + k] == t:
+    for _, prefix, suffix in alg._engine.copies(word):
+        i, k = len(prefix), len(word) - len(prefix) - len(suffix)
+        if i < n and k <= lengths[i]:
             for d in range(min(n if closes else i + 1, alg.bound - k)):
                 held.update(((i - d) % n, L) for L in range(d + k, lengths[(i - d) % n] + 1))
     rows: dict[int, list] = {}  # the normal forms of those windows, by block
@@ -244,17 +225,17 @@ def _windows_independent(alg: AlgebraPresentation, word: tuple[str, ...], window
     return True
 
 
-def _build_component(alg: AlgebraPresentation, g: RamificationsGraph,
-                     cid: str, nodes: frozenset[Path]) -> Component:
+def _build_component(alg: AlgebraPresentation, cid: str, order: tuple[Path, ...]) -> Component:
     q = alg.quiver
-    order, shape = _order_nodes(g, nodes)
-    # each saturation ends where its successor in the order starts
+    # each saturation ends where its successor in the order starts; the last
+    # one runs on into another, the first, only when the walk is a cycle
+    shape = "single" if len(order) == 1 else "cycle" if alg._after[order[-1].arrows[-1]] else "line"
     omega = Path(tuple(a for w in order for a in w.arrows), order[0].source, order[-1].target)
 
     closes = omega.target == omega.source and omega.arrows[0] in alg._after[omega.arrows[-1]]
     if shape == "cycle" and not closes:
         raise InvariantViolation("cycle component whose path does not close")
-    if shape == "line" and len(order) > 1 and closes:
+    if shape == "line" and closes:
         raise InvariantViolation("line component whose path closes")
 
     # the window (i, L) is the path of the L arrows of omega from position i
@@ -268,7 +249,7 @@ def _build_component(alg: AlgebraPresentation, g: RamificationsGraph,
 
     ls = _lengths(alg, window, n, closes)
     if not (alg.is_monomial or _windows_independent(alg, word, window, ls, closes)):
-        return Component(cid, tuple(order), shape, omega, closes, tuple(ls),
+        return Component(cid, order, shape, omega, closes, tuple(ls),
                          (), (), (), (), 0, None, alg)
 
     # the minimal paths in I: the pairs that leave omega (an arrow has one
@@ -290,7 +271,7 @@ def _build_component(alg: AlgebraPresentation, g: RamificationsGraph,
     sigma = tuple(L - 1 for _, L in ordered)
     k = len(ordered)
     ump = (k == 0) or all(s == 1 for s in sigma) or (k == 1 and closes)
-    return Component(cid, tuple(order), shape, omega, closes, tuple(ls), junction,
+    return Component(cid, order, shape, omega, closes, tuple(ls), junction,
                      tuple(window(*w) for w in ordered), sigma,
                      tuple(window(*w) for w in maximal), eta, ump, alg)
 
@@ -304,10 +285,9 @@ def components(alg: AlgebraPresentation) -> tuple[Component, ...]:
     res = is_special_multiserial(alg)
     if not res:
         raise NotSpecialMultiserial(res.witness)
-    g = ramifications_graph(alg)
     return tuple(
-        _build_component(alg, g, f"N{i}", nodes)
-        for i, nodes in enumerate(g.weak_components(), start=1)
+        _build_component(alg, f"N{i}", order)
+        for i, order in enumerate(ramifications_graph(alg).weak_components(), start=1)
     )
 
 
@@ -366,6 +346,4 @@ def global_maximal_classes(alg: AlgebraPresentation,
 
     Identifications can merge paths from different components into one
     class; the class then records every contributing component."""
-    owner = {m: comp.id for comp in comps for m in comp.maximal}
-    return tuple(replace(c, components=tuple(sorted({owner[p] for p in c.paths})))
-                 for c in classes_of(alg, owner))
+    return classes_of(alg, {m: (comp.id,) for comp in comps for m in comp.maximal})

@@ -108,6 +108,8 @@ def brauer_graph(vertices, edges, orders=None) -> BrauerGraph:
     vlist: list[tuple[str, int]] = []
     for item in vertices:
         try:
+            if isinstance(item, str):  # it would unpack into its characters
+                raise ValueError
             v, m = item
         except (TypeError, ValueError):
             diags.append(f"vertex {item!r}: expected an (id, multiplicity) pair")
@@ -124,6 +126,8 @@ def brauer_graph(vertices, edges, orders=None) -> BrauerGraph:
     elist = []
     for item in edges:
         try:
+            if isinstance(item, str):
+                raise ValueError
             e, a, b = item
         except (TypeError, ValueError):
             diags.append(f"edge {item!r}: expected an (id, end, end) triple")

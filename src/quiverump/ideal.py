@@ -40,7 +40,8 @@ the window test of its zero relations and the copy index of its terms;
 the stage engines of admissibility_bound are truncations of one engine
 and share both, and minimalize_relations keeps one window test and one
 copy index for all its candidates, built again only after it drops a
-relation of their kind.
+relation of their kind.  analysis reads the engine's copy index too, to
+list the term copies along a component path.
 
 Paths are grown in one place, _grow, one layer per length: the listed
 coordinates, the identified admissibility bound, and the walks of

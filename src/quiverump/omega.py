@@ -9,13 +9,17 @@ contributes one fixed rotation of the full cycle, shared by all its
 arrows.
 
 The ramifications graph has the distinct saturations as nodes and an
-edge wherever two of them compose without falling into the ideal.
+edge wherever two of them compose without falling into the ideal.  In a
+special multiserial algebra a saturation has at most one successor and one
+predecessor there, so weak_components walks each component, a line or a
+cycle, in order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import InvariantViolation
 from .ideal import AlgebraPresentation, _colkey
 from .quiver import Arrow, Path, Quiver
 
@@ -58,25 +62,31 @@ class RamificationsGraph:
     nodes: tuple[Path, ...]
     edges: tuple[tuple[Path, Path], ...]
 
-    def weak_components(self) -> tuple[frozenset[Path], ...]:
-        adj: dict[Path, set[Path]] = {n: set() for n in self.nodes}
+    def weak_components(self) -> tuple[tuple[Path, ...], ...]:
+        """The components as walks, sorted by their least saturation: a line
+        from its saturation with no predecessor, a cycle from the one
+        holding its least arrow."""
+        succ: dict[Path, Path] = {}
+        pred: dict[Path, Path] = {}
         for a, b in self.edges:
-            adj[a].add(b)
-            adj[b].add(a)
+            if succ.setdefault(a, b) != b or pred.setdefault(b, a) != a:
+                raise InvariantViolation("saturation with two successors or two predecessors")
         comps = []
-        left = set(self.nodes)
-        while left:
-            seed = min(left, key=_colkey)
-            comp = {seed}
-            stack = [seed]
-            while stack:
-                for nb in adj[stack.pop()]:
-                    if nb not in comp:
-                        comp.add(nb)
-                        stack.append(nb)
-            comps.append(frozenset(comp))
-            left -= comp
-        return tuple(sorted(comps, key=lambda c: _colkey(min(c, key=_colkey))))
+        seen: set[Path] = set()
+        for node in sorted(self.nodes, key=_colkey):
+            if node in seen:
+                continue
+            back = [node]
+            while (prev := pred.get(back[-1])) is not None and prev != node:
+                back.append(prev)
+            # a line starts where the walk back stops; a cycle came back to node
+            start = back[-1] if prev is None else min(back, key=lambda w: min(w.arrows))
+            walk = [start]
+            while (nxt := succ.get(walk[-1])) is not None and nxt != start:
+                walk.append(nxt)
+            seen.update(walk)
+            comps.append(tuple(walk))
+        return tuple(comps)
 
 
 def ramifications_graph(alg: AlgebraPresentation) -> RamificationsGraph:

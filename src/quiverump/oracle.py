@@ -16,14 +16,15 @@ The class layer is written once, here, for every route, together with
 the one report type every route returns (UmpReport): the structural
 routes list the maximal paths off their components, enumeration lists
 them by extension, and both group them with classes_of and look for two
-classes sharing an arrow with shared_arrow.
+classes sharing an arrow with shared_arrow.  classes_of takes each path
+with its component ids and sets a class's components as it builds it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Mapping, Sequence
 
 from .errors import InvariantViolation
 from .ideal import (
@@ -82,38 +83,39 @@ def maximal_paths(alg: AlgebraPresentation) -> tuple[Path, ...]:
 @dataclass(frozen=True)
 class MaximalClass:
     """A residue class of maximal paths; a structural class also records
-    the components that contributed its paths."""
+    the components that contributed its paths, an enumerated one none."""
 
     representative: Path
     paths: frozenset[Path]
-    components: tuple[str, ...] = ()
+    components: tuple[str, ...]
 
 
-def classes_of(alg: AlgebraPresentation, maximal: Iterable[Path]) -> tuple[MaximalClass, ...]:
+def classes_of(alg: AlgebraPresentation,
+               maximal: Mapping[Path, tuple[str, ...]]) -> tuple[MaximalClass, ...]:
     """The given maximal paths grouped into residue classes modulo the
     ideal, each represented by its least arrow sequence: one coset per
-    class, asked of the first given path it holds.
+    class, asked of the first given path it holds, recording the component
+    ids its paths map to (enumeration maps them to ()).
 
     Maximality is a property of the class, so the given paths must
     exhaust every coset they meet."""
-    listed = tuple(maximal)
-    given = frozenset(listed)
     grouped: set[Path] = set()
     out = []
-    for p in listed:
+    for p in maximal:
         if p in grouped:
             continue
         coset = coset_paths(alg, p)
-        if not coset <= given:
+        if not maximal.keys() >= coset:
             raise InvariantViolation("the listed maximal paths do not exhaust their coset")
         grouped |= coset
-        out.append(MaximalClass(min(coset, key=lambda p: p.arrows), coset))
+        comps = tuple(sorted({c for m in coset for c in maximal[m]}))
+        out.append(MaximalClass(min(coset, key=lambda p: p.arrows), coset, comps))
     return tuple(sorted(out, key=lambda c: _colkey(c.representative)))
 
 
 def maximal_classes(alg: AlgebraPresentation) -> tuple[MaximalClass, ...]:
     """Maximal nonzero paths grouped into residue classes modulo the ideal."""
-    return classes_of(alg, maximal_paths(alg))
+    return classes_of(alg, dict.fromkeys(maximal_paths(alg), ()))
 
 
 def shared_arrow(classes: Sequence[MaximalClass]) -> tuple[Path, Path, str] | None:

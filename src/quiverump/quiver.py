@@ -160,7 +160,10 @@ class Quiver:
 def quiver(vertices: Iterable[str], arrows: Iterable[tuple[str, str, str]]) -> Quiver:
     """Convenience builder: vertex ids plus (id, source, target) triples."""
     try:
-        triples = [(a, s, t) for a, s, t in arrows]
+        items = list(arrows)
+        if any(isinstance(item, str) for item in items):  # it would unpack into its characters
+            raise ValueError
+        triples = [(a, s, t) for a, s, t in items]
     except (TypeError, ValueError):  # an arrow that does not unpack into three
         raise InvalidPresentation("an arrow is an (id, source, target) triple") from None
     return Quiver(tuple(Vertex(v) for v in vertices), tuple(Arrow(*t) for t in triples))

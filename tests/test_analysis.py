@@ -23,7 +23,7 @@ from quiverump.ideal import (
     linear_relation,
 )
 from quiverump.omega import omega_map, ramifications_graph
-from quiverump.oracle import maximal_classes
+from quiverump.oracle import MaximalClass, maximal_classes
 from quiverump.quiver import Path, quiver
 from quiverump.ump import ump_report
 
@@ -349,6 +349,25 @@ def test_global_classes_agree_with_enumeration(build):
     assert {c.representative for c in structural} == {
         c.representative for c in brute
     }
+
+
+def test_global_classes_build_each_class_once(monkeypatch):
+    built = []
+    init = MaximalClass.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(MaximalClass, "__init__", counted)
+    total = 0
+    for name, A in _structural_cases():
+        comps = components(A)
+        built.clear()
+        classes = global_maximal_classes(A, comps)
+        assert len(built) == len(classes), name
+        total += len(classes)
+    assert total > 0
 
 
 def _structural_cases():

@@ -162,6 +162,9 @@ def test_order_token_validation():
         ([None, ("w", 1)], [("e", "w", "w")], None, "vertex None: expected an (id, multiplicity) pair"),
         ([("u", 1), ("w", 1)], [("e", "u", "w"), ("f", "u")], None, "edge ('f', 'u'): expected an (id, end, end) triple"),
         ([("u", 1), ("w", 1)], [("e", "u", "w"), 7], None, "edge 7: expected an (id, end, end) triple"),
+        # strings unpack into their characters: "u2" read as u of multiplicity 2
+        (["u2", ("w", 1)], [("e", "u", "w")], None, "vertex 'u2': expected an (id, multiplicity) pair"),
+        ([("u", 1), ("w", 1)], ["euw"], None, "edge 'euw': expected an (id, end, end) triple"),
     ],
 )
 def test_rejects_malformed_edges_and_orders(vertices, edges, orders, diagnostic):

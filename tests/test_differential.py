@@ -191,19 +191,21 @@ def test_identifications_match_enumeration(alg):
 
 @st.composite
 def identified_presentations(draw):
-    """1-3 vertices and 2-4 arrows (loops and cycles allowed), random
+    """1-3 vertices and 2-6 arrows (loops and cycles allowed), random
     length-2 zero relations, 1-2 identifications p = c*r between distinct
     parallel paths of length 2 or 3, and a cap of 2-5: some are admissible
     below the cap and some are not."""
     n = draw(st.integers(1, 3))
-    m = draw(st.integers(2, 4))
+    m = draw(st.integers(2, 6))
     vertex = st.sampled_from([str(v) for v in range(n)])
     ends = draw(st.lists(st.tuples(vertex, vertex), min_size=m, max_size=m))
     q = quiver([str(v) for v in range(n)], [(f"a{i}", s, t) for i, (s, t) in enumerate(ends)])
     pairs = _paths_of_length(q, 2)
     walks = {w: q.path(w) for w in pairs + _paths_of_length(q, 3)}
-    parallel = [(u, v) for u in walks for v in walks
-                if u < v and (walks[u].source, walks[u].target) == (walks[v].source, walks[v].target)]
+    by_ends: dict[tuple[str, str], list] = {}
+    for w, p in walks.items():
+        by_ends.setdefault((p.source, p.target), []).append(w)
+    parallel = [(u, v) for u, p in walks.items() for v in by_ends[p.source, p.target] if u < v]
     assume(parallel)
     ids = draw(st.lists(st.sampled_from(parallel), min_size=1, max_size=2, unique=True))
     coef = st.sampled_from([Fraction(-1), Fraction(1), Fraction(2), Fraction(-1, 2)])

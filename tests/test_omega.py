@@ -2,7 +2,8 @@
 
 import pytest
 
-from quiverump.omega import omega_map, omega_path, ramifications_graph
+from quiverump.errors import InvariantViolation
+from quiverump.omega import RamificationsGraph, omega_map, omega_path, ramifications_graph
 from quiverump.quiver import quiver
 
 from fixtures import (
@@ -94,13 +95,16 @@ def _edge_strs(g):
     return {(str(a), str(b)) for a, b in g.edges}
 
 
+def _walks(g):
+    return [tuple(str(w) for w in c) for c in g.weak_components()]
+
+
 def test_graph_cycle_fork_tail():
     A = cycle_fork_tail()
     g = ramifications_graph(A)
     assert {str(n) for n in g.nodes} == {"dabc", "e", "f", "gh"}
     assert _edge_strs(g) == {("dabc", "e"), ("f", "gh")}
-    comps = g.weak_components()
-    assert [sorted(str(n) for n in c) for c in comps] == [["dabc", "e"], ["f", "gh"]]
+    assert _walks(g) == [("dabc", "e"), ("f", "gh")]
 
 
 def test_graph_two_loops_line():
@@ -108,7 +112,7 @@ def test_graph_two_loops_line():
     g = ramifications_graph(A)
     assert {str(n) for n in g.nodes} == {"a", "b", "c", "de"}
     assert _edge_strs(g) == {("c", "de")}
-    assert len(g.weak_components()) == 3
+    assert _walks(g) == [("a",), ("b",), ("c", "de")]
 
 
 def test_graph_petal_hub():
@@ -116,8 +120,7 @@ def test_graph_petal_hub():
     g = ramifications_graph(A)
     assert {str(n) for n in g.nodes} == {"ab", "cd", "ef"}
     assert _edge_strs(g) == {("ab", "cd"), ("cd", "ab")}
-    comps = g.weak_components()
-    assert [sorted(str(n) for n in c) for c in comps] == [["ab", "cd"], ["ef"]]
+    assert _walks(g) == [("ab", "cd"), ("ef",)]
 
 
 def test_graph_loop_spur():
@@ -131,6 +134,7 @@ def test_graph_loop_meets_twocycle():
     g = ramifications_graph(A)
     assert {str(n) for n in g.nodes} == {"a", "bc"}
     assert g.edges == ()
+    assert _walks(g) == [("a",), ("bc",)]
 
 
 def test_graph_never_has_self_edges():
@@ -141,3 +145,30 @@ def test_graph_never_has_self_edges():
         ("al.bt", "dl.ep"), ("dl.ep", "al.bt"), ("dl.ep", "gm"),
     }
 
+
+def _loops(labels):
+    """Saturations spelled by labels: loops at one vertex, which compose."""
+    q = quiver(["1"], [(a, "1", "1") for a in sorted(set("".join(labels)))])
+    return [q.path(w) for w in labels]
+
+
+def test_walk_follows_a_line_listed_out_of_order():
+    x, y, z = _loops(["x", "y", "z"])
+    g = RamificationsGraph((z, y, x), ((y, z), (x, y)))
+    assert _walks(g) == [("x", "y", "z")]
+
+
+def test_walk_starts_a_cycle_at_its_least_arrow():
+    # z comes first by length, but the least arrow, a, lies in ab
+    z, cd, ab, uv = _loops(["z", "cd", "ab", "uv"])
+    g = RamificationsGraph((z, cd, uv, ab), ((z, cd), (cd, ab), (ab, z)))
+    assert _walks(g) == [("ab", "z", "cd"), ("uv",)]
+
+
+@pytest.mark.parametrize("edges", [((0, 2), (1, 2)), ((0, 1), (0, 2))],
+                         ids=["two_predecessors", "two_successors"])
+def test_walk_rejects_a_branching_saturation(edges):
+    nodes = _loops(["x", "y", "z"])
+    g = RamificationsGraph(tuple(nodes), tuple((nodes[a], nodes[b]) for a, b in edges))
+    with pytest.raises(InvariantViolation):
+        g.weak_components()

@@ -64,6 +64,9 @@ def test_an_arrow_that_is_not_a_triple_is_rejected():
         quiver(["1"], [("a", "1", "1", "1")])
     with pytest.raises(InvalidPresentation):
         quiver(["1"], [None])
+    # a string unpacks into its characters, so "abc" read as a: b -> c
+    with pytest.raises(InvalidPresentation):
+        quiver(["b", "c"], ["abc"])
 
 
 def test_a_label_that_is_not_a_string_is_a_bad_label():
