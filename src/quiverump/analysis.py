@@ -208,9 +208,10 @@ def _windows_independent(alg: AlgebraPresentation, word: tuple[str, ...], window
     query, are the windows (j, L) that start d positions before it with
     d + len(term) <= L <= l(j)."""
     n = len(lengths)
+    head = word[:n + alg.bound - 2]  # a copy kept starts before n and is shorter than the bound
     held: set[tuple[int, int]] = set()  # (j, L) of the windows holding a term
-    for _, prefix, suffix in alg._engine.copies(word):
-        i, k = len(prefix), len(word) - len(prefix) - len(suffix)
+    for _, prefix, suffix in alg._engine.copies(head):
+        i, k = len(prefix), len(head) - len(prefix) - len(suffix)
         if i < n and k <= lengths[i]:
             for d in range(min(n if closes else i + 1, alg.bound - k)):
                 held.update(((i - d) % n, L) for L in range(d + k, lengths[(i - d) % n] + 1))

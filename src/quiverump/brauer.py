@@ -8,6 +8,13 @@ incident half-edge, pointing at the next edge around, and the relations
 identify full turns around the two ends of an edge, cut off a turn past
 a truncated end, and kill every composite that is not a consecutive
 step of some turn.
+
+The presentation is read off the graph, with no bound walk and no
+minimisation.  The bound is one more than the longest full turn power,
+max(2, max of val(v)*m(v) + 1 over the spinning vertices).  The cut-off
+turn C^m x, x the first arrow of C, is kept exactly when x ends at an
+edge with a truncated end: otherwise C^m x = x C'^m, C' the turn at the
+next half, and C'^m is identified with a turn that x kills in length 2.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ from dataclasses import dataclass
 from .errors import BijectionFailure, BrauerValidationError
 from .ideal import (
     AlgebraPresentation,
-    algebra,
+    IdealPresentation,
     linear_relation,
     zero_relation,
 )
@@ -225,8 +232,19 @@ class BrauerAlgebra:
 
 
 def brauer_algebra(g: BrauerGraph) -> BrauerAlgebra:
-    """Quiver, relations, and bookkeeping for the algebra of a Brauer graph."""
+    """Quiver, relations, and bookkeeping for the algebra of a Brauer graph.
+
+    The longest nonzero paths are the full turns C_v^m(v), so the bound
+    is max(2, max of val(v)*m(v) + 1 over the spinning vertices), with no
+    bound walk.  The relation C^m x at a truncated end, x the first arrow
+    of the turn C, is kept exactly when x ends at an edge with a truncated
+    end.  Otherwise it is redundant: C^m x = x C'^m for the turn C' at the
+    next half, C'^m equals the turn at the other end of x's target edge,
+    and x followed by that turn's first arrow is a zero relation of length
+    2.  Every other relation listed is needed, so nothing is minimised.
+    """
     spinning = [v for v in g.vertex_ids if not g.is_truncated(v)]
+    identified = {e for e, a, b in g.edges if not (g.is_truncated(a) or g.is_truncated(b))}
 
     made: set[str] = set()
     arrows = []
@@ -264,7 +282,8 @@ def brauer_algebra(g: BrauerGraph) -> BrauerAlgebra:
         elif spin_a or spin_b:
             v, h = (a, ha) if spin_a else (b, hb)
             turn = cycles[(v, h)].arrows * g.multiplicity(v)
-            zero.append(zero_relation(q, turn + (turn[0],)))
+            if q.arrow(turn[0]).target not in identified:
+                zero.append(zero_relation(q, turn + (turn[0],)))
         # both ends truncated: the lone edge of a two-point graph, no arrows
 
     consecutive = {(turn[0], turn[1 % len(turn)]) for turn in turns.values()}
@@ -276,8 +295,8 @@ def brauer_algebra(g: BrauerGraph) -> BrauerAlgebra:
     longest = max(
         (g.valency(v) * g.multiplicity(v) for v in spinning), default=1
     )
-    alg = algebra(q, zero, linear, cap=max(2, longest + 1))
-    return BrauerAlgebra(g, alg, cycles)
+    ideal = IdealPresentation(tuple(zero), tuple(linear), max(2, longest + 1))
+    return BrauerAlgebra(g, AlgebraPresentation(q, ideal), cycles)
 
 
 # -- classification and dimension ----------------------------------------------

@@ -1,16 +1,21 @@
 """Checks that hold of every presentation, every induced ideal and every
-component, shared by the example tests and the generated ones, and bound
-references that list paths."""
+component, shared by the example tests and the generated ones, bound
+references that list paths, and the Brauer presentation that the generic
+builder makes of the full relation listing."""
 
 from fractions import Fraction
 
+from quiverump.brauer import Half, brauer_algebra
 from quiverump.errors import NotAdmissible
 from quiverump.ideal import (
     AlgebraPresentation,
     IdealPresentation,
+    algebra,
     coset_paths,
+    linear_relation,
     minimalize_relations,
     path_in_ideal,
+    zero_relation,
 )
 from quiverump.oracle import global_basis, maximal_paths, nonzero_paths
 from quiverump.quiver import Path, occurrences
@@ -63,6 +68,31 @@ def reduced_bound(q, zero, linear, cap):
     if longest >= cap:
         raise NotAdmissible(cap)
     return max(longest + 1, 2)
+
+
+def brauer_reference(g):
+    """The algebra of the Brauer graph g as the generic builder makes it of
+    the paper's full relation listing: the full turn powers at the two ends
+    of each edge identified, the cut-off turn C^m x at every truncated end,
+    and every non-consecutive composite of two arrows, all passed to
+    algebra(), which walks the bound up to the longest turn power plus one
+    and minimises.  The quiver and the turns are brauer_algebra's."""
+    ba = brauer_algebra(g)
+    q = ba.algebra.quiver
+    powers = {vh: c.arrows * g.multiplicity(vh[0]) for vh, c in ba.cycles.items()}
+    zero, linear = [], []
+    for e, a, b in g.edges:
+        ca, cb = powers.get((a, Half(e, 0))), powers.get((b, Half(e, 1)))
+        if ca and cb:
+            linear.append(linear_relation(q, [(1, ca), (-1, cb)]))
+        elif ca or cb:
+            turn = ca or cb
+            zero.append(zero_relation(q, turn + turn[:1]))
+    consecutive = {(c.arrows[0], c.arrows[1 % len(c)]) for c in ba.cycles.values()}
+    zero += [zero_relation(q, [x.id, y.id]) for x in q.arrows for y in q.arrows_from(x.target)
+             if (x.id, y.id) not in consecutive]
+    longest = max(map(len, powers.values()), default=1)
+    return algebra(q, zero, linear, cap=max(2, longest + 1))
 
 
 def check_induced(alg, induced):

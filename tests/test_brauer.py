@@ -2,6 +2,7 @@
 
 import pytest
 
+from quiverump import ideal
 from quiverump.brauer import (
     BrauerGraph,
     brauer_algebra,
@@ -52,6 +53,24 @@ def theta_graph():
     )
 
 
+def two_leaf_star():
+    """A centre of multiplicity 1 between two truncated leaves."""
+    return brauer_graph(
+        [("v0", 1), ("v1", 1), ("v2", 1)],
+        [("e0", "v0", "v1"), ("e1", "v0", "v2")],
+    )
+
+
+def spinning_path():
+    """Truncated ends on either side of an edge identifying the turn powers
+    at vertices of multiplicity 2 and 3."""
+    return brauer_graph(
+        [("v0", 1), ("v1", 2), ("v2", 3), ("v3", 1)],
+        [("e0", "v0", "v1"), ("e1", "v1", "v2"), ("e2", "v2", "v3")],
+        {"v1": ["e0", "e1"], "v2": ["e2", "e1"]},
+    )
+
+
 ALL_GRAPHS = {
     "bare_edge": bare_edge,
     "one_spinning_end": one_spinning_end,
@@ -60,6 +79,8 @@ ALL_GRAPHS = {
     "path_graph": path_graph,
     "star_graph": star_graph,
     "theta_graph": theta_graph,
+    "two_leaf_star": two_leaf_star,
+    "spinning_path": spinning_path,
 }
 
 
@@ -339,6 +360,37 @@ def test_cyclic_order_changes_the_quiver():
     fwd = forward.algebra.quiver.arrow("c_e1")
     trn = turned.algebra.quiver.arrow("c_e1")
     assert fwd.target == "e2" and trn.target == "e3"
+
+
+# -- relations read off the graph ----------------------------------------------
+
+
+def test_cut_off_turn_as_long_as_the_bound_is_kept():
+    # each turn's first arrow ends at an edge with a truncated end
+    ba = brauer_algebra(two_leaf_star())
+    assert ba.algebra.bound == 3
+    assert _zeros(ba.algebra) == {"v0_e0.v0_e1.v0_e0", "v0_e1.v0_e0.v0_e1"}
+
+
+def test_cut_off_turn_shorter_than_the_bound_is_dropped():
+    # v1_e0 and v2_e2 end at e1, whose turn powers are identified, so the
+    # cut-off turns at e0 (length 5) and e2 (length 7) are redundant
+    ba = brauer_algebra(spinning_path())
+    assert ba.algebra.bound == 7
+    assert _zeros(ba.algebra) == {"v1_e0.v2_e1", "v2_e2.v1_e1"}
+    assert _linears(ba.algebra) == {
+        "v1_e1.v1_e0.v1_e1.v1_e0 - v2_e1.v2_e2.v2_e1.v2_e2.v2_e1.v2_e2"
+    }
+
+
+def test_brauer_algebra_walks_no_bound_and_minimises_nothing(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise RuntimeError("the presentation is read off the graph")
+
+    monkeypatch.setattr(ideal, "admissibility_bound", refuse)
+    monkeypatch.setattr(ideal, "minimalize_relations", refuse)
+    for build in ALL_GRAPHS.values():
+        brauer_algebra(build())
 
 
 @pytest.mark.parametrize("name,build", sorted(ALL_GRAPHS.items()))

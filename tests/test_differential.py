@@ -7,7 +7,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from invariants import check_global_basis, check_induced, check_windows, enumerated_bound, reduced_bound
+from invariants import (
+    brauer_reference,
+    check_global_basis,
+    check_induced,
+    check_windows,
+    enumerated_bound,
+    reduced_bound,
+)
 from quiverump.analysis import components
 
 from quiverump.brauer import (
@@ -111,6 +118,7 @@ def brauer_trees(draw):
 @given(brauer_trees())
 def test_brauer_trees_match_classification_and_enumeration(g):
     ba = brauer_algebra(g)
+    assert ba.algebra == brauer_reference(g)
     assert _auto_agrees(ba.algebra).is_ump == classify(g).is_ump
     assert brauer_dimension(g) == dimension_bruteforce(ba.algebra)
     component_vertex_bijection(ba)
@@ -147,6 +155,7 @@ def brauer_graphs(draw):
 @given(brauer_graphs())
 def test_brauer_graphs_with_loops_and_multiple_edges_match_enumeration(g):
     ba = brauer_algebra(g)
+    assert ba.algebra == brauer_reference(g)
     assert _auto_agrees(ba.algebra).is_ump == classify(g).is_ump
     assert brauer_dimension(g) == dimension_bruteforce(ba.algebra)
     component_vertex_bijection(ba)

@@ -156,3 +156,16 @@ def test_oracle_imports_no_structural_module():
             continue
         found += [f"oracle.py:{node.lineno} {p}" for p in parts if p in structural]
     assert found == []
+
+
+def test_brauer_builds_no_presentation_through_the_generic_builder():
+    """A Brauer graph algebra is read off its graph: brauer.py imports
+    neither the generic builder nor its bound walk or minimisation."""
+    path = Path(quiverump.__file__).resolve().parent / "brauer.py"
+    generic = {"algebra", "admissibility_bound", "minimalize_relations"}
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, (ast.ImportFrom, ast.Import)):
+            found += [f"brauer.py:{node.lineno} {alias.name}" for alias in node.names
+                      if alias.name.split(".")[-1] in generic]
+    assert found == []
