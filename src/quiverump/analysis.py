@@ -236,8 +236,6 @@ def _build_component(alg: AlgebraPresentation, cid: str, order: tuple[Path, ...]
     closes = omega.target == omega.source and omega.arrows[0] in alg._after[omega.arrows[-1]]
     if shape == "cycle" and not closes:
         raise InvariantViolation("cycle component whose path does not close")
-    if shape == "line" and closes:
-        raise InvariantViolation("line component whose path closes")
 
     # the window (i, L) is the path of the L arrows of omega from position i
     # on, read around omega when it closes

@@ -12,12 +12,20 @@ membership and cosets from the membership engine in ideal (path_in_ideal,
 coset_paths), which the structural code uses too; they check the
 structural shortcuts, not the engine.
 
+Enumeration walks the nonzero paths once, extending on the right and
+pruning on membership.  That listing is complete, because every prefix
+of a nonzero path is nonzero, so a listed path is maximal exactly when
+no listed path one arrow longer starts or ends with it: maximal_paths
+reads maximality off the listing and asks the engine nothing more.
+extensions_die is the definition itself, one query per extension;
+ump.quick_non_ump checks its witness with it.
+
 The class layer is written once, here, for every route, together with
 the one report type every route returns (UmpReport): the structural
-routes list the maximal paths off their components, enumeration lists
-them by extension, and both group them with classes_of and look for two
-classes sharing an arrow with shared_arrow.  classes_of takes each path
-with its component ids and sets a class's components as it builds it.
+routes list the maximal paths off their components, enumeration off its
+listing, and both group them with classes_of and look for two classes
+sharing an arrow with shared_arrow.  classes_of takes each path with its
+component ids and sets a class's components as it builds it.
 """
 
 from __future__ import annotations
@@ -53,18 +61,29 @@ def _outside(q: Quiver, dead) -> list[Path]:
     return out
 
 
-def nonzero_paths(alg: AlgebraPresentation) -> tuple[Path, ...]:
-    """All nontrivial paths outside the ideal, by exhaustive extension.
+def _listing(alg: AlgebraPresentation) -> list[Path]:
+    """Every nontrivial path outside the ideal, by exhaustive extension on
+    the right, one membership query per path asked.
 
-    Pruning on membership is sound: extensions of a path in the ideal
-    stay in the ideal.
-    """
-    return tuple(sorted(_outside(alg.quiver, lambda p: path_in_ideal(alg, p)), key=_colkey))
+    Pruning on membership is sound and the listing complete: extensions
+    of a path in the ideal stay in the ideal, so every prefix of a nonzero
+    path is nonzero and is itself listed and extended."""
+    return _outside(alg.quiver, lambda p: path_in_ideal(alg, p))
+
+
+def nonzero_paths(alg: AlgebraPresentation) -> tuple[Path, ...]:
+    """All nontrivial paths outside the ideal, by _colkey: the sorted view
+    of the one listing that maximal_paths reads."""
+    return tuple(sorted(_listing(alg), key=_colkey))
 
 
 def extensions_die(alg: AlgebraPresentation, p: Path) -> bool:
     """Whether every one-arrow extension of p, on either side, lies in the
-    ideal: p is maximal exactly when it also lies outside it."""
+    ideal: p is maximal exactly when it also lies outside it.
+
+    This is the definition, asked of the engine one extension at a time.
+    maximal_paths reads the same answer off its listing; quick_non_ump
+    checks the two paths of its witness with this."""
     q = alg.quiver
     return all(
         path_in_ideal(alg, Path(p.arrows + (a.id,), p.source, a.target))
@@ -76,8 +95,17 @@ def extensions_die(alg: AlgebraPresentation, p: Path) -> bool:
 
 
 def maximal_paths(alg: AlgebraPresentation) -> tuple[Path, ...]:
-    """Nonzero paths that fall into the ideal under every one-arrow extension."""
-    return tuple(p for p in nonzero_paths(alg) if extensions_die(alg, p))
+    """Nonzero paths that fall into the ideal under every one-arrow
+    extension, by _colkey, read off the one listing of the nonzero paths
+    with no further query.
+
+    The listing is complete, so an extension of a listed path is nonzero
+    exactly when it is listed: a path is maximal when no listed path one
+    arrow longer starts or ends with it.  Only the maximal paths are
+    sorted."""
+    listed = _listing(alg)
+    extended = {w for p in listed if len(p.arrows) > 1 for w in (p.arrows[:-1], p.arrows[1:])}
+    return tuple(sorted((p for p in listed if p.arrows not in extended), key=_colkey))
 
 
 @dataclass(frozen=True)

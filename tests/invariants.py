@@ -1,7 +1,8 @@
 """Checks that hold of every presentation, every induced ideal and every
 component, shared by the example tests and the generated ones, bound
-references that list paths, and the Brauer presentation that the generic
-builder makes of the full relation listing."""
+references that list paths, the maximal paths by their definition, and
+the Brauer presentation that the generic builder makes of the full
+relation listing."""
 
 from fractions import Fraction
 
@@ -17,7 +18,7 @@ from quiverump.ideal import (
     path_in_ideal,
     zero_relation,
 )
-from quiverump.oracle import global_basis, maximal_paths, nonzero_paths
+from quiverump.oracle import extensions_die, global_basis, maximal_paths, nonzero_paths
 from quiverump.quiver import Path, occurrences
 
 
@@ -68,6 +69,29 @@ def reduced_bound(q, zero, linear, cap):
     if longest >= cap:
         raise NotAdmissible(cap)
     return max(longest + 1, 2)
+
+
+def maximal_by_extension(alg):
+    """The maximal paths by their definition: the nonzero paths whose
+    one-arrow extensions on either side all lie in the ideal, asked of the
+    engine one by one, in the order of nonzero_paths."""
+    return tuple(p for p in nonzero_paths(alg) if extensions_die(alg, p))
+
+
+def cut_at(alg, bound):
+    """The presentation of the same relations truncated at a hand-made
+    bound, which may lie below the lengths of the relations: then every
+    path of length bound - 1 outside the ideal is maximal by length."""
+    return AlgebraPresentation(alg.quiver, IdealPresentation(alg.ideal.zero, alg.ideal.linear, bound))
+
+
+def check_maximal(alg):
+    """maximal_paths, read off the one listing of the nonzero paths, equals
+    the definition, order included, at the bound of alg and at every
+    hand-made bound below it."""
+    for bound in range(2, alg.bound + 1):
+        cut = cut_at(alg, bound)
+        assert maximal_paths(cut) == maximal_by_extension(cut), bound
 
 
 def brauer_reference(g):
@@ -143,13 +167,14 @@ def maximal_windows(comp):
 
 def check_windows(alg, comps):
     """The window lengths of the components against enumeration: they count
-    every nonzero path once, their maximal windows are the maximal paths,
-    each component is called monomial exactly when its induced
-    presentation (built by induced_algebra) is, and eta is the least
-    exponent whose power of omega holds every ordered relation and every
-    maximal window."""
+    every nonzero path once, their maximal windows are the maximal paths
+    (which equal maximal_by_extension, order included), each component is
+    called monomial exactly when its induced presentation (built by
+    induced_algebra) is, and eta is the least exponent whose power of
+    omega holds every ordered relation and every maximal window."""
     assert sum(sum(c.lengths) for c in comps) == len(nonzero_paths(alg))
     assert set().union(*map(maximal_windows, comps)) == {p.arrows for p in maximal_paths(alg)}
+    assert maximal_paths(alg) == maximal_by_extension(alg)
     for c in comps:
         assert (c.is_ump is not None) == c.algebra.is_monomial, c.id
         if c.is_ump is not None:

@@ -11,6 +11,7 @@ from invariants import (
     brauer_reference,
     check_global_basis,
     check_induced,
+    check_maximal,
     check_windows,
     enumerated_bound,
     reduced_bound,
@@ -86,6 +87,7 @@ def monomial_algebras(draw):
 @given(monomial_algebras())
 def test_auto_matches_enumeration_and_saturations_partition(alg):
     _auto_agrees(alg)
+    check_maximal(alg)
 
     q = alg.quiver
     om = omega_map(q)
@@ -190,6 +192,7 @@ def identified_algebras(draw):
 @given(identified_algebras())
 def test_identifications_match_enumeration(alg):
     _auto_agrees(alg)
+    check_maximal(alg)
     check_global_basis(alg)
     ump_report(alg, "cross-check")
     if is_special_multiserial(alg):

@@ -1,6 +1,7 @@
 import pytest
 
 import quiverump.ideal
+import quiverump.oracle
 from fixtures import (
     ALL_FIXTURES,
     chord_cycle_identified,
@@ -11,7 +12,7 @@ from fixtures import (
     petal_hub,
     two_loops_line,
 )
-from invariants import check_global_basis
+from invariants import check_global_basis, check_maximal, cut_at
 from quiverump.errors import InvariantViolation
 from quiverump.oracle import (
     classes_of,
@@ -153,3 +154,45 @@ def test_classes_of_scans_each_class_once(name, monkeypatch):
 def test_oracle_route_is_the_bruteforce_report(name):
     alg = ALL_FIXTURES[name]()
     assert ump_report(alg, "oracle") == ump_bruteforce(alg)
+
+
+@pytest.mark.parametrize("name", sorted(ALL_FIXTURES))
+def test_maximal_paths_ask_no_query_beyond_the_listing(name, monkeypatch):
+    listed, read = ALL_FIXTURES[name](), ALL_FIXTURES[name]()
+    queries = []
+    in_ideal = quiverump.ideal._Engine.in_ideal
+
+    def counted(self, p):
+        queries.append(p)
+        return in_ideal(self, p)
+
+    monkeypatch.setattr(quiverump.ideal._Engine, "in_ideal", counted)
+    nonzero_paths(listed)
+    walk = len(queries)
+    queries.clear()
+    maximal_paths(read)
+    assert len(queries) == walk
+
+
+@pytest.mark.parametrize("name", sorted(ALL_FIXTURES))
+def test_bruteforce_asks_no_extension(name, monkeypatch):
+    expected = ump_bruteforce(ALL_FIXTURES[name]())
+
+    def refuse(alg, p):
+        raise AssertionError("extensions_die called")
+
+    monkeypatch.setattr(quiverump.oracle, "extensions_die", refuse)
+    assert ump_bruteforce(ALL_FIXTURES[name]()) == expected
+
+
+@pytest.mark.parametrize("name", sorted(ALL_FIXTURES))
+def test_maximal_paths_are_those_whose_extensions_die(name):
+    check_maximal(ALL_FIXTURES[name]())
+
+
+def test_a_bound_below_the_relations_makes_the_longest_paths_maximal():
+    # cycle_fork_tail has bound 4; a bound of 3 cuts below its zero
+    # relation abc, every arrow extends to a nonzero path of length 2, and
+    # those six are maximal by length
+    cut = cut_at(cycle_fork_tail(), 3)
+    assert {str(p) for p in maximal_paths(cut)} == {"ab", "bc", "ce", "da", "fg", "gh"}
