@@ -11,22 +11,16 @@ and the minimal zero windows (ordered relations, with sigma) follow from
 l with no further query, the junction relations (length-2 paths off
 omega) from the quiver.  The induced ideal is monomial exactly when the
 nonzero windows are independent modulo the ideal, tested per block on the
-windows that hold a term copy the engine lists along omega; its
-presentation is built only on demand.
+windows that hold a term copy the engine lists along omega.  No verdict
+reads an induced presentation: induced_algebra builds one for the tests
+and the benchmark.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
-from .errors import (
-    CrossComponentPath,
-    InvariantViolation,
-    NotAdmissible,
-    NotSpecialMultiserial,
-    TrivialPath,
-)
+from .errors import InvariantViolation, NotAdmissible, NotSpecialMultiserial
 from .ideal import (
     AlgebraPresentation,
     IdealPresentation,
@@ -42,9 +36,9 @@ from .ideal import (
     path_in_ideal,
     zero_divisor,
 )
-from .omega import omega_map, ramifications_graph
+from .omega import ramifications_graph
 from .oracle import MaximalClass, classes_of
-from .quiver import Path, occurrences
+from .quiver import Path
 
 
 # -- induced ideals -----------------------------------------------------------
@@ -162,23 +156,10 @@ class Component:
     maximal: tuple[Path, ...]  # maximal windows, by position
     eta: int  # the least e with every ordered and maximal window in omega^e
     is_ump: bool | None  # None when the induced ideal is not monomial
-    parent: AlgebraPresentation = field(repr=False, compare=False)
 
     @property
     def arrow_ids(self) -> frozenset[str]:
         return frozenset(a for w in self.omegas for a in w.arrows)
-
-    @cached_property
-    def algebra(self) -> AlgebraPresentation:
-        """The induced presentation, built on first use; no verdict needs it."""
-        return induced_algebra(self.parent, self.arrow_ids)
-
-
-def divides_power(u: Path, omega: Path) -> bool:
-    """Whether u occurs in omega repeated often enough (just omega itself
-    when it is not a cycle)."""
-    reps = len(u) // len(omega) + 2 if omega.target == omega.source else 1
-    return bool(occurrences(u.arrows, omega.arrows * reps))
 
 
 def _lengths(alg: AlgebraPresentation, window, n: int, closes: bool) -> list[int]:
@@ -249,7 +230,7 @@ def _build_component(alg: AlgebraPresentation, cid: str, order: tuple[Path, ...]
     ls = _lengths(alg, window, n, closes)
     if not (alg.is_monomial or _windows_independent(alg, word, window, ls, closes)):
         return Component(cid, order, shape, omega, closes, tuple(ls),
-                         (), (), (), (), 0, None, alg)
+                         (), (), (), (), 0, None)
 
     # the minimal paths in I: the pairs that leave omega (an arrow has one
     # nonzero continuation), and the windows one longer than l(i) whose
@@ -272,7 +253,7 @@ def _build_component(alg: AlgebraPresentation, cid: str, order: tuple[Path, ...]
     ump = (k == 0) or all(s == 1 for s in sigma) or (k == 1 and closes)
     return Component(cid, order, shape, omega, closes, tuple(ls), junction,
                      tuple(window(*w) for w in ordered), sigma,
-                     tuple(window(*w) for w in maximal), eta, ump, alg)
+                     tuple(window(*w) for w in maximal), eta, ump)
 
 
 def components(alg: AlgebraPresentation) -> tuple[Component, ...]:
@@ -290,53 +271,7 @@ def components(alg: AlgebraPresentation) -> tuple[Component, ...]:
     )
 
 
-def component_of_path(alg: AlgebraPresentation, comps: tuple[Component, ...],
-                      p: Path) -> Component:
-    """The component a nonzero path lives in.
-
-    Walks the path arrow by arrow: neighbours must either sit adjacently
-    inside one saturation or form a surviving junction between two; a
-    junction inside the ideal means the path straddles components."""
-    if p.is_trivial:
-        raise TrivialPath("trivial paths belong to no component")
-    om = omega_map(alg.quiver)
-    for x, y in zip(p.arrows, p.arrows[1:]):
-        wx, wy = om[x], om[y]
-        if wx == wy:
-            i = wx.arrows.index(x)
-            if i + 1 < len(wx.arrows) and wx.arrows[i + 1] == y:
-                continue
-        if wx.arrows[-1] != x or wy.arrows[0] != y:
-            raise InvariantViolation(f"{x}.{y} neither continues a saturation nor joins two")
-        if y not in alg._after[x]:
-            raise CrossComponentPath(f"{p}: junction {x}.{y} falls in the ideal")
-    w0 = om[p.arrows[0]]
-    for comp in comps:
-        if w0 in comp.omegas:
-            return comp
-    raise InvariantViolation("saturation missing from every component")
-
-
-# -- structural relations and global classes ----------------------------------
-
-
-def omega_relations(alg: AlgebraPresentation) -> tuple[Path, ...]:
-    """Zero relations of length above two all of whose proper subpaths
-    survive.  Paths grow one arrow at a time from those outside the
-    ideal, so a visited path in the ideal has a surviving prefix, and it
-    is one of these when its suffix survives too."""
-    q = alg.quiver
-    out = []
-
-    def in_ideal(p: Path) -> bool:
-        if not path_in_ideal(alg, p):
-            return False
-        if len(p) > 2 and not path_in_ideal(alg, Path(p.arrows[1:], q.arrow(p.arrows[1]).source, p.target)):
-            out.append(p)
-        return True
-
-    _grow(q, in_ideal, alg.bound)
-    return tuple(sorted(out, key=_colkey))
+# -- global classes -----------------------------------------------------------
 
 
 def global_maximal_classes(alg: AlgebraPresentation,

@@ -112,8 +112,16 @@ def brauer_graph(vertices, edges, orders=None) -> BrauerGraph:
     raised together.
     """
     diags: list[str] = []
+
+    def listed(items, what: str) -> list:
+        try:
+            return list(items)
+        except TypeError:
+            diags.append(f"{what}: expected an iterable, got {items!r}")
+            return []
+
     vlist: list[tuple[str, int]] = []
-    for item in vertices:
+    for item in listed(vertices, "vertices"):
         try:
             if isinstance(item, str):  # it would unpack into its characters
                 raise ValueError
@@ -131,7 +139,7 @@ def brauer_graph(vertices, edges, orders=None) -> BrauerGraph:
             n = 1  # keeps v declared for the edge checks
         vlist.append((str(v), n))
     elist = []
-    for item in edges:
+    for item in listed(edges, "edges"):
         try:
             if isinstance(item, str):
                 raise ValueError
@@ -187,7 +195,11 @@ def brauer_graph(vertices, edges, orders=None) -> BrauerGraph:
         incident[b].append(Half(e, 1))
 
     ring_map: dict[str, tuple[Half, ...]] = {}
-    given = dict(orders or {})
+    try:
+        given = dict(orders or {})
+    except (TypeError, ValueError):
+        diags.append(f"orders: expected a mapping from vertex ids to token lists, got {orders!r}")
+        given = {}
     for stray in set(given) - set(vids):
         diags.append(f"order for undeclared vertex {stray!r}")
     for v in vids:
@@ -195,7 +207,7 @@ def brauer_graph(vertices, edges, orders=None) -> BrauerGraph:
             ring_map[v] = tuple(incident[v])
             continue
         ring: list[Half] = []
-        for token in given[v]:
+        for token in listed(given[v], f"order at {v}"):
             h, err = _parse_token(ends, v, str(token))
             if err:
                 diags.append(err)

@@ -39,10 +39,6 @@ class PathInIdeal(QuiverError):
     """coset_paths() called on a path that lies in the ideal."""
 
 
-class CrossComponentPath(QuiverError):
-    """The path contains a zero junction, so it belongs to no single component."""
-
-
 class NotSpecialMultiserial(QuiverError):
     """Operation requires a special multiserial algebra; a witness is attached."""
 

@@ -44,8 +44,8 @@ relation of their kind.  analysis reads the engine's copy index too, to
 list the term copies along a component path.
 
 Paths are grown in one place, _grow, one layer per length: the listed
-coordinates, the identified admissibility bound, and the walks of
-analysis over induced ideals and omega relations all go through it.
+coordinates, the identified admissibility bound, and the walk of
+analysis.induced_algebra all go through it.
 
 Each presentation object carries one engine, built on its first query
 and freed with it; equal copies build their own.
@@ -137,7 +137,11 @@ def zero_relation(q: Quiver, arrow_ids: Iterable[str]) -> ZeroRelation:
 def linear_relation(q: Quiver, terms: Sequence[tuple[Fraction | int, Iterable[str] | Path]]) -> LinearRelation:
     """Build a normalized linear relation from (coefficient, path) pairs."""
     built: list[tuple[Fraction, Path]] = []
-    for coef, p in terms:
+    for term in terms:
+        try:
+            coef, p = term
+        except (TypeError, ValueError):
+            raise InvalidPresentation(f"term {term!r} is no (coefficient, path) pair") from None
         path = p if isinstance(p, Path) else q.path(p)
         try:
             built.append((Fraction(coef), path))
@@ -156,6 +160,10 @@ class IdealPresentation:
     zero: tuple[ZeroRelation, ...]
     linear: tuple[LinearRelation, ...]
     bound: int
+
+    def __post_init__(self):
+        if self.bound < 2:  # an admissible ideal lies in R^2
+            raise InvalidPresentation(f"bound {self.bound} is below 2")
 
     @property
     def zero_paths(self) -> tuple[Path, ...]:

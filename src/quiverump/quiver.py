@@ -134,7 +134,10 @@ class Quiver:
     # -- path constructors -----------------------------------------------
 
     def path(self, arrow_ids: Iterable[str]) -> Path:
-        ids = tuple(arrow_ids)
+        try:
+            ids = tuple(arrow_ids)
+        except TypeError:
+            raise InvalidPresentation(f"a path is a sequence of arrow ids, got {arrow_ids!r}") from None
         if not ids:
             raise InvalidPresentation("path() needs at least one arrow")
         arrows = [self.arrow(a) for a in ids]
@@ -160,13 +163,17 @@ class Quiver:
 def quiver(vertices: Iterable[str], arrows: Iterable[tuple[str, str, str]]) -> Quiver:
     """Convenience builder: vertex ids plus (id, source, target) triples."""
     try:
+        vids = list(vertices)
+    except TypeError:
+        raise InvalidPresentation(f"vertices {vertices!r} are no iterable of labels") from None
+    try:
         items = list(arrows)
         if any(isinstance(item, str) for item in items):  # it would unpack into its characters
             raise ValueError
         triples = [(a, s, t) for a, s, t in items]
     except (TypeError, ValueError):  # an arrow that does not unpack into three
         raise InvalidPresentation("an arrow is an (id, source, target) triple") from None
-    return Quiver(tuple(Vertex(v) for v in vertices), tuple(Arrow(*t) for t in triples))
+    return Quiver(tuple(Vertex(v) for v in vids), tuple(Arrow(*t) for t in triples))
 
 
 def occurrences(factor: tuple[str, ...], word: tuple[str, ...]) -> list[int]:

@@ -7,13 +7,8 @@ algebras whose component ideals are monomial get a structural answer
 read off the component analysis: the monomial corollary when the whole
 ideal is monomial, the main theorem otherwise.  Everything else falls
 back to honest enumeration, with a cheap sound refutation attempted
-first when the algebra is not special multiserial.
-
-The paper also states the criterion at the level of relations: every
-long zero relation whose proper subpaths survive sits on a cyclic
-component path and is the only relation dividing its powers.  The two
-statements are equivalent, so the "cross-check" route confirms a
-structural verdict against this one as well as against enumeration.
+first when the algebra is not special multiserial.  The "cross-check"
+route confirms whatever "auto" answers against enumeration.
 
 Every route answers with the one report type of the class layer,
 oracle.UmpReport, which lives there beside MaximalClass, classes_of and
@@ -24,14 +19,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from .analysis import (
-    Component,
-    component_of_path,
-    components,
-    divides_power,
-    global_maximal_classes,
-    omega_relations,
-)
+from .analysis import Component, components, global_maximal_classes
 from .errors import CrossCheckMismatch, InvariantViolation, NotApplicable, NotSpecialMultiserial
 from .ideal import AlgebraPresentation, _colkey, coset_paths, path_in_ideal
 from .oracle import UmpReport, extensions_die, shared_arrow, ump_bruteforce
@@ -101,23 +89,6 @@ def quick_non_ump(alg: AlgebraPresentation) -> tuple[Path, Path, str] | None:
 # -- structural routes ---------------------------------------------------------
 
 
-def _relation_level_verdict(alg: AlgebraPresentation,
-                            comps: tuple[Component, ...]) -> bool:
-    # every long zero relation with nonzero proper subpaths must sit on a
-    # cyclic component path and be its only relation dividing the powers
-    for r in omega_relations(alg):
-        comp = component_of_path(alg, comps, r)
-        w = comp.omega
-        if w.target != w.source:
-            return False
-        divisors = {
-            z.path for z in comp.algebra.ideal.zero if divides_power(z.path, w)
-        }
-        if divisors != {r}:
-            return False
-    return True
-
-
 def _structural_report(alg: AlgebraPresentation,
                        comps: tuple[Component, ...],
                        route: str) -> UmpReport:
@@ -130,10 +101,7 @@ def _structural_report(alg: AlgebraPresentation,
     return UmpReport(verdict, route, witness, per, classes)
 
 
-def _auto(alg: AlgebraPresentation
-          ) -> tuple[UmpReport, tuple[Component, ...] | None]:
-    """The "auto" route, with the components a structural verdict was
-    read off (None when the verdict came from enumeration)."""
+def _auto(alg: AlgebraPresentation) -> UmpReport:
     try:
         comps = components(alg)
     except NotSpecialMultiserial:
@@ -143,13 +111,13 @@ def _auto(alg: AlgebraPresentation
                 False, "oracle", w, (), (),
                 ("not special multiserial; refuted by identification witness "
                  "without enumeration",),
-            ), None
-        return replace(ump_bruteforce(alg), notes=("not special multiserial; enumerated",)), None
+            )
+        return replace(ump_bruteforce(alg), notes=("not special multiserial; enumerated",))
     if alg.is_monomial:
-        return _structural_report(alg, comps, "monomial-corollary"), comps
+        return _structural_report(alg, comps, "monomial-corollary")
     if all(c.is_ump is not None for c in comps):
-        return _structural_report(alg, comps, "main-theorem"), comps
-    return replace(ump_bruteforce(alg), notes=("component ideals are not all monomial; enumerated",)), None
+        return _structural_report(alg, comps, "main-theorem")
+    return replace(ump_bruteforce(alg), notes=("component ideals are not all monomial; enumerated",))
 
 
 def ump_report(alg: AlgebraPresentation, route: str = "auto") -> UmpReport:
@@ -161,29 +129,20 @@ def ump_report(alg: AlgebraPresentation, route: str = "auto") -> UmpReport:
     otherwise) and falls back to enumeration; "main" forces the structural
     route and raises NotApplicable when its hypotheses fail; "oracle"
     forces enumeration; "cross-check" runs "auto" and confirms the verdict
-    against enumeration and, when it is structural, against the
-    relation-level statement, raising CrossCheckMismatch on disagreement.
+    against enumeration, raising CrossCheckMismatch on disagreement.
     """
     if route not in ROUTES:
         raise ValueError(f"unknown route {route!r}; expected one of {ROUTES}")
 
     if route == "cross-check":
-        rep, comps = _auto(alg)
+        rep = _auto(alg)
         brute = ump_bruteforce(alg)
         if rep.is_ump != brute.is_ump:
             raise CrossCheckMismatch(
                 f"structural route {rep.route} says {rep.is_ump}, "
                 f"enumeration says {brute.is_ump}"
             )
-        notes = ("verdict confirmed by enumeration",)
-        if comps is not None:
-            if _relation_level_verdict(alg, comps) != rep.is_ump:
-                raise CrossCheckMismatch(
-                    f"structural route {rep.route} says {rep.is_ump}, "
-                    f"the relation-level statement says {not rep.is_ump}"
-                )
-            notes += ("verdict confirmed by the relation-level statement",)
-        return replace(rep, notes=rep.notes + notes)
+        return replace(rep, notes=rep.notes + ("verdict confirmed by enumeration",))
 
     if route == "oracle":
         return ump_bruteforce(alg)
@@ -201,4 +160,4 @@ def ump_report(alg: AlgebraPresentation, route: str = "auto") -> UmpReport:
             )
         return _structural_report(alg, comps, "main-theorem")
 
-    return _auto(alg)[0]
+    return _auto(alg)

@@ -1,16 +1,20 @@
 """Checks that hold of every presentation, every induced ideal and every
 component, shared by the example tests and the generated ones, bound
-references that list paths, the maximal paths by their definition, and
-the Brauer presentation that the generic builder makes of the full
-relation listing."""
+references that list paths, the maximal paths by their definition, the
+Brauer presentation that the generic builder makes of the full relation
+listing, and the paper's UMP criterion stated on relations."""
 
 from fractions import Fraction
+from functools import lru_cache
 
+from quiverump.analysis import induced_algebra
 from quiverump.brauer import Half, brauer_algebra
-from quiverump.errors import NotAdmissible
+from quiverump.errors import NotAdmissible, TrivialPath
 from quiverump.ideal import (
     AlgebraPresentation,
     IdealPresentation,
+    _colkey,
+    _grow,
     algebra,
     coset_paths,
     linear_relation,
@@ -18,6 +22,7 @@ from quiverump.ideal import (
     path_in_ideal,
     zero_relation,
 )
+from quiverump.omega import omega_map
 from quiverump.oracle import extensions_die, global_basis, maximal_paths, nonzero_paths
 from quiverump.quiver import Path, occurrences
 
@@ -119,6 +124,14 @@ def brauer_reference(g):
     return algebra(q, zero, linear, cap=max(2, longest + 1))
 
 
+@lru_cache(maxsize=64)
+def component_algebra(alg, comp):
+    """The induced presentation of a component, built by induced_algebra
+    once for the checks below to share: equal presentations and equal
+    components induce equal presentations."""
+    return induced_algebra(alg, comp.arrow_ids)
+
+
 def check_induced(alg, induced):
     """Each induced presentation holds exactly the subquiver paths of
     length <= alg.bound that alg's ideal holds, and gives each of the
@@ -169,14 +182,13 @@ def check_windows(alg, comps):
     """The window lengths of the components against enumeration: they count
     every nonzero path once, their maximal windows are the maximal paths
     (which equal maximal_by_extension, order included), each component is
-    called monomial exactly when its induced presentation (built by
-    induced_algebra) is, and eta is the least exponent whose power of
+    called monomial exactly when its induced presentation is, and eta is the least exponent whose power of
     omega holds every ordered relation and every maximal window."""
     assert sum(sum(c.lengths) for c in comps) == len(nonzero_paths(alg))
     assert set().union(*map(maximal_windows, comps)) == {p.arrows for p in maximal_paths(alg)}
     assert maximal_paths(alg) == maximal_by_extension(alg)
     for c in comps:
-        assert (c.is_ump is not None) == c.algebra.is_monomial, c.id
+        assert (c.is_ump is not None) == component_algebra(alg, c).is_monomial, c.id
         if c.is_ump is not None:
             assert {m.arrows for m in c.maximal} == maximal_windows(c), c.id
             windows = [w.arrows for w in c.ordered_relations + c.maximal]
@@ -185,3 +197,74 @@ def check_windows(alg, comps):
                 return all(occurrences(w, c.omega.arrows * e) for w in windows)
 
             assert holds(c.eta) and (c.eta == 1 or not holds(c.eta - 1)), c.id
+
+
+def component_of_path(alg, comps, p):
+    """The component a path lives in, or None when it straddles two.
+
+    Walks the path arrow by arrow: neighbours either sit adjacently inside
+    one saturation or join the last arrow of one to the first of another,
+    and such a junction in the ideal means the path straddles components."""
+    if p.is_trivial:
+        raise TrivialPath("trivial paths belong to no component")
+    om = omega_map(alg.quiver)
+    for x, y in zip(p.arrows, p.arrows[1:]):
+        wx, wy = om[x], om[y]
+        if wx == wy:
+            i = wx.arrows.index(x)
+            if i + 1 < len(wx.arrows) and wx.arrows[i + 1] == y:
+                continue
+        assert wx.arrows[-1] == x and wy.arrows[0] == y, f"{x}.{y} neither continues a saturation nor joins two"
+        if y not in alg._after[x]:
+            return None
+    (comp,) = [c for c in comps if om[p.arrows[0]] in c.omegas]
+    return comp
+
+
+def divides_power(u, omega):
+    """Whether u occurs in omega repeated often enough (just omega itself
+    when it is not a cycle)."""
+    reps = len(u) // len(omega) + 2 if omega.target == omega.source else 1
+    return bool(occurrences(u.arrows, omega.arrows * reps))
+
+
+def omega_relations(alg):
+    """Zero relations of length above two all of whose proper subpaths
+    survive.  Paths grow one arrow at a time from those outside the
+    ideal, so a visited path in the ideal has a surviving prefix, and it
+    is one of these when its suffix survives too."""
+    q = alg.quiver
+    out = []
+
+    def in_ideal(p):
+        if not path_in_ideal(alg, p):
+            return False
+        if len(p) > 2 and not path_in_ideal(alg, Path(p.arrows[1:], q.arrow(p.arrows[1]).source, p.target)):
+            out.append(p)
+        return True
+
+    _grow(q, in_ideal, alg.bound)
+    return tuple(sorted(out, key=_colkey))
+
+
+def relation_level_verdict(alg, comps):
+    """The paper's UMP criterion stated on relations: every omega relation
+    sits on a closed component path and is the only zero relation of that
+    component's induced presentation dividing a power of it.  An omega
+    relation's junctions are proper subpaths, so it straddles nothing."""
+    for r in omega_relations(alg):
+        comp = component_of_path(alg, comps, r)
+        w = comp.omega
+        if w.target != w.source:
+            return False
+        if {z for z in component_algebra(alg, comp).ideal.zero_paths if divides_power(z, w)} != {r}:
+            return False
+    return True
+
+
+def check_relation_level(alg, comps, is_ump):
+    """Where the main theorem applies, every component ideal monomial, the
+    relation-level statement gives the verdict is_ump; it is equivalent
+    to the component test, so it checks that test from the relations."""
+    if all(c.is_ump is not None for c in comps):
+        assert relation_level_verdict(alg, comps) == is_ump

@@ -5,15 +5,12 @@ import pytest
 import quiverump.analysis
 from quiverump.analysis import (
     _lengths,
-    component_of_path,
     components,
-    divides_power,
     global_maximal_classes,
     induced_algebra,
-    omega_relations,
 )
 from quiverump.brauer import brauer_algebra, brauer_graph
-from quiverump.errors import CrossComponentPath, NotSpecialMultiserial, TrivialPath
+from quiverump.errors import NotSpecialMultiserial, QuiverError, TrivialPath
 from quiverump.ideal import (
     AlgebraPresentation,
     IdealPresentation,
@@ -23,9 +20,9 @@ from quiverump.ideal import (
     linear_relation,
 )
 from quiverump.omega import omega_map, ramifications_graph
-from quiverump.oracle import MaximalClass, maximal_classes
+from quiverump.oracle import MaximalClass, maximal_classes, ump_bruteforce
 from quiverump.quiver import Path, quiver
-from quiverump.ump import ump_report
+from quiverump.ump import ROUTES, ump_report
 
 from fixtures import (
     ALL_FIXTURES,
@@ -37,7 +34,15 @@ from fixtures import (
     petal_hub,
     two_loops_line,
 )
-from invariants import check_induced, check_windows
+from invariants import (
+    check_induced,
+    check_relation_level,
+    check_windows,
+    component_algebra,
+    component_of_path,
+    divides_power,
+    omega_relations,
+)
 from test_brauer import ALL_GRAPHS
 
 
@@ -54,9 +59,9 @@ def test_components_cycle_fork_tail():
     assert n1.shape == "line"
     assert str(n1.omega) == "dabce"
     assert not n1.closes
-    assert _zero_strs(n1.algebra) == {"cd", "abc"}
-    assert n1.algebra.is_monomial
-    assert n1.algebra.bound == 4
+    assert _zero_strs(component_algebra(A, n1)) == {"cd", "abc"}
+    assert component_algebra(A, n1).is_monomial
+    assert component_algebra(A, n1).bound == 4
     assert [str(r) for r in n1.junction_relations] == ["cd"]
     assert [str(r) for r in n1.ordered_relations] == ["abc"]
     assert n1.sigma == (2,)
@@ -67,7 +72,7 @@ def test_components_cycle_fork_tail():
     assert [str(w) for w in n2.omegas] == ["f", "gh"]
     assert n2.shape == "line"
     assert str(n2.omega) == "fgh"
-    assert _zero_strs(n2.algebra) == set()
+    assert _zero_strs(component_algebra(A, n2)) == set()
     assert n2.junction_relations == ()
     assert n2.ordered_relations == ()
     assert {str(m) for m in n2.maximal} == {"fgh"}
@@ -80,7 +85,7 @@ def test_components_two_loops_line():
 
     assert str(n1.omega) == "a" and n1.shape == "single"
     assert n1.closes
-    assert _zero_strs(n1.algebra) == {"aaa"}
+    assert _zero_strs(component_algebra(A, n1)) == {"aaa"}
     assert n1.junction_relations == ()
     assert [str(r) for r in n1.ordered_relations] == ["aaa"]
     assert {str(m) for m in n1.maximal} == {"aa"}
@@ -88,14 +93,14 @@ def test_components_two_loops_line():
     assert n1.is_ump is True  # one relation on a closing component
 
     assert str(n2.omega) == "b" and n2.closes
-    assert _zero_strs(n2.algebra) == {"bbb"}
+    assert _zero_strs(component_algebra(A, n2)) == {"bbb"}
     assert {str(m) for m in n2.maximal} == {"bb"}
     assert n2.is_ump is True
 
     assert [str(w) for w in n3.omegas] == ["c", "de"]
     assert n3.shape == "line" and str(n3.omega) == "cde"
     assert not n3.closes
-    assert _zero_strs(n3.algebra) == {"ed"}
+    assert _zero_strs(component_algebra(A, n3)) == {"ed"}
     assert [str(r) for r in n3.junction_relations] == ["ed"]
     assert n3.ordered_relations == ()
     assert {str(m) for m in n3.maximal} == {"cde"}
@@ -111,8 +116,8 @@ def test_components_petal_hub():
     assert n1.shape == "cycle"
     assert str(n1.omega) == "abcd"
     assert n1.closes
-    assert _zero_strs(n1.algebra) == {"ba", "dc", "abcda", "dabcd"}
-    assert n1.algebra.bound == 7
+    assert _zero_strs(component_algebra(A, n1)) == {"ba", "dc", "abcda", "dabcd"}
+    assert component_algebra(A, n1).bound == 7
     assert {str(r) for r in n1.junction_relations} == {"ba", "dc"}
     assert [str(r) for r in n1.ordered_relations] == ["abcda", "dabcd"]
     assert n1.sigma == (4, 4)
@@ -122,8 +127,8 @@ def test_components_petal_hub():
 
     assert n2.shape == "single" and str(n2.omega) == "ef"
     assert n2.closes
-    assert _zero_strs(n2.algebra) == {"efe", "fef"}
-    assert n2.algebra.bound == 3
+    assert _zero_strs(component_algebra(A, n2)) == {"efe", "fef"}
+    assert component_algebra(A, n2).bound == 3
     assert n2.junction_relations == ()
     assert [str(r) for r in n2.ordered_relations] == ["efe", "fef"]
     assert {str(m) for m in n2.maximal} == {"ef", "fe"}
@@ -136,13 +141,13 @@ def test_components_loop_meets_twocycle():
     n1, n2 = components(A)
 
     assert str(n1.omega) == "a" and n1.closes
-    assert _zero_strs(n1.algebra) == {"aaa"}
+    assert _zero_strs(component_algebra(A, n1)) == {"aaa"}
     assert n1.is_ump is True
     assert {str(m) for m in n1.maximal} == {"aa"}
 
     assert str(n2.omega) == "bc" and n2.shape == "single"
     assert n2.closes
-    assert _zero_strs(n2.algebra) == {"bcb", "cbc"}
+    assert _zero_strs(component_algebra(A, n2)) == {"bcb", "cbc"}
     assert [str(r) for r in n2.ordered_relations] == ["bcb", "cbc"]
     assert {str(m) for m in n2.maximal} == {"bc", "cb"}
     assert n2.is_ump is False
@@ -202,7 +207,8 @@ def test_induced_ideals_are_the_parent_ideal_on_the_subquiver(name):
     if is_special_multiserial(A):
         comps = components(A)
         check_windows(A, comps)
-        induced = [c.algebra for c in comps]
+        check_relation_level(A, comps, ump_bruteforce(A).is_ump)
+        induced = [component_algebra(A, c) for c in comps]
     else:
         # no components; restrict to each saturation and to the whole quiver
         arrow_sets = {frozenset(w.arrows) for w in omega_map(A.quiver).values()}
@@ -221,8 +227,8 @@ def _no_walk(*args, **kwargs):
 
 def _restrictions(A):
     if is_special_multiserial(A):
-        # the induced presentation is lazy: force it, so the walk is tried
-        return [(c, c.algebra) for c in components(A)]
+        # built afresh, never shared, so the walk is tried each time
+        return [(c, induced_algebra(A, c.arrow_ids)) for c in components(A)]
     arrow_sets = sorted({frozenset(w.arrows) for w in omega_map(A.quiver).values()}, key=sorted)
     return [induced_algebra(A, s) for s in arrow_sets + [frozenset(A.quiver.arrow_ids)]]
 
@@ -261,10 +267,8 @@ def test_component_of_path_rejects_straddlers():
     A = cycle_fork_tail()
     comps = components(A)
     q = A.quiver
-    with pytest.raises(CrossComponentPath):
-        component_of_path(A, comps, q.path("cf"))
-    with pytest.raises(CrossComponentPath):
-        component_of_path(A, comps, q.path("eg"))
+    assert component_of_path(A, comps, q.path("cf")) is None
+    assert component_of_path(A, comps, q.path("eg")) is None
     with pytest.raises(TrivialPath):
         component_of_path(A, comps, Path((), "1", "1"))
 
@@ -378,17 +382,33 @@ def _structural_cases():
     return [(name, A) for name, A in cases if is_special_multiserial(A)]
 
 
+def _every_route(A):
+    """The report of each route, or the error a route raises."""
+    out = {}
+    for route in ROUTES:
+        try:
+            out[route] = ump_report(A, route)
+        except QuiverError as err:
+            out[route] = repr(err)
+    return out
+
+
 def test_auto_builds_no_induced_presentation(monkeypatch):
-    expected = {name: ump_report(A, "auto") for name, A in _structural_cases()}
+    expected = {name: _every_route(A) for name, A in _structural_cases()}
 
     def refuse(*args, **kwargs):
-        raise _Walked("the structural route built an induced presentation")
+        raise _Walked("a route built an induced presentation")
 
     monkeypatch.setattr(quiverump.analysis, "induced_algebra", refuse)
     for name, A in _structural_cases():
-        assert ump_report(A, "auto") == expected[name], name
+        assert _every_route(A) == expected[name], name
     with pytest.raises(_Walked):
-        components(petal_hub())[0].algebra
+        quiverump.analysis.induced_algebra(petal_hub(), frozenset("abcd"))
+
+
+def test_relation_level_statement_gives_every_structural_verdict():
+    for name, A in _structural_cases():
+        check_relation_level(A, components(A), ump_bruteforce(A).is_ump)
 
 
 def test_the_sweep_asks_at_most_two_queries_per_position_plus_the_bound(monkeypatch):

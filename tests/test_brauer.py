@@ -186,6 +186,10 @@ def test_order_token_validation():
         # strings unpack into their characters: "u2" read as u of multiplicity 2
         (["u2", ("w", 1)], [("e", "u", "w")], None, "vertex 'u2': expected an (id, multiplicity) pair"),
         ([("u", 1), ("w", 1)], ["euw"], None, "edge 'euw': expected an (id, end, end) triple"),
+        (None, [("e", "u", "w")], None, "vertices: expected an iterable, got None"),
+        ([("u", 1), ("w", 1)], None, None, "edges: expected an iterable, got None"),
+        ([("u", 1), ("w", 2)], [("e", "u", "w")], {"w": 5}, "order at w: expected an iterable, got 5"),
+        ([("u", 1), ("w", 2)], [("e", "u", "w")], [1], "orders: expected a mapping from vertex ids to token lists, got [1]"),
     ],
 )
 def test_rejects_malformed_edges_and_orders(vertices, edges, orders, diagnostic):

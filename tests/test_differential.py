@@ -12,7 +12,9 @@ from invariants import (
     check_global_basis,
     check_induced,
     check_maximal,
+    check_relation_level,
     check_windows,
+    component_algebra,
     enumerated_bound,
     reduced_bound,
 )
@@ -86,7 +88,7 @@ def monomial_algebras(draw):
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(monomial_algebras())
 def test_auto_matches_enumeration_and_saturations_partition(alg):
-    _auto_agrees(alg)
+    rep = _auto_agrees(alg)
     check_maximal(alg)
 
     q = alg.quiver
@@ -98,7 +100,8 @@ def test_auto_matches_enumeration_and_saturations_partition(alg):
     if is_special_multiserial(alg):
         comps = components(alg)
         check_windows(alg, comps)
-        check_induced(alg, [c.algebra for c in comps])
+        check_induced(alg, [component_algebra(alg, c) for c in comps])
+        check_relation_level(alg, comps, rep.is_ump)
     check_global_basis(alg)
 
 
@@ -126,7 +129,8 @@ def test_brauer_trees_match_classification_and_enumeration(g):
     component_vertex_bijection(ba)
     comps = components(ba.algebra)
     check_windows(ba.algebra, comps)
-    check_induced(ba.algebra, [c.algebra for c in comps])
+    check_induced(ba.algebra, [component_algebra(ba.algebra, c) for c in comps])
+    check_relation_level(ba.algebra, comps, classify(g).is_ump)
     check_global_basis(ba.algebra)
 
 
@@ -163,7 +167,8 @@ def test_brauer_graphs_with_loops_and_multiple_edges_match_enumeration(g):
     component_vertex_bijection(ba)
     comps = components(ba.algebra)
     check_windows(ba.algebra, comps)
-    check_induced(ba.algebra, [c.algebra for c in comps])
+    check_induced(ba.algebra, [component_algebra(ba.algebra, c) for c in comps])
+    check_relation_level(ba.algebra, comps, classify(g).is_ump)
     check_global_basis(ba.algebra)
 
 
@@ -191,14 +196,15 @@ def identified_algebras(draw):
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(identified_algebras())
 def test_identifications_match_enumeration(alg):
-    _auto_agrees(alg)
+    rep = _auto_agrees(alg)
     check_maximal(alg)
     check_global_basis(alg)
     ump_report(alg, "cross-check")
     if is_special_multiserial(alg):
         comps = components(alg)
         check_windows(alg, comps)
-        check_induced(alg, [c.algebra for c in comps])
+        check_induced(alg, [component_algebra(alg, c) for c in comps])
+        check_relation_level(alg, comps, rep.is_ump)
 
 
 @st.composite
@@ -386,7 +392,8 @@ def test_saturation_chains_match_enumeration_on_every_branch():
         ump_report(alg, "cross-check")
         comps = components(alg)
         check_windows(alg, comps)
-        check_induced(alg, [c.algebra for c in comps])
+        check_induced(alg, [component_algebra(alg, c) for c in comps])
+        check_relation_level(alg, comps, report.is_ump)
         branches.update(_theorem_branch(c) for c in comps)
         verdicts.add(report.is_ump)
 

@@ -30,6 +30,7 @@ from quiverump.errors import (
 )
 from quiverump.ideal import (
     AlgebraPresentation,
+    IdealPresentation,
     LinearRelation,
     ZeroRelation,
     _Engine,
@@ -65,6 +66,12 @@ def test_relation_validation():
         linear_relation(q, [])  # no terms
     with pytest.raises(InvalidPresentation):
         linear_relation(q, [(1, "aa"), (-1, "aa")])  # repeated term
+    with pytest.raises(InvalidPresentation):
+        zero_relation(q, 5)  # no arrow sequence
+    with pytest.raises(InvalidPresentation):
+        linear_relation(q, [(1, 5), (1, "ab")])  # a term with no arrow sequence
+    with pytest.raises(InvalidPresentation):
+        linear_relation(q, [1, 2])  # coefficients with no paths
     with pytest.raises(InvalidPresentation):  # two terms, one coefficient
         LinearRelation((Fraction(1),), (q.path("aa"), q.path("aaa")))
     parallel = quiver(["1", "2"], [("a", "1", "2"), ("b", "1", "2")])
@@ -77,6 +84,19 @@ def test_a_coefficient_that_is_no_rational_is_rejected(coef):
     q = quiver(["1"], [("a", "1", "1"), ("b", "1", "1")])
     with pytest.raises(InvalidPresentation):
         linear_relation(q, [(coef, "ab"), (1, "ba")])
+
+
+def test_a_bound_below_two_is_rejected():
+    # an admissible ideal lies in R^2; a hand-made bound of 1 would put the
+    # arrows in the ideal, where the oracle and the structural route disagree;
+    # at bound 2 the routes agree: the two arrows are maximal and share nothing
+    q = quiver(["1", "2"], [("a", "1", "2"), ("b", "2", "1")])
+    for bound in (1, 0, -3):
+        with pytest.raises(InvalidPresentation):
+            IdealPresentation((), (), bound)
+    alg = AlgebraPresentation(q, IdealPresentation((), (), 2))
+    verdicts = {route: ump_report(alg, route).is_ump for route in ("auto", "oracle", "cross-check")}
+    assert verdicts == dict.fromkeys(verdicts, True)
 
 
 def test_relation_terms_must_be_paths_of_the_quiver():

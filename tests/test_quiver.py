@@ -69,6 +69,13 @@ def test_an_arrow_that_is_not_a_triple_is_rejected():
         quiver(["b", "c"], ["abc"])
 
 
+def test_a_path_or_vertex_list_that_is_not_iterable_is_rejected(cft):
+    with pytest.raises(InvalidPresentation):
+        cft.path(5)
+    with pytest.raises(InvalidPresentation):
+        quiver(None, [])
+
+
 def test_a_label_that_is_not_a_string_is_a_bad_label():
     with pytest.raises(InvalidPresentation):
         quiver([1, 2], [("a", 1, 2)])

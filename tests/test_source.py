@@ -169,3 +169,21 @@ def test_brauer_builds_no_presentation_through_the_generic_builder():
             found += [f"brauer.py:{node.lineno} {alias.name}" for alias in node.names
                       if alias.name.split(".")[-1] in generic]
     assert found == []
+
+
+def test_no_verdict_path_names_the_induced_presentation():
+    """induced_algebra is named in the package only by its own definition in
+    analysis.py: no route builds an induced presentation, and the tests and
+    the benchmark harness are its only callers."""
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        own = [(node.lineno, node.end_lineno) for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name == "induced_algebra"]
+        assert len(own) == (path.name == "analysis.py"), path.name
+        for node in ast.walk(tree):
+            name = (node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute)
+                    else node.name if isinstance(node, ast.alias) else None)
+            if name == "induced_algebra" and not any(a <= node.lineno <= b for a, b in own):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

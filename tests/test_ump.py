@@ -10,6 +10,8 @@ import pytest
 
 import quiverump
 
+from invariants import check_relation_level
+from quiverump.analysis import components
 from quiverump.errors import CrossCheckMismatch, NotApplicable
 from quiverump.ideal import algebra, linear_relation, zero_relation
 from quiverump.oracle import ump_bruteforce
@@ -106,11 +108,12 @@ def test_forced_oracle_route_agrees(name, build):
 
 @pytest.mark.parametrize("name,build", sorted(ALL_FIXTURES.items()))
 def test_cross_check_route(name, build):
-    rep = ump_report(build(), route="cross-check")
+    alg = build()
+    rep = ump_report(alg, route="cross-check")
     assert rep.is_ump is VERDICTS[name]
-    assert "verdict confirmed by enumeration" in rep.notes
-    structural = rep.route != "oracle"
-    assert ("verdict confirmed by the relation-level statement" in rep.notes) == structural
+    assert rep.notes == ump_report(alg, "auto").notes + ("verdict confirmed by enumeration",)
+    if rep.route != "oracle":
+        check_relation_level(alg, components(alg), rep.is_ump)
 
 
 def test_forced_main_route_on_structural_cases():
@@ -136,18 +139,23 @@ def test_unknown_route_rejected():
         ump_report(cycle_fork_tail(), route="guess")
 
 
-@pytest.mark.parametrize("liar", ["oracle", "relation-level"])
-def test_cross_check_mismatch_raises(monkeypatch, liar):
+def test_cross_check_mismatch_raises(monkeypatch):
     import quiverump.ump as ump_mod
     from quiverump.oracle import UmpReport
 
     wrong = not VERDICTS["two_loops_line"]
-    if liar == "oracle":
-        monkeypatch.setattr(ump_mod, "ump_bruteforce", lambda alg: UmpReport(wrong, "oracle", None, (), ()))
-    else:
-        monkeypatch.setattr(ump_mod, "_relation_level_verdict", lambda alg, comps: wrong)
+    monkeypatch.setattr(ump_mod, "ump_bruteforce", lambda alg: UmpReport(wrong, "oracle", None, (), ()))
     with pytest.raises(CrossCheckMismatch):
         ump_report(two_loops_line(), route="cross-check")
+
+
+@pytest.mark.parametrize("build", [cycle_fork_tail, two_loops_line, petal_hub, loop_meets_twocycle])
+def test_relation_level_reference_rejects_a_flipped_verdict(build):
+    alg = build()
+    comps = components(alg)
+    check_relation_level(alg, comps, VERDICTS[build.__name__])
+    with pytest.raises(AssertionError):
+        check_relation_level(alg, comps, not VERDICTS[build.__name__])
 
 
 def test_quick_refutation_finds_witness():
