@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InvariantViolation, NotAdmissible, NotSpecialMultiserial
+from .errors import InvariantViolation, NotSpecialMultiserial
 from .ideal import (
     AlgebraPresentation,
     IdealPresentation,
@@ -31,7 +31,6 @@ from .ideal import (
     _grow,
     is_special_multiserial,
     linear_relation,
-    longest_avoiding,
     minimalize_relations,
     path_in_ideal,
     zero_divisor,
@@ -49,26 +48,15 @@ def induced_algebra(alg: AlgebraPresentation, arrow_ids: frozenset[str]) -> Alge
     with the induced ideal (the full ideal intersected with the paths of
     the subquiver) presented by minimal generators.
 
-    A monomial parent needs no walk.  A subquiver path lies in the ideal
-    exactly when one of the parent's zero relations divides it, and every
-    arrow of such a relation lies in the subquiver; so the parent's zero
-    relations on the subquiver, in the parent's order, generate the
-    induced ideal, and its bound is one more than longest_avoiding finds
-    (at least 2).  Only when subquiver paths of length alg.bound avoid
-    them all, which a hand-made bound cutting below the zero relations
-    allows, does a monomial parent fall through to the walk below, which
-    adds the truncation relations.
-
-    Otherwise grows the subquiver's paths one layer per length and
-    extends only those the parent's engine puts outside the ideal.  A
-    visited path in the ideal is generated by the parent's zero relations
-    or by the rows of its engine block that stay in the subquiver; the one
-    row of a lone path's block (see ideal) is the path, a zero relation.
-    A path with a proper prefix in the ideal lies in the ideal through
-    that prefix, so it is never visited.  Children of length alg.bound
-    that no generator found so far divides close the truncation off, and
-    the bound is one more than the longest path outside the ideal (at
-    least 2).
+    Grows the subquiver's paths one layer per length and extends only
+    those the parent's engine puts outside the ideal.  A visited path in
+    the ideal is generated by the parent's zero relations or by the rows
+    of its engine block that stay in the subquiver; the one row of a lone
+    path's block (see ideal) is the path, a zero relation.  A path with a
+    proper prefix in the ideal lies in the ideal through that prefix, so
+    it is never visited.  Children of length alg.bound that no generator
+    found so far divides close the truncation off, and the bound is one
+    more than the longest path outside the ideal (at least 2).
     """
     q = alg.quiver
     sub = q.subquiver([a.id for a in q.arrows if a.id in arrow_ids])
@@ -84,14 +72,6 @@ def induced_algebra(alg: AlgebraPresentation, arrow_ids: frozenset[str]) -> Alge
         return ((1 if is_sub(p) else 0,) + _colkey(p))
 
     zero = [r for r in alg.ideal.zero if is_sub(r.path)]
-    if alg.is_monomial:
-        try:
-            bound = max(longest_avoiding(sub, [r.path for r in zero], alg.bound) + 1, 2)
-        except NotAdmissible:
-            pass  # the bound cuts below the zero relations: walk, to truncate
-        else:
-            zero, _, _ = minimalize_relations(sub, zero, (), bound)
-            return AlgebraPresentation(sub, IdealPresentation(zero, (), bound))
     linear: list[LinearRelation] = []
     eng = alg._engine
     done: set[Path] = set()
@@ -135,7 +115,7 @@ def induced_algebra(alg: AlgebraPresentation, arrow_ids: frozenset[str]) -> Alge
         if not divisible(c := Path(p.arrows + (a.id,), p.source, a.target))
     )
     bound = len(outside[-1]) + 1 if outside else 2
-    zero, linear, _ = minimalize_relations(sub, zero, linear, bound)
+    zero, linear = minimalize_relations(sub, zero, linear, bound)
     return AlgebraPresentation(sub, IdealPresentation(zero, linear, bound))
 
 

@@ -50,10 +50,6 @@ class NotSpecialMultiserial(QuiverError):
         self.witness = witness
 
 
-class NotApplicable(QuiverError):
-    """A decision route was forced that the algebra does not satisfy."""
-
-
 class BrauerValidationError(QuiverError):
     """One or more Brauer graph invariants failed; diagnostics attached."""
 
@@ -64,10 +60,6 @@ class BrauerValidationError(QuiverError):
 
 class BijectionFailure(QuiverError):
     """Component/vertex correspondence of a Brauer algebra failed (would be a bug)."""
-
-
-class CrossCheckMismatch(QuiverError):
-    """Structural route and brute-force oracle disagree (fatal diagnostic)."""
 
 
 class InvariantViolation(QuiverError):

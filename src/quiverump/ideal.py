@@ -137,6 +137,10 @@ def zero_relation(q: Quiver, arrow_ids: Iterable[str]) -> ZeroRelation:
 def linear_relation(q: Quiver, terms: Sequence[tuple[Fraction | int, Iterable[str] | Path]]) -> LinearRelation:
     """Build a normalized linear relation from (coefficient, path) pairs."""
     built: list[tuple[Fraction, Path]] = []
+    try:
+        terms = list(terms)
+    except TypeError:
+        raise InvalidPresentation(f"terms {terms!r} are no sequence of (coefficient, path) pairs") from None
     for term in terms:
         try:
             coef, p = term
@@ -162,8 +166,9 @@ class IdealPresentation:
     bound: int
 
     def __post_init__(self):
-        if self.bound < 2:  # an admissible ideal lies in R^2
-            raise InvalidPresentation(f"bound {self.bound} is below 2")
+        # an admissible ideal lies in R^2; bool is an int, but below 2 anyway
+        if not isinstance(self.bound, int) or self.bound < 2:
+            raise InvalidPresentation(f"bound {self.bound!r} is no int of at least 2")
 
     @property
     def zero_paths(self) -> tuple[Path, ...]:
@@ -535,10 +540,14 @@ def admissibility_bound(q: Quiver, zero: Sequence[ZeroRelation] = (),
     the longest path left.  In both cases cap is only a ceiling:
     NotAdmissible is raised when some path of length cap lies outside the
     ideal.  Sound and exact whenever the presented ideal is admissible at
-    all.  Every relation term must be a path of q, endpoints included; a
-    term that is not raises UnknownLabel (an arrow off q) or
-    InvalidPresentation before any search.
+    all.  zero and linear must be lists or tuples of ZeroRelation and
+    LinearRelation, and every relation term a path of q, endpoints
+    included; else InvalidPresentation, or UnknownLabel for an arrow off
+    q, is raised before any search.
     """
+    for rels, kind in ((zero, ZeroRelation), (linear, LinearRelation)):
+        if not isinstance(rels, (list, tuple)) or not all(isinstance(r, kind) for r in rels):
+            raise InvalidPresentation(f"relations {rels!r} are no list or tuple of {kind.__name__}")
     for term in [r.path for r in zero] + [t for r in linear for t in r.paths]:
         end = term.source
         for a in map(q.arrow, term.arrows):  # UnknownLabel for an arrow off q
@@ -673,16 +682,15 @@ def minimalize_relations(q: Quiver, zero: Sequence[ZeroRelation],
                          linear: Sequence[LinearRelation], bound: int):
     """Greedily drop generators already implied by the rest.
 
-    Returns (zero, linear, removed).  Candidates are scanned longest first
-    so redundant high powers go before the short relations that imply them;
-    the scan order is deterministic, and the result is idempotent.  The
-    window test of the zero relations and the copy index of the linear ones
-    are built once and again only after a relation of their kind is
-    dropped.
+    Returns the (zero, linear) that survive.  Candidates are scanned
+    longest first so redundant high powers go before the short relations
+    that imply them; the scan order is deterministic, and the result is
+    idempotent.  The window test of the zero relations and the copy index
+    of the linear ones are built once and again only after a relation of
+    their kind is dropped.
     """
     zs = list(zero)
     ls = list(linear)
-    removed = []
     divisible = copies = None
     for cand in sorted(zs + ls, key=_candidate_key):
         if divisible is None:
@@ -690,14 +698,13 @@ def minimalize_relations(q: Quiver, zero: Sequence[ZeroRelation],
         if copies is None and ls:
             copies = _copy_index(ls)
         if _removable(q, cand, zs, divisible, copies, bound):
-            removed.append(cand)
             if isinstance(cand, ZeroRelation):
                 zs = [r for r in zs if r is not cand]
                 divisible = None
             else:
                 ls = [r for r in ls if r is not cand]
                 copies = None
-    return tuple(zs), tuple(ls), tuple(removed)
+    return tuple(zs), tuple(ls)
 
 
 # -- algebra construction ------------------------------------------------------
@@ -706,10 +713,8 @@ def minimalize_relations(q: Quiver, zero: Sequence[ZeroRelation],
 def algebra(q: Quiver, zero: Sequence[ZeroRelation] = (),
             linear: Sequence[LinearRelation] = (), cap: int = 64) -> AlgebraPresentation:
     """Validate admissibility and build a presentation with minimal relations."""
-    zero = tuple(zero)
-    linear = tuple(linear)
     bound = admissibility_bound(q, zero, linear, cap=cap)
-    zero, linear, _ = minimalize_relations(q, zero, linear, bound)
+    zero, linear = minimalize_relations(q, zero, linear, bound)
     return AlgebraPresentation(q, IdealPresentation(zero, linear, bound))
 
 

@@ -7,10 +7,10 @@ algebras whose component ideals are monomial get a structural answer
 read off the component analysis: the monomial corollary when the whole
 ideal is monomial, the main theorem otherwise.  Everything else falls
 back to honest enumeration, with a cheap sound refutation attempted
-first when the algebra is not special multiserial.  The "cross-check"
-route confirms whatever "auto" answers against enumeration.
+first when the algebra is not special multiserial.  The "oracle" route
+always enumerates.
 
-Every route answers with the one report type of the class layer,
+Both routes answer with the one report type of the class layer,
 oracle.UmpReport, which lives there beside MaximalClass, classes_of and
 shared_arrow.
 """
@@ -19,13 +19,13 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from .analysis import Component, components, global_maximal_classes
-from .errors import CrossCheckMismatch, InvariantViolation, NotApplicable, NotSpecialMultiserial
+from .analysis import components, global_maximal_classes
+from .errors import InvariantViolation, NotSpecialMultiserial
 from .ideal import AlgebraPresentation, _colkey, coset_paths, path_in_ideal
 from .oracle import UmpReport, extensions_die, shared_arrow, ump_bruteforce
 from .quiver import Path
 
-ROUTES = ("auto", "main", "oracle", "cross-check")
+ROUTES = ("auto", "oracle")
 
 
 # -- cheap sound refutation ----------------------------------------------------
@@ -86,22 +86,21 @@ def quick_non_ump(alg: AlgebraPresentation) -> tuple[Path, Path, str] | None:
     return None
 
 
-# -- structural routes ---------------------------------------------------------
+# -- the dispatcher ------------------------------------------------------------
 
 
-def _structural_report(alg: AlgebraPresentation,
-                       comps: tuple[Component, ...],
-                       route: str) -> UmpReport:
-    per = tuple((c.id, bool(c.is_ump)) for c in comps)
-    verdict = all(v for _, v in per)
-    classes = global_maximal_classes(alg, comps)
-    witness = None if verdict else shared_arrow(classes)
-    if not verdict and witness is None:
-        raise InvariantViolation("a component fails UMP but no two maximal classes share an arrow")
-    return UmpReport(verdict, route, witness, per, classes)
+def ump_report(alg: AlgebraPresentation, route: str = "auto") -> UmpReport:
+    """Decide unique maximal paths, via the requested route.
 
-
-def _auto(alg: AlgebraPresentation) -> UmpReport:
+    "auto" reads the verdict off the components of a special multiserial
+    algebra whose component ideals are all monomial (reported as
+    "monomial-corollary" when the whole ideal is monomial, "main-theorem"
+    otherwise) and falls back to enumeration; "oracle" forces enumeration.
+    """
+    if route not in ROUTES:
+        raise ValueError(f"unknown route {route!r}; expected one of {ROUTES}")
+    if route == "oracle":
+        return ump_bruteforce(alg)
     try:
         comps = components(alg)
     except NotSpecialMultiserial:
@@ -113,51 +112,14 @@ def _auto(alg: AlgebraPresentation) -> UmpReport:
                  "without enumeration",),
             )
         return replace(ump_bruteforce(alg), notes=("not special multiserial; enumerated",))
-    if alg.is_monomial:
-        return _structural_report(alg, comps, "monomial-corollary")
-    if all(c.is_ump is not None for c in comps):
-        return _structural_report(alg, comps, "main-theorem")
-    return replace(ump_bruteforce(alg), notes=("component ideals are not all monomial; enumerated",))
-
-
-def ump_report(alg: AlgebraPresentation, route: str = "auto") -> UmpReport:
-    """Decide unique maximal paths, via the requested route.
-
-    "auto" reads the verdict off the components of a special multiserial
-    algebra whose component ideals are all monomial (reported as
-    "monomial-corollary" when the whole ideal is monomial, "main-theorem"
-    otherwise) and falls back to enumeration; "main" forces the structural
-    route and raises NotApplicable when its hypotheses fail; "oracle"
-    forces enumeration; "cross-check" runs "auto" and confirms the verdict
-    against enumeration, raising CrossCheckMismatch on disagreement.
-    """
-    if route not in ROUTES:
-        raise ValueError(f"unknown route {route!r}; expected one of {ROUTES}")
-
-    if route == "cross-check":
-        rep = _auto(alg)
-        brute = ump_bruteforce(alg)
-        if rep.is_ump != brute.is_ump:
-            raise CrossCheckMismatch(
-                f"structural route {rep.route} says {rep.is_ump}, "
-                f"enumeration says {brute.is_ump}"
-            )
-        return replace(rep, notes=rep.notes + ("verdict confirmed by enumeration",))
-
-    if route == "oracle":
-        return ump_bruteforce(alg)
-
-    if route == "main":
-        try:
-            comps = components(alg)
-        except NotSpecialMultiserial as exc:
-            raise NotApplicable(
-                f"structural route needs a special multiserial algebra; {exc.witness}"
-            ) from None
-        if not all(c.is_ump is not None for c in comps):
-            raise NotApplicable(
-                "structural route needs every component ideal monomial"
-            )
-        return _structural_report(alg, comps, "main-theorem")
-
-    return _auto(alg)
+    # a monomial ideal induces monomial component ideals, so every is_ump is set
+    if any(c.is_ump is None for c in comps):
+        return replace(ump_bruteforce(alg), notes=("component ideals are not all monomial; enumerated",))
+    per = tuple((c.id, c.is_ump) for c in comps)
+    verdict = all(v for _, v in per)
+    classes = global_maximal_classes(alg, comps)
+    witness = None if verdict else shared_arrow(classes)
+    if not verdict and witness is None:
+        raise InvariantViolation("a component fails UMP but no two maximal classes share an arrow")
+    return UmpReport(verdict, "monomial-corollary" if alg.is_monomial else "main-theorem",
+                     witness, per, classes)

@@ -221,27 +221,6 @@ class _Walked(Exception):
     pass
 
 
-def _no_walk(*args, **kwargs):
-    raise _Walked("a monomial parent's induced ideal walked its paths")
-
-
-def _restrictions(A):
-    if is_special_multiserial(A):
-        # built afresh, never shared, so the walk is tried each time
-        return [(c, induced_algebra(A, c.arrow_ids)) for c in components(A)]
-    arrow_sets = sorted({frozenset(w.arrows) for w in omega_map(A.quiver).values()}, key=sorted)
-    return [induced_algebra(A, s) for s in arrow_sets + [frozenset(A.quiver.arrow_ids)]]
-
-
-def test_monomial_parents_induce_without_a_walk(monkeypatch):
-    monomial = [name for name, build in sorted(ALL_FIXTURES.items()) if build().is_monomial]
-    expected = {name: _restrictions(ALL_FIXTURES[name]()) for name in monomial}
-    monkeypatch.setattr(quiverump.analysis, "_grow", _no_walk)
-    assert any(is_special_multiserial(ALL_FIXTURES[name]()) for name in monomial)
-    for name in monomial:
-        assert _restrictions(ALL_FIXTURES[name]()) == expected[name], name
-
-
 def test_induced_ideal_truncates_a_bound_below_the_zero_relations():
     # a hand-made presentation: no zero relation divides abc, only the bound
     q = quiver(["1", "2", "3", "4", "5"],

@@ -9,6 +9,7 @@ import inspect
 from pathlib import Path
 
 import quiverump
+from quiverump.ump import ROUTES
 
 SOURCES = sorted(Path(quiverump.__file__).resolve().parent.glob("*.py"))
 
@@ -137,6 +138,23 @@ def test_bench_harness_still_binds():
             unbound.append(f"harness.py:{node.lineno} {fn.__name__}: {err}")
     assert imported and missing == []
     assert unbound == []
+
+
+def test_every_route_has_a_caller():
+    """Each value of ump.ROUTES is passed as a string literal to ump_report
+    in bench/harness.py, directly or through a wrapper that takes
+    ump_report as an argument, such as call(label, fn, *args); else the
+    route is kept alive by its own tests alone."""
+    passed = set()
+    for node in ast.walk(ast.parse(HARNESS.read_text(), filename=str(HARNESS))):
+        if not isinstance(node, ast.Call):
+            continue
+        callee = [node.func] + node.args
+        at = [i for i, a in enumerate(callee) if isinstance(a, ast.Name) and a.id == "ump_report"]
+        if at:
+            args = callee[at[0] + 1:] + [k.value for k in node.keywords if k.arg == "route"]
+            passed.update(a.value for a in args if isinstance(a, ast.Constant) and isinstance(a.value, str))
+    assert sorted(set(ROUTES) - passed) == []
 
 
 def test_oracle_imports_no_structural_module():
