@@ -48,7 +48,10 @@ coordinates, the identified admissibility bound, and the walk of
 analysis.induced_algebra all go through it.
 
 Each presentation object carries one engine, built on its first query
-and freed with it; equal copies build their own.
+and freed with it; equal copies build their own.  Its block cache, the
+members and normal forms of a block and the columns of its rows are
+keyed by quiver.Path, a tuple (arrows, source, target), so every lookup
+hashes and compares in C.
 
 Beside the engine it carries one table of the nonzero length-2
 compositions: for each arrow, the arrows after it whose composition with
@@ -159,6 +162,19 @@ def linear_relation(q: Quiver, terms: Sequence[tuple[Fraction | int, Iterable[st
     return LinearRelation(coeffs, paths)
 
 
+def _check_relations(zero, linear, containers: tuple[type, ...]) -> None:
+    for rels, kind in ((zero, ZeroRelation), (linear, LinearRelation)):
+        if not isinstance(rels, containers) or not all(isinstance(r, kind) for r in rels):
+            raise InvalidPresentation(f"relations {rels!r} are no "
+                                      f"{' or '.join(c.__name__ for c in containers)} of {kind.__name__}")
+
+
+def _check_at_least_two(value, name: str) -> None:
+    # bool is an int, but below 2 anyway
+    if not isinstance(value, int) or value < 2:
+        raise InvalidPresentation(f"{name} {value!r} is no int of at least 2")
+
+
 @dataclass(frozen=True)
 class IdealPresentation:
     zero: tuple[ZeroRelation, ...]
@@ -166,9 +182,8 @@ class IdealPresentation:
     bound: int
 
     def __post_init__(self):
-        # an admissible ideal lies in R^2; bool is an int, but below 2 anyway
-        if not isinstance(self.bound, int) or self.bound < 2:
-            raise InvalidPresentation(f"bound {self.bound!r} is no int of at least 2")
+        _check_relations(self.zero, self.linear, (tuple,))
+        _check_at_least_two(self.bound, "bound")  # an admissible ideal lies in R^2
 
     @property
     def zero_paths(self) -> tuple[Path, ...]:
@@ -183,6 +198,10 @@ class IdealPresentation:
 class AlgebraPresentation:
     quiver: Quiver
     ideal: IdealPresentation
+
+    def __post_init__(self):
+        if not isinstance(self.quiver, Quiver) or not isinstance(self.ideal, IdealPresentation):
+            raise InvalidPresentation("an algebra presentation is a Quiver and an IdealPresentation")
 
     @property
     def bound(self) -> int:
@@ -218,10 +237,10 @@ def zero_divisor(zero_paths: Iterable[Path]) -> Callable[[Path], bool]:
     The relation arrow sequences are indexed by their first arrow, which
     keeps the distinct lengths of the sequences starting there, shortest
     first.  A path is tested position by position, and only the windows
-    of those lengths are looked up in the set of sequences: about one
-    lookup per arrow when, as in Brauer and monomial relation sets, about
-    one length starts at each arrow.  Build it once per relation set; an
-    engine and its truncations share theirs.
+    of those lengths that end inside the path are looked up in the set of
+    sequences: about one lookup per arrow when, as in Brauer and monomial
+    relation sets, about one length starts at each arrow.  Build it once
+    per relation set; an engine and its truncations share theirs.
     """
     seqs = frozenset(z.arrows for z in zero_paths)
     if () in seqs:
@@ -232,14 +251,17 @@ def zero_divisor(zero_paths: Iterable[Path]) -> Callable[[Path], bool]:
     lengths = {a: tuple(sorted(ks)) for a, ks in starts.items()}.get
 
     def divisible(p: Path) -> bool:
-        # a window cut short by the end of the path is a factor of it too,
-        # so it may match a sequence without any check of its length
         w = p.arrows
+        n = len(w)
         i = 0
         for a in w:
             ks = lengths(a)
             if ks is not None:
                 for k in ks:
+                    # a window past the end is cut short to the rest of the
+                    # path, a shorter length this loop has already tried
+                    if i + k > n:
+                        break
                     if w[i:i + k] in seqs:
                         return True
             i += 1
@@ -373,6 +395,7 @@ def _span(seeds: Iterable[Path], copies, dead, veto=None) -> tuple[set[Path], Ro
     seen: set[tuple] = set()
     while frontier:
         cur = frontier.pop()
+        source, target = cur.source, cur.target
         for ekey in copies(cur.arrows):
             if ekey in seen:
                 continue
@@ -382,7 +405,7 @@ def _span(seeds: Iterable[Path], copies, dead, veto=None) -> tuple[set[Path], Ro
                 continue
             row: dict[Path, Fraction] = {}
             for coef, tp in rel.terms():
-                cand = Path(prefix + tp.arrows + suffix, cur.source, cur.target)
+                cand = Path(prefix + tp.arrows + suffix, source, target)
                 if dead(cand):
                     continue
                 row[cand] = coef
@@ -440,10 +463,11 @@ class _Engine:
         found = self.copies(w)
         if not found:
             return None
+        source, target = p.source, p.target
         for rel, prefix, suffix in found:
             for tp in rel.paths:
                 s = prefix + tp.arrows + suffix
-                if s != w and not self.dead(Path(s, p.source, p.target)):
+                if s != w and not self.dead(Path(s, source, target)):
                     return self._spanned(p)
         blk = self._blocks[p] = _Block(frozenset((p,)), ({p: _F1},), {p: ()})
         return blk
@@ -541,13 +565,12 @@ def admissibility_bound(q: Quiver, zero: Sequence[ZeroRelation] = (),
     NotAdmissible is raised when some path of length cap lies outside the
     ideal.  Sound and exact whenever the presented ideal is admissible at
     all.  zero and linear must be lists or tuples of ZeroRelation and
-    LinearRelation, and every relation term a path of q, endpoints
-    included; else InvalidPresentation, or UnknownLabel for an arrow off
-    q, is raised before any search.
+    LinearRelation, every relation term a path of q, endpoints included,
+    and cap an int of at least 2; else InvalidPresentation, or
+    UnknownLabel for an arrow off q, is raised before any search.
     """
-    for rels, kind in ((zero, ZeroRelation), (linear, LinearRelation)):
-        if not isinstance(rels, (list, tuple)) or not all(isinstance(r, kind) for r in rels):
-            raise InvalidPresentation(f"relations {rels!r} are no list or tuple of {kind.__name__}")
+    _check_relations(zero, linear, (list, tuple))
+    _check_at_least_two(cap, "cap")
     for term in [r.path for r in zero] + [t for r in linear for t in r.paths]:
         end = term.source
         for a in map(q.arrow, term.arrows):  # UnknownLabel for an arrow off q
@@ -565,8 +588,9 @@ def admissibility_bound(q: Quiver, zero: Sequence[ZeroRelation] = (),
         # stage engine of its own length, so no block holds a longer path;
         # _grow asks shortest first, so each stage is truncated once
         nonlocal stage
-        if stage.bound != len(p) + 1:
-            stage = base.truncated(len(p) + 1)
+        bound = len(p.arrows) + 1
+        if stage.bound != bound:
+            stage = base.truncated(bound)
         return stage.in_ideal(p)
 
     outside = _grow(q, in_ideal, cap)
@@ -651,12 +675,13 @@ def _removable(q: Quiver, candidate, zs: list[ZeroRelation], divisible: Callable
             return True
 
         def dead(c: Path) -> bool:
-            return len(c) > bound or (c.arrows != seq and divisible(c))
+            w = c.arrows
+            return len(w) > bound or (w != seq and divisible(c))
 
         vec = {p: _F1}
     else:
         def dead(c: Path) -> bool:
-            return len(c) > bound or divisible(c)
+            return len(c.arrows) > bound or divisible(c)
 
         vec = {c: coef for coef, c in candidate.terms() if not dead(c)}
         if not vec:

@@ -29,7 +29,11 @@ def omega_path(q: Quiver, arrow: Arrow | str) -> Path:
     a = q.arrow(arrow) if isinstance(arrow, str) else arrow
 
     def unbranched(v: str) -> bool:
-        return q.in_degree(v) == 1 and q.out_degree(v) == 1
+        return len(q.arrows_into(v)) == 1 and len(q.arrows_from(v)) == 1
+
+    def joined(walk: list[Arrow]) -> Path:
+        # consecutive arrows of the walk compose, so no validation is needed
+        return Path(tuple(x.id for x in walk), walk[0].source, walk[-1].target)
 
     chain = [a]
     while unbranched(chain[-1].target):
@@ -37,14 +41,14 @@ def omega_path(q: Quiver, arrow: Arrow | str) -> Path:
         if nxt.id == a.id:
             # one rotation per cycle, anchored at its smallest arrow label
             i = min(range(len(chain)), key=lambda k: chain[k].id)
-            return q.path([x.id for x in chain[i:] + chain[:i]])
+            return joined(chain[i:] + chain[:i])
         chain.append(nxt)
     back = []
     tail = a
     while unbranched(tail.source):
         tail = q.arrows_into(tail.source)[0]
         back.append(tail)
-    return q.path([x.id for x in back[::-1] + chain])
+    return joined(back[::-1] + chain)
 
 
 def omega_map(q: Quiver) -> dict[str, Path]:

@@ -8,6 +8,7 @@ number of arrows; trivial paths have length 0 and sit at a single vertex.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -39,18 +40,24 @@ class Arrow:
         _check_label(self.id, "arrow")
 
 
-@dataclass(frozen=True)
-class Path:
+class Path(namedtuple("Path", "arrows source target")):
     """A path, stored as its arrow id sequence plus both endpoints.
 
-    Trivial paths have an empty arrow tuple and equal endpoints.  Equality
-    is by value, which for non-trivial paths of one quiver reduces to the
-    arrow sequence and for trivial paths to the base vertex.
+    Trivial paths have an empty arrow tuple and equal endpoints.  A path
+    is an immutable tuple (arrows, source, target): it compares equal to
+    that plain tuple, hashes like it and sorts like it.  So equality is
+    by value, which for non-trivial paths of one quiver reduces to the
+    arrow sequence and for trivial paths to the base vertex, and hashing
+    and comparison run in C, as every cache keyed by paths needs.  A
+    field read costs more than a local name, so a loop that reads a
+    field often binds it once.  len() counts the arrows, so a trivial
+    path is falsy.
     """
 
-    arrows: tuple[str, ...]
-    source: str
-    target: str
+    __slots__ = ()
+
+    # namedtuple's _make, which _replace calls, checks len(), the arrow count here
+    _make = classmethod(tuple.__new__)
 
     @property
     def is_trivial(self) -> bool:
@@ -124,12 +131,6 @@ class Quiver:
         if vid not in self._in:
             raise UnknownLabel(f"unknown vertex {vid!r}")
         return self._in[vid]
-
-    def out_degree(self, vid: str) -> int:
-        return len(self.arrows_from(vid))
-
-    def in_degree(self, vid: str) -> int:
-        return len(self.arrows_into(vid))
 
     # -- path constructors -----------------------------------------------
 

@@ -69,10 +69,11 @@ def quick_non_ump(alg: AlgebraPresentation) -> tuple[Path, Path, str] | None:
         for term in rel.paths:
             if not path_in_ideal(alg, term):
                 seeds.add(term)
-            first, last = term.arrows[0], term.arrows[-1]
-            seeds.update(q.path([b.id, first]) for b in q.arrows_into(q.arrow(first).source)
-                         if first in after[b.id])
-            seeds.update(q.path([last, g]) for g in after[last])
+            first, last = q.arrow(term.arrows[0]), q.arrow(term.arrows[-1])
+            seeds.update(Path((b.id, first.id), b.source, first.target)
+                         for b in q.arrows_into(first.source) if first.id in after[b.id])
+            seeds.update(Path((last.id, g.id), last.source, g.target)
+                         for g in map(q.arrow, after[last.id]))
     sats = sorted({_saturate(alg, s) for s in seeds}, key=_colkey)
     for i, u in enumerate(sats):
         for v in sats[i + 1:]:

@@ -5,7 +5,7 @@ import weakref
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import quiverump.ideal
@@ -99,6 +99,27 @@ def test_a_bound_below_two_is_rejected():
     alg = AlgebraPresentation(q, IdealPresentation((), (), 2))
     verdicts = {route: ump_report(alg, route).is_ump for route in ("auto", "oracle")}
     assert verdicts == dict.fromkeys(verdicts, True)
+
+
+@pytest.mark.parametrize("zero, linear", [(None, ()), ([5], ()), ((), None), ((), [5])])
+def test_an_ideal_presentation_takes_tuples_of_relations(zero, linear):
+    with pytest.raises(InvalidPresentation):
+        IdealPresentation(zero, linear, 2)
+
+
+@pytest.mark.parametrize("field", ["quiver", "ideal"])
+def test_an_algebra_presentation_takes_a_quiver_and_an_ideal(field):
+    q = quiver(["1", "2"], [("a", "1", "2")])
+    fields = {"quiver": q, "ideal": IdealPresentation((), (), 2), field: None}
+    with pytest.raises(InvalidPresentation):
+        AlgebraPresentation(**fields)
+
+
+@pytest.mark.parametrize("cap", [None, 2.5, "8", True, 1])
+def test_a_cap_that_is_no_int_of_at_least_two_is_rejected(cap):
+    q = quiver(["1"], [("a", "1", "1")])
+    with pytest.raises(InvalidPresentation):
+        algebra(q, [zero_relation(q, "aa")], [], cap=cap)
 
 
 def test_relations_must_come_as_lists_of_relations():
@@ -261,6 +282,9 @@ def _relation_sets_and_paths(draw):
 
 @settings(derandomize=True, max_examples=400, deadline=None)
 @given(_relation_sets_and_paths())
+# every word is longer than the path, and some start like it, so each
+# window of such a length runs past the end of the path
+@example(([tuple("abc"), tuple("aba"), tuple("bca"), tuple("aaaa")], tuple("ab")))
 def test_zero_divisor_matches_a_scan_of_every_window(case):
     words, w = case
     divisible = zero_divisor(Path(z, "1", "1") for z in words)

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 
 import quiverump.quiver
@@ -27,7 +30,7 @@ def test_builder_and_lookups(cft):
     assert cft.arrow("e").source == "4" and cft.arrow("e").target == "5"
     assert {a.id for a in cft.arrows_from("4")} == {"d", "e", "f"}
     assert {a.id for a in cft.arrows_into("5")} == {"e", "f"}
-    assert cft.out_degree("4") == 3 and cft.in_degree("5") == 2
+    assert len(cft.arrows_from("4")) == 3 and len(cft.arrows_into("5")) == 2
 
 
 @pytest.mark.parametrize("lookup", ["arrows_from", "arrows_into"])
@@ -100,6 +103,25 @@ def test_paths_compose_left_to_right(cft):
 def test_trivial_paths():
     t = Path((), "5", "5")
     assert t.is_trivial and len(t) == 0 and str(t) == "e(5)"
+
+
+def test_a_path_is_a_value(cft):
+    p = cft.path("dab")
+    fresh = Path(("d", "a", "b"), "4", "3")
+    assert p == fresh and hash(p) == hash(fresh) and p is not fresh
+    assert p == (("d", "a", "b"), "4", "3") and hash(p) == hash((("d", "a", "b"), "4", "3"))
+    assert Path((), "1", "1") != Path((), "2", "2")
+    assert len({Path((), "1", "1"), Path((), "2", "2")}) == 2
+    for field in ("arrows", "source", "target", "other"):
+        with pytest.raises(AttributeError):
+            setattr(p, field, ())
+    for twin in (pickle.loads(pickle.dumps(p)), copy.copy(p), copy.deepcopy(p)):
+        assert twin == p and type(twin) is Path
+    assert repr(p) == "Path(arrows=('d', 'a', 'b'), source='4', target='3')"
+    assert str(p) == "dab" and len(p) == 3 and p
+    assert p._replace(source="9") == Path(("d", "a", "b"), "9", "3")
+    t = Path((), "5", "5")  # test_trivial_paths checks its str and len
+    assert repr(t) == "Path(arrows=(), source='5', target='5')" and not t
 
 
 def test_divides_gives_all_occurrence_offsets(cft):

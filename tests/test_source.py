@@ -157,6 +157,20 @@ def test_every_route_has_a_caller():
     assert sorted(set(ROUTES) - passed) == []
 
 
+def test_the_decision_route_builds_no_validated_path():
+    """omega, analysis, oracle and ump build their paths from arrows known
+    to compose, with Path(...), and never validate them again through
+    Quiver.path."""
+    here = Path(quiverump.__file__).resolve().parent
+    found = []
+    for name in ("omega.py", "analysis.py", "oracle.py", "ump.py"):
+        for node in ast.walk(ast.parse((here / name).read_text(), filename=name)):
+            func = node.func if isinstance(node, ast.Call) else None
+            if isinstance(func, ast.Attribute) and func.attr == "path":
+                found.append(f"{name}:{node.lineno}")
+    assert found == []
+
+
 def test_oracle_imports_no_structural_module():
     """The oracle is the reference answer, so it stays independent of the
     structural code it checks."""
