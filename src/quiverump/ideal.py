@@ -29,8 +29,12 @@ but every copy through it has only dead siblings (a zero relation or the
 bound kills every other term in its context): each copy's row is the
 path alone, so its block is that one row, in the ideal, and no span is
 grown, like a full turn of a Brauer graph algebra extended by one arrow.
-Every other path grows its block by the one pass.  Membership and
-cosets are both read off dead() and block().
+Every other path grows its block by the one pass and reads its members'
+normal forms off the reduced echelon rows.  A block is cached for each
+member, and a cached path is live (a span takes in no dead column, and
+a block is asked only of a live path), so a membership query asks the
+bound, the block cache, the zero windows and the copies, in that order;
+a coset query takes the block its membership query has just cached.
 
 Whether a zero relation occurs in a path is asked of a window test,
 zero_divisor, that indexes the relation words by first arrow: a path is
@@ -334,10 +338,6 @@ class RowBasis:
         self.rows[piv] = row
         return True
 
-    def normal_key(self, vec: dict[Path, Fraction]):
-        red = self.reduce(vec)
-        return tuple(sorted(red.items(), key=lambda kv: self.key(kv[0])))
-
 
 def _copy_index(linear: Sequence[LinearRelation]) -> Callable[[tuple[str, ...]], Sequence[tuple]]:
     """Lister of the embedded relation copies (relation, prefix, suffix) in
@@ -396,11 +396,12 @@ def _span(seeds: Iterable[Path], copies, dead, veto=None) -> tuple[set[Path], Ro
     while frontier:
         cur = frontier.pop()
         source, target = cur.source, cur.target
-        for ekey in copies(cur.arrows):
+        for rel, prefix, suffix in copies(cur.arrows):
+            # by identity: a relation's own hash reads its Fraction coefficients
+            ekey = (id(rel), prefix, suffix)
             if ekey in seen:
                 continue
             seen.add(ekey)
-            rel, prefix, suffix = ekey
             if veto is not None and veto(rel, prefix, suffix):
                 continue
             row: dict[Path, Fraction] = {}
@@ -452,8 +453,9 @@ class _Engine:
         None when there is none (p holds no relation term, so it is its own
         block outside I), the one row p alone when every copy has only dead
         siblings (p is lone, its own block inside I), else the span grown
-        from p.  A block is kept for each of its members, so a repeated
-        query is a lookup; a monomial engine answers None at once."""
+        from p, its normal forms read off its reduced rows.  A block is kept
+        for each of its members, and in_ideal asks the bound, that cache,
+        the zero windows, then the copies; a monomial engine answers None."""
         if not self.linear:
             return None
         blk = self._blocks.get(p)
@@ -474,16 +476,29 @@ class _Engine:
 
     def _spanned(self, p: Path) -> _Block:
         members, basis = _span((p,), self.copies, self.dead)
-        nf = {m: basis.normal_key({m: _F1}) for m in members}
-        blk = _Block(frozenset(members), tuple(basis.rows.values()), nf)
+        rows = basis.rows
+        # the rows are reduced: a pivot member is the rest of its row negated,
+        # any other member its own normal form
+        nf = {m: tuple(sorted(((k, -v) for k, v in rows[m].items() if k != m), key=lambda kv: _colkey(kv[0])))
+              if m in rows else ((m, _F1),) for m in members}
+        blk = _Block(frozenset(members), tuple(rows.values()), nf)
         for m in members:
             self._blocks[m] = blk
         return blk
 
     def in_ideal(self, p: Path) -> bool:
-        if p.is_trivial:
+        try:
+            trivial = p.is_trivial
+        except AttributeError:
+            raise InvalidPresentation(f"{p!r} is no path") from None
+        if trivial:
             raise TrivialPath("membership is undefined for trivial paths")
-        if self.dead(p):
+        if len(p.arrows) >= self.bound:
+            return True
+        # a cached path is live; a monomial engine caches no block
+        if self.linear and (blk := self._blocks.get(p)) is not None:
+            return blk.nf[p] == ()
+        if self.zero_divisible(p):
             return True
         blk = self.block(p)
         return blk is not None and blk.nf[p] == ()
@@ -603,7 +618,7 @@ def admissibility_bound(q: Quiver, zero: Sequence[ZeroRelation] = (),
 
 
 def path_in_ideal(alg: AlgebraPresentation, p: Path) -> bool:
-    """Exact membership of a path in the ideal."""
+    """Exact membership of a path in the ideal; InvalidPresentation when p is no Path."""
     return alg._engine.in_ideal(p)
 
 
@@ -613,7 +628,7 @@ def coset_paths(alg: AlgebraPresentation, p: Path) -> frozenset[Path]:
     eng = alg._engine
     if eng.in_ideal(p):
         raise PathInIdeal(f"{p} lies in the ideal")
-    blk = eng.block(p)
+    blk = eng._blocks.get(p)  # the query cached the block of a live path outside I, if any
     if blk is None:
         return frozenset((p,))
     key = blk.nf[p]

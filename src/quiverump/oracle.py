@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .errors import InvariantViolation
+from .errors import InvalidPresentation, InvariantViolation
 from .ideal import (
     AlgebraPresentation,
     RowBasis,
@@ -178,6 +178,8 @@ class UmpReport:
 def ump_bruteforce(alg: AlgebraPresentation) -> UmpReport:
     """Unique maximal path test: no two distinct maximal classes may share
     an arrow, counting every path in each class."""
+    if not isinstance(alg, AlgebraPresentation):
+        raise InvalidPresentation(f"{alg!r} is no AlgebraPresentation")
     classes = maximal_classes(alg)
     witness = shared_arrow(classes)
     return UmpReport(witness is None, "oracle", witness, (), classes)

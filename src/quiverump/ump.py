@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 from .analysis import components, global_maximal_classes
-from .errors import InvariantViolation, NotSpecialMultiserial
+from .errors import InvalidPresentation, InvariantViolation, NotSpecialMultiserial
 from .ideal import AlgebraPresentation, _colkey, coset_paths, path_in_ideal
 from .oracle import UmpReport, extensions_die, shared_arrow, ump_bruteforce
 from .quiver import Path
@@ -97,11 +97,14 @@ def ump_report(alg: AlgebraPresentation, route: str = "auto") -> UmpReport:
     algebra whose component ideals are all monomial (reported as
     "monomial-corollary" when the whole ideal is monomial, "main-theorem"
     otherwise) and falls back to enumeration; "oracle" forces enumeration.
+    Either raises InvalidPresentation when alg is no AlgebraPresentation.
     """
     if route not in ROUTES:
         raise ValueError(f"unknown route {route!r}; expected one of {ROUTES}")
     if route == "oracle":
         return ump_bruteforce(alg)
+    if not isinstance(alg, AlgebraPresentation):
+        raise InvalidPresentation(f"{alg!r} is no AlgebraPresentation")
     try:
         comps = components(alg)
     except NotSpecialMultiserial:

@@ -2,7 +2,8 @@
 component, shared by the example tests and the generated ones, bound
 references that list paths, the maximal paths by their definition, the
 Brauer presentation that the generic builder makes of the full relation
-listing, and the paper's UMP criterion stated on relations."""
+listing, the paper's UMP criterion stated on relations, and the block
+cache that membership reads first."""
 
 from fractions import Fraction
 from functools import lru_cache
@@ -18,12 +19,13 @@ from quiverump.ideal import (
     algebra,
     coset_paths,
     linear_relation,
+    live_paths,
     minimalize_relations,
     path_in_ideal,
     zero_relation,
 )
 from quiverump.omega import omega_map
-from quiverump.oracle import extensions_die, global_basis, maximal_paths, nonzero_paths
+from quiverump.oracle import extensions_die, global_basis, maximal_paths, nonzero_paths, ump_bruteforce
 from quiverump.quiver import Path, occurrences
 
 
@@ -154,6 +156,13 @@ def check_induced(alg, induced):
         assert minimalize_relations(sub.quiver, zero, linear, sub.bound) == (zero, linear)
 
 
+def normal_key(basis, vec):
+    """The reference normal form of vec: reduced over a reduced basis, its
+    terms in the basis's column order.  The engine reads the normal forms of
+    a block's members off its rows instead."""
+    return tuple(sorted(basis.reduce(vec).items(), key=lambda kv: basis.key(kv[0])))
+
+
 def check_global_basis(alg):
     """On every coordinate of the truncated quotient, path_in_ideal and the
     partition by coset_paths agree with the oracle's global basis, which
@@ -161,12 +170,52 @@ def check_global_basis(alg):
     live, basis = global_basis(alg)
     cosets, by_normal = set(), {}
     for p in live:
-        normal = basis.normal_key({p: Fraction(1)})
+        normal = normal_key(basis, {p: Fraction(1)})
         assert path_in_ideal(alg, p) == (normal == ()), p
         if normal:
             cosets.add(coset_paths(alg, p))
             by_normal.setdefault(normal, set()).add(p)
     assert cosets == {frozenset(c) for c in by_normal.values()}
+
+
+def _answer(alg, p):
+    """None for a path in the ideal, else its coset."""
+    return None if path_in_ideal(alg, p) else coset_paths(alg, p)
+
+
+def check_block_cache(alg):
+    """Membership reads the block cache before any window scan, which is
+    sound only while every cached path is live: so no cached path is dead
+    after the full oracle listing and classes, nor after every live path
+    is asked shortest first or longest first of a fresh engine, and both
+    orders give the same answers."""
+    ump_bruteforce(alg)
+    live = live_paths(alg)  # shortest first
+    shortest, longest = AlgebraPresentation(alg.quiver, alg.ideal), AlgebraPresentation(alg.quiver, alg.ideal)
+    answers = {p: _answer(shortest, p) for p in live}
+    assert {p: _answer(longest, p) for p in reversed(live)} == answers
+    for a in (alg, shortest, longest):
+        eng = a._engine
+        assert not any(eng.dead(k) for k in eng._blocks)
+
+
+def count_window_scans(monkeypatch, eng):
+    """The arrow sequences an engine's zero-window test and copy listing
+    read from now on, by kind."""
+    scans = {"zero": [], "copies": []}
+    divisible, copies = eng.zero_divisible, eng.copies
+
+    def counted_divisible(p):
+        scans["zero"].append(p.arrows)
+        return divisible(p)
+
+    def counted_copies(w):
+        scans["copies"].append(w)
+        return copies(w)
+
+    monkeypatch.setattr(eng, "zero_divisible", counted_divisible)
+    monkeypatch.setattr(eng, "copies", counted_copies)
+    return scans
 
 
 def maximal_windows(comp):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from invariants import (
     brauer_reference,
+    check_block_cache,
     check_global_basis,
     check_induced,
     check_maximal,
@@ -199,6 +200,7 @@ def test_identifications_match_enumeration(alg):
     rep = _auto_agrees(alg)
     check_maximal(alg)
     check_global_basis(alg)
+    check_block_cache(alg)
     if is_special_multiserial(alg):
         comps = components(alg)
         check_windows(alg, comps)

@@ -19,7 +19,7 @@ from fixtures import (
     petal_hub,
     two_loops_line,
 )
-from invariants import paths_up_to
+from invariants import check_block_cache, count_window_scans, normal_key, paths_up_to
 from quiverump.brauer import brauer_algebra, brauer_graph
 from quiverump.errors import (
     InvalidPresentation,
@@ -47,7 +47,7 @@ from quiverump.ideal import (
 )
 from quiverump.oracle import ump_bruteforce
 from quiverump.quiver import Path, occurrences, quiver
-from quiverump.ump import ump_report
+from quiverump.ump import ROUTES, ump_report
 
 
 def test_relation_validation():
@@ -455,7 +455,7 @@ def test_queries_agree_with_the_block(name):
     eng = AlgebraPresentation(A.quiver, A.ideal)._engine
     for p in live_paths(A):
         members, basis = quiverump.ideal._span((p,), eng.copies, eng.dead)
-        nf = {m: basis.normal_key({m: Fraction(1)}) for m in members}
+        nf = {m: normal_key(basis, {m: Fraction(1)}) for m in members}
         key = nf[p]
         assert path_in_ideal(A, p) == (key == ())
         if key == ():
@@ -518,6 +518,53 @@ def test_lone_paths_build_no_block(name, monkeypatch):
         assert members == {p} and not basis.reduce({p: Fraction(1)})
     if name == "brauer_tree":
         assert one_row
+
+
+def _dead_sibling():
+    # the block of ad reaches bd, whose other copy has the dead sibling ce
+    q = quiver(["1", "2", "3", "4", "5"], [("a", "1", "2"), ("b", "1", "2"), ("c", "1", "3"),
+                                           ("d", "2", "4"), ("e", "3", "4"), ("f", "4", "5")])
+    return algebra(q, [zero_relation(q, "ce")],
+                   [linear_relation(q, [(1, "ce"), (2, "bd")]), linear_relation(q, [(1, "ad"), (-2, "bd")])])
+
+
+WITH_DEAD_SIBLING = {**WITH_BRAUER_TREE, "dead_sibling": _dead_sibling}
+
+
+@pytest.mark.parametrize("name", sorted(WITH_DEAD_SIBLING))
+def test_block_cache_holds_live_paths_whatever_the_query_order(name):
+    check_block_cache(WITH_DEAD_SIBLING[name]())
+
+
+@pytest.mark.parametrize("name", sorted(WITH_BRAUER_TREE))
+def test_repeated_queries_of_a_block_member_scan_no_window(name, monkeypatch):
+    A = WITH_BRAUER_TREE[name]()
+    eng = A._engine
+    for p in live_paths(A):
+        path_in_ideal(A, p)
+    cached = list(eng._blocks)
+    assert bool(cached) == bool(A.ideal.linear)
+    scans = count_window_scans(monkeypatch, eng)
+    for p in cached:
+        if not path_in_ideal(A, p):
+            coset_paths(A, p)
+    assert scans == {"zero": [], "copies": []}
+
+
+def test_queries_and_routes_reject_what_is_no_path_or_algebra():
+    A = petal_hub()
+    for warm in (False, True):  # before any block is cached, and after
+        if warm:
+            ump_report(A)
+        with pytest.raises(InvalidPresentation):
+            path_in_ideal(A, "ab")
+        with pytest.raises(InvalidPresentation):
+            coset_paths(A, ("a", "b"))
+    for route in ROUTES:
+        with pytest.raises(InvalidPresentation):
+            ump_report(None, route)
+    with pytest.raises(InvalidPresentation):
+        ump_bruteforce(None)
 
 
 class _Walked(Exception):

@@ -12,7 +12,7 @@ from fixtures import (
     petal_hub,
     two_loops_line,
 )
-from invariants import check_global_basis, check_maximal, cut_at
+from invariants import check_global_basis, check_maximal, count_window_scans, cut_at
 from quiverump.errors import InvariantViolation
 from quiverump.oracle import (
     classes_of,
@@ -136,18 +136,18 @@ def test_classes_of_rejects_a_part_of_a_coset():
 
 @pytest.mark.parametrize("name", ["cycle_fork_tail", "petal_hub"])
 def test_classes_of_scans_each_class_once(name, monkeypatch):
+    # one coset query per class, asked of its first path: that path's
+    # windows are scanned once, or not at all when the listing cached its block
     alg = ALL_FIXTURES[name]()
     maximal = dict.fromkeys(maximal_paths(alg), ())
-    scans = []
-    dead = quiverump.ideal._Engine.dead
-
-    def counted(self, p):
-        scans.append(p)
-        return dead(self, p)
-
-    monkeypatch.setattr(quiverump.ideal._Engine, "dead", counted)
+    cached = set(alg._engine._blocks)
+    scans = count_window_scans(monkeypatch, alg._engine)
     classes = classes_of(alg, maximal)
-    assert len(scans) == len(classes)
+    firsts = [next(p for p in maximal if p in c.paths) for c in classes]
+    scanned = sorted(p.arrows for p in firsts if p not in cached)
+    assert sorted(scans["zero"]) == scanned
+    assert sorted(scans["copies"]) == (scanned if alg.ideal.linear else [])
+    assert any(p in cached for p in firsts) == bool(alg.ideal.linear)
 
 
 @pytest.mark.parametrize("name", sorted(ALL_FIXTURES))
