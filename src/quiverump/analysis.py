@@ -6,14 +6,14 @@ gives it in order, so omega is its saturations joined.  An arrow composes
 nonzero with at most one arrow on each side, so every nonzero path of a
 component is a window (i, L) of its component path omega: the L arrows
 from position i on, read on around omega when it closes.  One sweep finds
-l(i), the longest nonzero window at each position.  The maximal paths
-and the minimal zero windows (ordered relations, with sigma) follow from
-l with no further query, the junction relations (length-2 paths off
-omega) from the quiver.  The induced ideal is monomial exactly when the
-nonzero windows are independent modulo the ideal, tested per block on the
-windows that hold a term copy the engine lists along omega.  No verdict
-reads an induced presentation: induced_algebra builds one for the tests
-and the benchmark.
+l(i), the longest nonzero window at each position, and every component's
+maximal paths follow from l with no further query.  The induced ideal is
+monomial exactly when the nonzero windows are independent modulo the
+ideal, tested per block on the windows holding a term copy the engine
+lists along omega.  Only there does the paper's test apply: the minimal
+zero windows (ordered relations, with sigma) follow from l, the junction
+relations (length-2 paths off omega) from the quiver.  No verdict reads an
+induced presentation: induced_algebra builds one for tests and benchmark.
 """
 
 from __future__ import annotations
@@ -208,29 +208,23 @@ def _build_component(alg: AlgebraPresentation, cid: str, order: tuple[Path, ...]
         return Path(word[i:i + length], arrows[i].source, arrows[i + length - 1].target)
 
     ls = _lengths(alg, window, n, closes)
-    if not (alg.is_monomial or _windows_independent(alg, word, window, ls, closes)):
-        return Component(cid, order, shape, omega, closes, tuple(ls),
-                         (), (), (), (), 0, None)
-
-    # the minimal paths in I: the pairs that leave omega (an arrow has one
-    # nonzero continuation), and the windows one longer than l(i) whose
-    # suffix survives
-    inside, along = set(omega.arrows), set(zip(word, word[1:]))
-    junction = tuple(
-        Path((x.id, y.id), x.source, y.target)
-        for x in arrows[:n] for y in q.arrows_from(x.target)
-        if y.id in inside and (x.id, y.id) not in along
-    )
-    ordered = [(i, ls[i] + 1) for i in range(n)
-               if (closes or i + ls[i] < n) and ls[(i + 1) % n] >= ls[i]]
     # the maximal windows: those not the suffix of a nonzero window
     maximal = [(i, ls[i]) for i in range(n) if (ls[i - 1] if closes or i else 0) <= ls[i]]
-    # the arrows of omega are distinct, so the window (i, L) lies in the
-    # power omega^e exactly when i + L <= e*n
-    eta = max(((i + L + n - 1) // n for i, L in ordered + maximal), default=1) if closes else 1
-    sigma = tuple(L - 1 for _, L in ordered)
-    k = len(ordered)
-    ump = (k == 0) or all(s == 1 for s in sigma) or (k == 1 and closes)
+    junction, ordered, sigma, eta, ump = (), [], (), 0, None
+    if alg.is_monomial or _windows_independent(alg, word, window, ls, closes):
+        # the minimal paths in I: the pairs that leave omega (an arrow has one
+        # nonzero continuation), and the windows one longer than l(i) whose suffix survives
+        inside, along = set(omega.arrows), set(zip(word, word[1:]))
+        junction = tuple(Path((x.id, y.id), x.source, y.target)
+                         for x in arrows[:n] for y in q.arrows_from(x.target)
+                         if y.id in inside and (x.id, y.id) not in along)
+        ordered = [(i, ls[i] + 1) for i in range(n)
+                   if (closes or i + ls[i] < n) and ls[(i + 1) % n] >= ls[i]]
+        # the arrows of omega are distinct, so the window (i, L) lies in the
+        # power omega^e exactly when i + L <= e*n
+        eta = max(((i + L + n - 1) // n for i, L in ordered + maximal), default=1) if closes else 1
+        sigma = tuple(L - 1 for _, L in ordered)
+        ump = not ordered or all(s == 1 for s in sigma) or (len(ordered) == 1 and closes)
     return Component(cid, order, shape, omega, closes, tuple(ls), junction,
                      tuple(window(*w) for w in ordered), sigma,
                      tuple(window(*w) for w in maximal), eta, ump)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BijectionFailure, BrauerValidationError
+from .errors import BijectionFailure, BrauerValidationError, InvalidPresentation
 from .ideal import (
     AlgebraPresentation,
     IdealPresentation,
@@ -255,6 +255,8 @@ def brauer_algebra(g: BrauerGraph) -> BrauerAlgebra:
     and x followed by that turn's first arrow is a zero relation of length
     2.  Every other relation listed is needed, so nothing is minimised.
     """
+    if not isinstance(g, BrauerGraph):
+        raise InvalidPresentation(f"{g!r} is no BrauerGraph")
     spinning = [v for v in g.vertex_ids if not g.is_truncated(v)]
     identified = {e for e, a, b in g.edges if not (g.is_truncated(a) or g.is_truncated(b))}
 
@@ -327,6 +329,8 @@ def classify(g: BrauerGraph) -> BrauerShape:
     Exactly the one-edge graphs qualify: a bare edge, an edge with one
     spinning end (nilpotent loop), an edge with two (a pair of nilpotent
     loops with identified powers), or a loop (two alternating arrows)."""
+    if not isinstance(g, BrauerGraph):
+        raise InvalidPresentation(f"{g!r} is no BrauerGraph")
     if len(g.edges) > 1:
         return BrauerShape("multiple-edges", (len(g.edges),), False)
     e, a, b = g.edges[0]
@@ -344,6 +348,8 @@ def classify(g: BrauerGraph) -> BrauerShape:
 def brauer_dimension(g: BrauerGraph) -> int:
     """Dimension of the algebra: one per edge, a full grid per spinning
     vertex, minus one per edge whose two full turns get identified."""
+    if not isinstance(g, BrauerGraph):
+        raise InvalidPresentation(f"{g!r} is no BrauerGraph")
     spinning = [v for v in g.vertex_ids if not g.is_truncated(v)]
     both_spin = sum(
         1

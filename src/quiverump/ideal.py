@@ -785,6 +785,8 @@ class SpecialMultiserialResult:
 
 def is_special_multiserial(alg: AlgebraPresentation) -> SpecialMultiserialResult:
     """Each arrow composes nonzero with at most one arrow on each side."""
+    if not isinstance(alg, AlgebraPresentation):
+        raise InvalidPresentation(f"{alg!r} is no AlgebraPresentation")
     q, after = alg.quiver, alg._after
     for a in q.arrows:
         good = after[a.id]

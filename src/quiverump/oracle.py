@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Mapping, Sequence
 
 from .errors import InvalidPresentation, InvariantViolation
@@ -150,14 +151,19 @@ def shared_arrow(classes: Sequence[MaximalClass]) -> tuple[Path, Path, str] | No
     """The first two paths of distinct classes that share an arrow, with
     the least arrow they share, or None when no two classes do: the
     classes in order, and within each its paths by _colkey."""
-    ordered = [sorted(c.paths, key=_colkey) for c in classes]
-    for i, pi in enumerate(ordered):
-        for pj in ordered[i + 1:]:
-            for p1 in pi:
-                for p2 in pj:
-                    shared = set(p1.arrows) & set(p2.arrows)
-                    if shared:
-                        return (p1, p2, min(shared))
+    owner: dict[str, int] = {}  # the first class holding each arrow
+    first = None  # the least pair of classes that meet, so far
+    for k, c in enumerate(classes):
+        for a in {a for p in c.paths for a in p.arrows}:
+            i = owner.setdefault(a, k)
+            if i < k and (first is None or i < first[0]):
+                first = (i, k)
+        if first is not None and first[0] == 0:
+            break  # no later pair comes before (0, k)
+    if first is not None:
+        for p1, p2 in product(*(sorted(classes[k].paths, key=_colkey) for k in first)):
+            if shared := set(p1.arrows) & set(p2.arrows):
+                return (p1, p2, min(shared))
     return None
 
 
@@ -167,10 +173,10 @@ class UmpReport:
     routes fill in per_component, enumeration leaves it empty."""
 
     is_ump: bool
-    # "monomial-corollary" | "main-theorem" | "oracle"
+    # "monomial-corollary" | "main-theorem" | "component-windows" | "oracle"
     route: str
     witness: tuple[Path, Path, str] | None
-    per_component: tuple[tuple[str, bool], ...]
+    per_component: tuple[tuple[str, bool | None], ...]
     classes: tuple[MaximalClass, ...]
     notes: tuple[str, ...] = ()
 

@@ -2,13 +2,12 @@
 
 A maximal nonzero path is one that dies under every one-arrow extension
 on either side; the property asked about is whether distinct residue
-classes of maximal paths never share an arrow.  Special multiserial
-algebras whose component ideals are monomial get a structural answer
-read off the component analysis: the monomial corollary when the whole
-ideal is monomial, the main theorem otherwise.  Everything else falls
-back to honest enumeration, with a cheap sound refutation attempted
-first when the algebra is not special multiserial.  The "oracle" route
-always enumerates.
+classes of maximal paths never share an arrow.  A special multiserial
+algebra is decided on the classes of its components' maximal windows,
+and the paper's component test (the monomial corollary, or the main
+theorem) explains the verdict where the component ideals are monomial.
+Only other algebras are enumerated, after a cheap sound refutation
+attempt.  The "oracle" route always enumerates.
 
 Both routes answer with the one report type of the class layer,
 oracle.UmpReport, which lives there beside MaximalClass, classes_of and
@@ -20,7 +19,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 from .analysis import components, global_maximal_classes
-from .errors import InvalidPresentation, InvariantViolation, NotSpecialMultiserial
+from .errors import InvariantViolation, NotSpecialMultiserial
 from .ideal import AlgebraPresentation, _colkey, coset_paths, path_in_ideal
 from .oracle import UmpReport, extensions_die, shared_arrow, ump_bruteforce
 from .quiver import Path
@@ -93,37 +92,30 @@ def quick_non_ump(alg: AlgebraPresentation) -> tuple[Path, Path, str] | None:
 def ump_report(alg: AlgebraPresentation, route: str = "auto") -> UmpReport:
     """Decide unique maximal paths, via the requested route.
 
-    "auto" reads the verdict off the components of a special multiserial
-    algebra whose component ideals are all monomial (reported as
-    "monomial-corollary" when the whole ideal is monomial, "main-theorem"
-    otherwise) and falls back to enumeration; "oracle" forces enumeration.
-    Either raises InvalidPresentation when alg is no AlgebraPresentation.
+    "auto" decides a special multiserial algebra on the classes of its
+    components' maximal windows, checked against the paper's test where
+    the component ideals are monomial (route "monomial-corollary" or
+    "main-theorem" if all are, else "component-windows"); other algebras
+    and "oracle" enumerate.  Both raise InvalidPresentation on a non-algebra.
     """
     if route not in ROUTES:
         raise ValueError(f"unknown route {route!r}; expected one of {ROUTES}")
     if route == "oracle":
         return ump_bruteforce(alg)
-    if not isinstance(alg, AlgebraPresentation):
-        raise InvalidPresentation(f"{alg!r} is no AlgebraPresentation")
     try:
         comps = components(alg)
     except NotSpecialMultiserial:
         w = quick_non_ump(alg)
         if w is not None:
-            return UmpReport(
-                False, "oracle", w, (), (),
-                ("not special multiserial; refuted by identification witness "
-                 "without enumeration",),
-            )
+            notes = ("not special multiserial; refuted by identification witness without enumeration",)
+            return UmpReport(False, "oracle", w, (), (), notes)
         return replace(ump_bruteforce(alg), notes=("not special multiserial; enumerated",))
-    # a monomial ideal induces monomial component ideals, so every is_ump is set
-    if any(c.is_ump is None for c in comps):
-        return replace(ump_bruteforce(alg), notes=("component ideals are not all monomial; enumerated",))
     per = tuple((c.id, c.is_ump) for c in comps)
-    verdict = all(v for _, v in per)
     classes = global_maximal_classes(alg, comps)
-    witness = None if verdict else shared_arrow(classes)
-    if not verdict and witness is None:
-        raise InvariantViolation("a component fails UMP but no two maximal classes share an arrow")
-    return UmpReport(verdict, "monomial-corollary" if alg.is_monomial else "main-theorem",
-                     witness, per, classes)
+    witness = shared_arrow(classes)
+    verdicts = {v for _, v in per}  # None where the test does not apply
+    if (False in verdicts) if witness is None else verdicts <= {True}:
+        raise InvariantViolation("the component test and the maximal classes disagree")
+    route = ("component-windows" if None in verdicts
+             else "monomial-corollary" if alg.is_monomial else "main-theorem")
+    return UmpReport(witness is None, route, witness, per, classes)

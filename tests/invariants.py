@@ -8,6 +8,8 @@ cache that membership reads first."""
 from fractions import Fraction
 from functools import lru_cache
 
+import quiverump.oracle
+import quiverump.ump
 from quiverump.analysis import induced_algebra
 from quiverump.brauer import Half, brauer_algebra
 from quiverump.errors import NotAdmissible, TrivialPath
@@ -218,6 +220,30 @@ def count_window_scans(monkeypatch, eng):
     return scans
 
 
+def pairwise_shared_arrow(classes):
+    """The witness rule by its definition: every two classes in order, and
+    within them every two paths by _colkey, until two share an arrow."""
+    ordered = [sorted(c.paths, key=_colkey) for c in classes]
+    for i, pi in enumerate(ordered):
+        for pj in ordered[i + 1:]:
+            for p1 in pi:
+                for p2 in pj:
+                    shared = set(p1.arrows) & set(p2.arrows)
+                    if shared:
+                        return (p1, p2, min(shared))
+    return None
+
+
+def _no_enumeration(alg):
+    raise AssertionError("auto enumerated a special multiserial algebra")
+
+
+def forbid_enumeration(monkeypatch):
+    """Make every route to ump_bruteforce raise from now on."""
+    monkeypatch.setattr(quiverump.ump, "ump_bruteforce", _no_enumeration)
+    monkeypatch.setattr(quiverump.oracle, "ump_bruteforce", _no_enumeration)
+
+
 def maximal_windows(comp):
     """Arrow sequences of the windows (i, l(i)) of a component that no
     longer nonzero window ends with: l(i-1) <= l(i), where a line has no
@@ -230,16 +256,18 @@ def maximal_windows(comp):
 def check_windows(alg, comps):
     """The window lengths of the components against enumeration: they count
     every nonzero path once, their maximal windows are the maximal paths
-    (which equal maximal_by_extension, order included), each component is
-    called monomial exactly when its induced presentation is, and eta is the least exponent whose power of
-    omega holds every ordered relation and every maximal window."""
+    (which equal maximal_by_extension, order included) and every component
+    lists its own, each component is called monomial exactly when its
+    induced presentation is, and where it is, eta is the least exponent
+    whose power of omega holds every ordered relation and every maximal
+    window."""
     assert sum(sum(c.lengths) for c in comps) == len(nonzero_paths(alg))
     assert set().union(*map(maximal_windows, comps)) == {p.arrows for p in maximal_paths(alg)}
     assert maximal_paths(alg) == maximal_by_extension(alg)
     for c in comps:
         assert (c.is_ump is not None) == component_algebra(alg, c).is_monomial, c.id
+        assert {m.arrows for m in c.maximal} == maximal_windows(c), c.id
         if c.is_ump is not None:
-            assert {m.arrows for m in c.maximal} == maximal_windows(c), c.id
             windows = [w.arrows for w in c.ordered_relations + c.maximal]
 
             def holds(e):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from invariants import forbid_enumeration
 from quiverump import ideal
 from quiverump.brauer import (
     BrauerGraph,
@@ -279,7 +280,7 @@ def test_two_spinning_ends_identify_loop_powers():
     assert sorted(v for _, v in component_vertex_bijection(ba)) == ["u", "w"]
 
 
-def test_loop_edge_gives_alternating_arrows():
+def test_loop_edge_gives_alternating_arrows(monkeypatch):
     g = loop_edge(m=2)
     ba = brauer_algebra(g)
     assert set(ba.algebra.quiver.arrow_ids) == {"v_eh", "v_et"}
@@ -290,10 +291,15 @@ def test_loop_edge_gives_alternating_arrows():
     shape = classify(g)
     assert (shape.kind, shape.params, shape.is_ump) == ("alternating-loop", (2,), True)
     assert brauer_dimension(g) == 8 == dimension_bruteforce(ba.algebra)
-    # the identification survives inside the single component, so no
-    # structural route applies and the verdict comes from enumeration
+    # the identification survives inside the single component, so the
+    # paper's test does not apply: the verdict comes from the classes of
+    # its maximal windows, with no enumeration
+    brute = ump_bruteforce(ba.algebra)
+    forbid_enumeration(monkeypatch)
     rep = ump_report(ba.algebra)
-    assert rep.is_ump is True and rep.route == "oracle"
+    assert rep.is_ump is True and rep.route == "component-windows"
+    assert rep.per_component == (("N1", None),)
+    assert [c.paths for c in rep.classes] == [c.paths for c in brute.classes]
     pairs = component_vertex_bijection(ba)
     assert [v for _, v in pairs] == ["v"]
 

@@ -4,7 +4,7 @@ and the Brauer classification against their definitions."""
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from invariants import (
@@ -17,6 +17,7 @@ from invariants import (
     check_windows,
     component_algebra,
     enumerated_bound,
+    pairwise_shared_arrow,
     reduced_bound,
 )
 from quiverump.analysis import components
@@ -45,12 +46,15 @@ from quiverump.ump import ump_report
 
 def _auto_agrees(alg):
     """The auto report of alg, after checking it against enumeration: the
-    verdict always, on a structural route also the maximal classes (paths
-    and representatives) and the witness, and for a refutation found
-    without enumeration (a witness but no classes) that its two paths lie
-    in distinct enumerated classes and both hold its arrow."""
+    verdict always, on a structural route, which every special multiserial
+    algebra takes, also the maximal classes (paths and representatives)
+    and the witness, and for a refutation found without enumeration (a
+    witness but no classes) that its two paths lie in distinct enumerated
+    classes and both hold its arrow."""
     rep, brute = ump_report(alg, "auto"), ump_bruteforce(alg)
     assert rep.is_ump == brute.is_ump
+    assert brute.witness == pairwise_shared_arrow(brute.classes)
+    assert (rep.route != "oracle") == bool(is_special_multiserial(alg))
     if rep.route != "oracle":
         assert [(c.representative, c.paths) for c in rep.classes] == [(c.representative, c.paths) for c in brute.classes]
         assert rep.witness == brute.witness
@@ -194,8 +198,21 @@ def identified_algebras(draw):
     return algebra(q, [zero_relation(q, p) for p in sorted(chosen)], linear)
 
 
+def _dead_sibling_term():
+    """0->1 twice (a0, a1), 0->2->3 (a2, a4), 1->3 (a3) and 3->4 (a5), with
+    a2a4 = 0, a0a3 + 2 a1a3 = 0 and a1a3 - a2a4 = 0: the block of a0a3
+    reaches a1a3, whose other relation has the dead term a2a4.  The
+    strategy above does not draw a span that meets a dead term."""
+    q = quiver([str(v) for v in range(5)], [("a0", "0", "1"), ("a1", "0", "1"), ("a2", "0", "2"),
+                                            ("a3", "1", "3"), ("a4", "2", "3"), ("a5", "3", "4")])
+    linear = [linear_relation(q, [(1, ["a0", "a3"]), (2, ["a1", "a3"])]),
+              linear_relation(q, [(1, ["a1", "a3"]), (-1, ["a2", "a4"])])]
+    return algebra(q, [zero_relation(q, ["a2", "a4"])], linear)
+
+
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(identified_algebras())
+@example(_dead_sibling_term())
 def test_identifications_match_enumeration(alg):
     rep = _auto_agrees(alg)
     check_maximal(alg)

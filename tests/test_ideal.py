@@ -20,7 +20,8 @@ from fixtures import (
     two_loops_line,
 )
 from invariants import check_block_cache, count_window_scans, normal_key, paths_up_to
-from quiverump.brauer import brauer_algebra, brauer_graph
+from quiverump.analysis import components
+from quiverump.brauer import brauer_algebra, brauer_dimension, brauer_graph, classify
 from quiverump.errors import (
     InvalidPresentation,
     NotAdmissible,
@@ -565,6 +566,16 @@ def test_queries_and_routes_reject_what_is_no_path_or_algebra():
             ump_report(None, route)
     with pytest.raises(InvalidPresentation):
         ump_bruteforce(None)
+
+
+def test_components_and_brauer_entries_reject_what_is_no_algebra_or_graph():
+    for bad in (None, "ab"):
+        for entry in (is_special_multiserial, components):
+            with pytest.raises(InvalidPresentation):
+                entry(bad)
+        for entry in (brauer_algebra, classify, brauer_dimension):
+            with pytest.raises(InvalidPresentation):
+                entry(bad)
 
 
 class _Walked(Exception):

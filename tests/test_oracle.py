@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import quiverump.ideal
 import quiverump.oracle
@@ -12,16 +14,19 @@ from fixtures import (
     petal_hub,
     two_loops_line,
 )
-from invariants import check_global_basis, check_maximal, count_window_scans, cut_at
+from invariants import check_global_basis, check_maximal, count_window_scans, cut_at, pairwise_shared_arrow
 from quiverump.errors import InvariantViolation
 from quiverump.oracle import (
+    MaximalClass,
     classes_of,
     dimension_bruteforce,
     maximal_classes,
     maximal_paths,
     nonzero_paths,
+    shared_arrow,
     ump_bruteforce,
 )
+from quiverump.quiver import Path
 from quiverump.ump import ump_report
 
 
@@ -196,3 +201,36 @@ def test_a_bound_below_the_relations_makes_the_longest_paths_maximal():
     # those six are maximal by length
     cut = cut_at(cycle_fork_tail(), 3)
     assert {str(p) for p in maximal_paths(cut)} == {"ab", "bc", "ce", "da", "fg", "gh"}
+
+
+def _classes(*words):
+    """Classes of made-up paths, one class per space-separated word list."""
+    out = []
+    for ws in words:
+        paths = frozenset(Path(tuple(w), "0", "0") for w in ws.split())
+        out.append(MaximalClass(min(paths, key=lambda p: p.arrows), paths, ()))
+    return out
+
+
+def test_shared_arrow_takes_the_first_pair_of_classes_in_order():
+    # classes 1 and 2 meet before class 3 meets class 0, yet (0, 3) comes first
+    classes = _classes("a", "b", "bc", "da")
+    assert shared_arrow(classes) == (Path(("a",), "0", "0"), Path(("d", "a"), "0", "0"), "a")
+    # within the first pair, the paths by _colkey and the least shared arrow
+    classes = _classes("xy zc", "e", "cz yx")
+    assert shared_arrow(classes) == (Path(("x", "y"), "0", "0"), Path(("y", "x"), "0", "0"), "x")
+    assert shared_arrow(_classes("ab", "cd", "e")) is None
+    assert shared_arrow([]) is None
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.text("abcdef", min_size=1, max_size=4), min_size=1, max_size=3), max_size=6))
+def test_shared_arrow_matches_its_definition(words):
+    seen: set[str] = set()
+    classes = []
+    for ws in words:  # distinct classes hold distinct paths
+        ws = [w for w in ws if w not in seen]
+        seen.update(ws)
+        if ws:
+            classes.extend(_classes(" ".join(ws)))
+    assert shared_arrow(classes) == pairwise_shared_arrow(classes)

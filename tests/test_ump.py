@@ -9,10 +9,12 @@ from pathlib import Path
 import pytest
 
 import quiverump
+import quiverump.ump
 
-from invariants import check_relation_level
+from invariants import check_relation_level, forbid_enumeration
 from quiverump.analysis import components
-from quiverump.ideal import algebra, linear_relation, zero_relation
+from quiverump.errors import InvariantViolation
+from quiverump.ideal import algebra, is_special_multiserial, linear_relation, zero_relation
 from quiverump.oracle import ump_bruteforce
 from quiverump.quiver import quiver
 from quiverump.ump import quick_non_ump, ump_report
@@ -196,13 +198,47 @@ def _two_arrow_pairs():
     return algebra(q, zero, [linear_relation(q, [(1, "ab"), (-1, "cd")])])
 
 
-def test_auto_enumerates_when_a_component_ideal_is_not_monomial():
+def _listed(rep):
+    # what every route must agree on; only structural classes name components
+    return rep.is_ump, rep.witness, [(c.representative, c.paths) for c in rep.classes]
+
+
+def test_auto_reads_a_non_monomial_component_off_its_windows():
     alg = _two_arrow_pairs()
-    rep = ump_report(alg, "auto")
-    assert rep.route == "oracle"
-    assert rep.notes == ("component ideals are not all monomial; enumerated",)
+    rep, brute = ump_report(alg, "auto"), ump_bruteforce(alg)
+    assert rep.route == "component-windows"
+    assert rep.notes == ()
+    assert rep.per_component == (("N1", None),)
     assert rep.is_ump is False
-    assert rep.is_ump == ump_bruteforce(alg).is_ump
+    assert _listed(rep) == _listed(brute)
+
+
+def test_auto_never_enumerates_a_special_multiserial_algebra(monkeypatch):
+    builds = [_two_arrow_pairs, *ALL_FIXTURES.values()]
+    algs = [alg for alg in (build() for build in builds) if is_special_multiserial(alg)]
+    expected = [ump_bruteforce(alg) for alg in algs]
+    forbid_enumeration(monkeypatch)
+    for alg, brute in zip(algs, expected):
+        rep = ump_report(alg, "auto")
+        assert rep.route != "oracle"
+        assert _listed(rep) == _listed(brute)
+
+
+def test_auto_rejects_a_component_test_the_classes_contradict(monkeypatch):
+    """The component test and the maximal classes must agree both ways: a
+    component failing UMP needs a witness, and a witness needs a failing
+    component."""
+    monkeypatch.setattr(quiverump.ump, "shared_arrow", lambda classes: None)
+    with pytest.raises(InvariantViolation):
+        ump_report(petal_hub())
+
+    def fake(classes):
+        p, q = classes[0].representative, classes[-1].representative
+        return (p, q, p.arrows[0])
+
+    monkeypatch.setattr(quiverump.ump, "shared_arrow", fake)
+    with pytest.raises(InvariantViolation):
+        ump_report(two_loops_line())
 
 
 @pytest.mark.parametrize("build", [_branching_squares, _loop_with_dead_identification])
