@@ -11,16 +11,16 @@ maximal paths follow from l with no further query.  The induced ideal is
 monomial exactly when the nonzero windows are independent modulo the
 ideal, tested per block on the windows holding a term copy the engine
 lists along omega.  Only there does the paper's test apply: the minimal
-zero windows (ordered relations, with sigma) follow from l, the junction
-relations (length-2 paths off omega) from the quiver.  No verdict reads an
-induced presentation: induced_algebra builds one for tests and benchmark.
+zero windows (ordered relations, with sigma) follow from l.  No verdict
+reads an induced presentation: induced_algebra builds one for tests and
+benchmark.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InvariantViolation, NotSpecialMultiserial
+from .errors import InvalidPresentation, InvariantViolation, NotSpecialMultiserial
 from .ideal import (
     AlgebraPresentation,
     IdealPresentation,
@@ -58,9 +58,15 @@ def induced_algebra(alg: AlgebraPresentation, arrow_ids: frozenset[str]) -> Alge
     found so far divides close the truncation off, and the bound is one
     more than the longest path outside the ideal (at least 2).
     """
-    q = alg.quiver
-    sub = q.subquiver([a.id for a in q.arrows if a.id in arrow_ids])
-    inside = set(arrow_ids)
+    if not isinstance(alg, AlgebraPresentation):
+        raise InvalidPresentation(f"{alg!r} is no AlgebraPresentation")
+    try:
+        if isinstance(arrow_ids, str):  # it would match its substrings
+            raise TypeError
+        inside = frozenset(arrow_ids)
+    except TypeError:
+        raise InvalidPresentation(f"arrow ids {arrow_ids!r} are no collection of labels") from None
+    sub = alg.quiver.subquiver(inside)  # an unknown id raises UnknownLabel
 
     def is_sub(p: Path) -> bool:
         return set(p.arrows) <= inside
@@ -130,16 +136,10 @@ class Component:
     omega: Path  # concatenation of the saturations along the order
     closes: bool  # whether windows read on around omega
     lengths: tuple[int, ...]  # l(i): the longest nonzero window at position i
-    junction_relations: tuple[Path, ...]  # the length-2 paths off omega
     ordered_relations: tuple[Path, ...]  # minimal zero windows, by position
     sigma: tuple[int, ...]
     maximal: tuple[Path, ...]  # maximal windows, by position
-    eta: int  # the least e with every ordered and maximal window in omega^e
     is_ump: bool | None  # None when the induced ideal is not monomial
-
-    @property
-    def arrow_ids(self) -> frozenset[str]:
-        return frozenset(a for w in self.omegas for a in w.arrows)
 
 
 def _lengths(alg: AlgebraPresentation, window, n: int, closes: bool) -> list[int]:
@@ -210,24 +210,16 @@ def _build_component(alg: AlgebraPresentation, cid: str, order: tuple[Path, ...]
     ls = _lengths(alg, window, n, closes)
     # the maximal windows: those not the suffix of a nonzero window
     maximal = [(i, ls[i]) for i in range(n) if (ls[i - 1] if closes or i else 0) <= ls[i]]
-    junction, ordered, sigma, eta, ump = (), [], (), 0, None
+    ordered, sigma, ump = [], (), None
     if alg.is_monomial or _windows_independent(alg, word, window, ls, closes):
-        # the minimal paths in I: the pairs that leave omega (an arrow has one
-        # nonzero continuation), and the windows one longer than l(i) whose suffix survives
-        inside, along = set(omega.arrows), set(zip(word, word[1:]))
-        junction = tuple(Path((x.id, y.id), x.source, y.target)
-                         for x in arrows[:n] for y in q.arrows_from(x.target)
-                         if y.id in inside and (x.id, y.id) not in along)
+        # the minimal windows in I: one longer than l(i), with a nonzero suffix
         ordered = [(i, ls[i] + 1) for i in range(n)
                    if (closes or i + ls[i] < n) and ls[(i + 1) % n] >= ls[i]]
-        # the arrows of omega are distinct, so the window (i, L) lies in the
-        # power omega^e exactly when i + L <= e*n
-        eta = max(((i + L + n - 1) // n for i, L in ordered + maximal), default=1) if closes else 1
         sigma = tuple(L - 1 for _, L in ordered)
         ump = not ordered or all(s == 1 for s in sigma) or (len(ordered) == 1 and closes)
-    return Component(cid, order, shape, omega, closes, tuple(ls), junction,
+    return Component(cid, order, shape, omega, closes, tuple(ls),
                      tuple(window(*w) for w in ordered), sigma,
-                     tuple(window(*w) for w in maximal), eta, ump)
+                     tuple(window(*w) for w in maximal), ump)
 
 
 def components(alg: AlgebraPresentation) -> tuple[Component, ...]:

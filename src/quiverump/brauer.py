@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BijectionFailure, BrauerValidationError, InvalidPresentation
+from .errors import BrauerValidationError, InvalidPresentation
 from .ideal import (
     AlgebraPresentation,
     IdealPresentation,
@@ -362,40 +362,3 @@ def brauer_dimension(g: BrauerGraph) -> int:
         - both_spin
     )
 
-
-def component_vertex_bijection(ba: BrauerAlgebra) -> tuple[tuple[str, str], ...]:
-    """Match ramification components of the algebra with spinning vertices
-    of the graph by their arrow sets; any mismatch means a bug, reported
-    as BijectionFailure."""
-    from .analysis import components
-
-    g = ba.graph
-    comps = components(ba.algebra)
-    spinning = [v for v in g.vertex_ids if not g.is_truncated(v)]
-    arrows_at = {
-        v: frozenset(_arrow_id(g, v, h) for h in g.order(v)) for v in spinning
-    }
-    pairs = []
-    taken = set()
-    for comp in comps:
-        matches = [v for v in spinning if arrows_at[v] == comp.arrow_ids]
-        if len(matches) != 1:
-            raise BijectionFailure(
-                f"component {comp.id} matches {len(matches)} vertices"
-            )
-        v = matches[0]
-        if v in taken:
-            raise BijectionFailure(f"vertex {v} claimed twice")
-        taken.add(v)
-        if comp.shape not in ("single", "cycle"):
-            raise BijectionFailure(f"component {comp.id} has shape {comp.shape}")
-        ring = ba.cycles[(v, g.order(v)[0])].arrows
-        rotations = {ring[i:] + ring[:i] for i in range(len(ring))}
-        if comp.omega.arrows not in rotations:
-            raise BijectionFailure(
-                f"component path of {comp.id} is not a turn around {v}"
-            )
-        pairs.append((comp.id, v))
-    if taken != set(spinning):
-        raise BijectionFailure("some spinning vertex has no component")
-    return tuple(pairs)

@@ -58,9 +58,5 @@ class BrauerValidationError(QuiverError):
         self.diagnostics = tuple(diagnostics)
 
 
-class BijectionFailure(QuiverError):
-    """Component/vertex correspondence of a Brauer algebra failed (would be a bug)."""
-
-
 class InvariantViolation(QuiverError):
     """An internal invariant failed; a bug, never bad input."""

@@ -61,7 +61,7 @@ Beside the engine it carries one table of the nonzero length-2
 compositions: for each arrow, the arrows after it whose composition with
 it survives, in arrows_from order, asked of the engine once per
 composable pair on first use.  The special multiserial test, the
-ramifications graph, the closing test and junction test of analysis, and
+ramifications graph, the shape and closing tests of analysis, and
 the one-arrow paddings of ump.quick_non_ump all read it, so no pair is
 asked twice.  Like the engine it is a cache: copies and pickles leave it
 behind.

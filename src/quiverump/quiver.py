@@ -112,10 +112,6 @@ class Quiver:
     def vertex_ids(self) -> tuple[str, ...]:
         return tuple(v.id for v in self.vertices)
 
-    @property
-    def arrow_ids(self) -> tuple[str, ...]:
-        return tuple(a.id for a in self.arrows)
-
     def arrow(self, aid: str) -> Arrow:
         try:
             return self._by_id[aid]

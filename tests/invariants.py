@@ -2,15 +2,16 @@
 component, shared by the example tests and the generated ones, bound
 references that list paths, the maximal paths by their definition, the
 Brauer presentation that the generic builder makes of the full relation
-listing, the paper's UMP criterion stated on relations, and the block
-cache that membership reads first."""
+listing, the paper's UMP criterion stated on relations, the block cache
+that membership reads first, and the component objects no verdict reads:
+eta, the junction relations and the Brauer component-vertex bijection."""
 
 from fractions import Fraction
 from functools import lru_cache
 
 import quiverump.oracle
 import quiverump.ump
-from quiverump.analysis import induced_algebra
+from quiverump.analysis import components, induced_algebra
 from quiverump.brauer import Half, brauer_algebra
 from quiverump.errors import NotAdmissible, TrivialPath
 from quiverump.ideal import (
@@ -133,7 +134,7 @@ def component_algebra(alg, comp):
     """The induced presentation of a component, built by induced_algebra
     once for the checks below to share: equal presentations and equal
     components induce equal presentations."""
-    return induced_algebra(alg, comp.arrow_ids)
+    return induced_algebra(alg, frozenset(comp.omega.arrows))
 
 
 def check_induced(alg, induced):
@@ -144,7 +145,7 @@ def check_induced(alg, induced):
     monomial one, and reduced over the global basis otherwise), and none
     of its relations is redundant."""
     for sub in induced:
-        arrows = set(sub.quiver.arrow_ids)
+        arrows = {a.id for a in sub.quiver.arrows}
         for p in paths_up_to(sub.quiver, alg.bound):
             held = path_in_ideal(alg, p)
             assert path_in_ideal(sub, p) == held, p
@@ -253,27 +254,63 @@ def maximal_windows(comp):
     return {word[i:i + k] for i, k in enumerate(ls) if (ls[i - 1] if comp.closes or i else 0) <= k}
 
 
+def eta(comp):
+    """The least e >= 1 whose power omega^e holds every ordered relation and
+    every maximal window of the component."""
+    windows = [w.arrows for w in comp.ordered_relations + comp.maximal]
+    e = 1
+    while not all(occurrences(w, comp.omega.arrows * e) for w in windows):
+        e += 1
+    return e
+
+
+def junction_relations(alg, comp):
+    """The length-2 paths x.y of alg's quiver with x and y arrows of omega
+    that are not consecutive along omega (read on around it when it
+    closes), in the order of x along omega and of y in arrows_from."""
+    q, w = alg.quiver, comp.omega.arrows
+    along = set(zip(w, w[1:] + (w[:1] if comp.closes else ())))
+    return tuple(Path((x, y.id), q.arrow(x).source, y.target) for x in w
+                 for y in q.arrows_from(q.arrow(x).target) if y.id in w and (x, y.id) not in along)
+
+
 def check_windows(alg, comps):
     """The window lengths of the components against enumeration: they count
     every nonzero path once, their maximal windows are the maximal paths
     (which equal maximal_by_extension, order included) and every component
     lists its own, each component is called monomial exactly when its
-    induced presentation is, and where it is, eta is the least exponent
-    whose power of omega holds every ordered relation and every maximal
-    window."""
+    induced presentation is, and where it is, that presentation is the
+    paper's: no linear relation, and as zero relations the junction
+    relations and the ordered relations."""
     assert sum(sum(c.lengths) for c in comps) == len(nonzero_paths(alg))
     assert set().union(*map(maximal_windows, comps)) == {p.arrows for p in maximal_paths(alg)}
     assert maximal_paths(alg) == maximal_by_extension(alg)
     for c in comps:
-        assert (c.is_ump is not None) == component_algebra(alg, c).is_monomial, c.id
+        sub = component_algebra(alg, c)
+        assert (c.is_ump is not None) == sub.is_monomial, c.id
         assert {m.arrows for m in c.maximal} == maximal_windows(c), c.id
         if c.is_ump is not None:
-            windows = [w.arrows for w in c.ordered_relations + c.maximal]
+            assert sub.ideal.linear == (), c.id
+            assert set(sub.ideal.zero_paths) == set(junction_relations(alg, c) + c.ordered_relations), c.id
 
-            def holds(e):
-                return all(occurrences(w, c.omega.arrows * e) for w in windows)
 
-            assert holds(c.eta) and (c.eta == 1 or not holds(c.eta - 1)), c.id
+def component_vertex_bijection(ba):
+    """The paper's correspondence for a Brauer graph algebra: each
+    component of the ramifications graph is a single saturation or a cycle
+    whose path is the full turn around exactly one spinning vertex, read
+    from some half, and each spinning vertex has exactly one component.
+    Returns the (component id, vertex) pairs in component order."""
+    g = ba.graph
+    turns = {v: ba.cycles[(v, g.order(v)[0])].arrows for v in g.vertex_ids if not g.is_truncated(v)}
+    pairs = []
+    for comp in components(ba.algebra):
+        assert comp.shape in ("single", "cycle"), comp.id
+        w = comp.omega.arrows
+        matches = [v for v, t in turns.items() if w in {t[i:] + t[:i] for i in range(len(t))}]
+        assert len(matches) == 1, (comp.id, matches)
+        pairs.append((comp.id, matches[0]))
+    assert sorted(v for _, v in pairs) == sorted(turns)
+    return tuple(pairs)
 
 
 def component_of_path(alg, comps, p):

@@ -10,7 +10,7 @@ from quiverump.analysis import (
     induced_algebra,
 )
 from quiverump.brauer import brauer_algebra, brauer_graph
-from quiverump.errors import NotSpecialMultiserial, QuiverError, TrivialPath
+from quiverump.errors import InvalidPresentation, NotSpecialMultiserial, QuiverError, TrivialPath, UnknownLabel
 from quiverump.ideal import (
     AlgebraPresentation,
     IdealPresentation,
@@ -18,6 +18,7 @@ from quiverump.ideal import (
     algebra,
     is_special_multiserial,
     linear_relation,
+    zero_relation,
 )
 from quiverump.omega import omega_map, ramifications_graph
 from quiverump.oracle import MaximalClass, maximal_classes, ump_bruteforce
@@ -41,6 +42,8 @@ from invariants import (
     component_algebra,
     component_of_path,
     divides_power,
+    eta,
+    junction_relations,
     omega_relations,
 )
 from test_brauer import ALL_GRAPHS
@@ -62,18 +65,18 @@ def test_components_cycle_fork_tail():
     assert _zero_strs(component_algebra(A, n1)) == {"cd", "abc"}
     assert component_algebra(A, n1).is_monomial
     assert component_algebra(A, n1).bound == 4
-    assert [str(r) for r in n1.junction_relations] == ["cd"]
+    assert [str(r) for r in junction_relations(A, n1)] == ["cd"]
     assert [str(r) for r in n1.ordered_relations] == ["abc"]
     assert n1.sigma == (2,)
     assert {str(m) for m in n1.maximal} == {"dab", "bce"}
-    assert n1.eta == 1
+    assert eta(n1) == 1
     assert n1.is_ump is False
 
     assert [str(w) for w in n2.omegas] == ["f", "gh"]
     assert n2.shape == "line"
     assert str(n2.omega) == "fgh"
     assert _zero_strs(component_algebra(A, n2)) == set()
-    assert n2.junction_relations == ()
+    assert junction_relations(A, n2) == ()
     assert n2.ordered_relations == ()
     assert {str(m) for m in n2.maximal} == {"fgh"}
     assert n2.is_ump is True
@@ -86,10 +89,10 @@ def test_components_two_loops_line():
     assert str(n1.omega) == "a" and n1.shape == "single"
     assert n1.closes
     assert _zero_strs(component_algebra(A, n1)) == {"aaa"}
-    assert n1.junction_relations == ()
+    assert junction_relations(A, n1) == ()
     assert [str(r) for r in n1.ordered_relations] == ["aaa"]
     assert {str(m) for m in n1.maximal} == {"aa"}
-    assert n1.eta == 3
+    assert eta(n1) == 3
     assert n1.is_ump is True  # one relation on a closing component
 
     assert str(n2.omega) == "b" and n2.closes
@@ -101,10 +104,10 @@ def test_components_two_loops_line():
     assert n3.shape == "line" and str(n3.omega) == "cde"
     assert not n3.closes
     assert _zero_strs(component_algebra(A, n3)) == {"ed"}
-    assert [str(r) for r in n3.junction_relations] == ["ed"]
+    assert [str(r) for r in junction_relations(A, n3)] == ["ed"]
     assert n3.ordered_relations == ()
     assert {str(m) for m in n3.maximal} == {"cde"}
-    assert n3.eta == 1
+    assert eta(n3) == 1
     assert n3.is_ump is True
 
 
@@ -118,21 +121,21 @@ def test_components_petal_hub():
     assert n1.closes
     assert _zero_strs(component_algebra(A, n1)) == {"ba", "dc", "abcda", "dabcd"}
     assert component_algebra(A, n1).bound == 7
-    assert {str(r) for r in n1.junction_relations} == {"ba", "dc"}
+    assert {str(r) for r in junction_relations(A, n1)} == {"ba", "dc"}
     assert [str(r) for r in n1.ordered_relations] == ["abcda", "dabcd"]
     assert n1.sigma == (4, 4)
     assert {str(m) for m in n1.maximal} == {"abcd", "bcdabc"}
-    assert n1.eta == 2
+    assert eta(n1) == 2
     assert n1.is_ump is False  # two long relations on a closing component
 
     assert n2.shape == "single" and str(n2.omega) == "ef"
     assert n2.closes
     assert _zero_strs(component_algebra(A, n2)) == {"efe", "fef"}
     assert component_algebra(A, n2).bound == 3
-    assert n2.junction_relations == ()
+    assert junction_relations(A, n2) == ()
     assert [str(r) for r in n2.ordered_relations] == ["efe", "fef"]
     assert {str(m) for m in n2.maximal} == {"ef", "fe"}
-    assert n2.eta == 2
+    assert eta(n2) == 2
     assert n2.is_ump is False
 
 
@@ -212,7 +215,7 @@ def test_induced_ideals_are_the_parent_ideal_on_the_subquiver(name):
     else:
         # no components; restrict to each saturation and to the whole quiver
         arrow_sets = {frozenset(w.arrows) for w in omega_map(A.quiver).values()}
-        arrow_sets.add(frozenset(A.quiver.arrow_ids))
+        arrow_sets.add(frozenset(a.id for a in A.quiver.arrows))
         induced = [induced_algebra(A, s) for s in arrow_sets]
     check_induced(A, induced)
 
@@ -230,6 +233,20 @@ def test_induced_ideal_truncates_a_bound_below_the_zero_relations():
     assert _zero_strs(sub) == {"abc"}
     assert sub.bound == 3
     check_induced(A, [sub])
+
+
+def test_induced_algebra_rejects_what_is_no_algebra_or_arrow_set():
+    q = quiver(["1", "2", "3"], [("x1", "1", "2"), ("x12", "2", "3")])
+    A = algebra(q, [zero_relation(q, ["x1", "x12"])])
+    for alg, arrows in ((None, frozenset()), ("ab", frozenset()), (A, "x12"), (A, None), (A, [["x12"]])):
+        with pytest.raises(InvalidPresentation):
+            induced_algebra(alg, arrows)
+    for arrows in ({"zz"}, {"x12", "zz"}):
+        with pytest.raises(UnknownLabel):
+            induced_algebra(A, frozenset(arrows))
+    sub = induced_algebra(A, frozenset({"x12"}))
+    assert [a.id for a in sub.quiver.arrows] == ["x12"]
+    assert induced_algebra(A, ["x12"]) == induced_algebra(A, iter(["x12"])) == sub
 
 
 def test_component_of_path_routes_to_owner():

@@ -16,6 +16,7 @@ from invariants import (
     check_relation_level,
     check_windows,
     component_algebra,
+    component_vertex_bijection,
     enumerated_bound,
     pairwise_shared_arrow,
     reduced_bound,
@@ -27,7 +28,6 @@ from quiverump.brauer import (
     brauer_dimension,
     brauer_graph,
     classify,
-    component_vertex_bijection,
 )
 from quiverump.errors import NotAdmissible
 from quiverump.ideal import (
@@ -99,7 +99,7 @@ def test_auto_matches_enumeration_and_saturations_partition(alg):
     q = alg.quiver
     om = omega_map(q)
     sats = set(om.values())
-    assert sorted(a for w in sats for a in w.arrows) == sorted(q.arrow_ids)
+    assert sorted(a for w in sats for a in w.arrows) == sorted(a.id for a in q.arrows)
     assert all(om[a] == w for w in sats for a in w.arrows)
 
     if is_special_multiserial(alg):

@@ -63,12 +63,6 @@ def test_package_reads_no_environment():
 
 HARNESS = Path(__file__).resolve().parents[1] / "bench" / "harness.py"
 
-# public names no code calls, each with the reason it stays
-UNCALLED = {
-    "component_vertex_bijection": "the paper's correspondence between components and spinning "
-                                  "vertices of a Brauer graph, which the tests compare against",
-}
-
 
 def _public_definitions(tree):
     """(name, first line, last line) of each public module-level function
@@ -83,25 +77,27 @@ def _public_definitions(tree):
 
 
 def test_every_public_name_has_a_caller():
-    """A public function, class or method is referenced, by name or as an
-    attribute, somewhere in the package outside its own definition, or in
-    bench/harness.py; else it is kept alive by its own tests alone."""
-    refs = []  # (file, line, name) of every Name and Attribute
+    """A public function or class is referenced, by name or as an
+    attribute, and a public method or property as an attribute (x.name),
+    somewhere in the package outside its own definition, or in
+    bench/harness.py; else it is kept alive by its own tests alone.  A
+    local variable or parameter of the same name calls no method."""
+    refs = []  # (file, line, name, whether an attribute) of every Name and Attribute
     trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES + [HARNESS]}
     for path, tree in trees.items():
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                refs.append((path, node.lineno, node.id))
+                refs.append((path, node.lineno, node.id, False))
             elif isinstance(node, ast.Attribute):
-                refs.append((path, node.lineno, node.attr))
+                refs.append((path, node.lineno, node.attr, True))
     uncalled = []
     for path in SOURCES:
         for qualname, first, last in _public_definitions(trees[path]):
-            name = qualname.rsplit(".", 1)[-1]
-            if not any(n == name and not (p == path and first <= line <= last) for p, line, n in refs):
+            name, method = qualname.rsplit(".", 1)[-1], "." in qualname
+            if not any(n == name and (attr or not method) and not (p == path and first <= line <= last)
+                       for p, line, n, attr in refs):
                 uncalled.append(qualname)
-    assert sorted(set(uncalled) - set(UNCALLED)) == []
-    assert sorted(set(UNCALLED) - set(uncalled)) == []  # every exemption is still needed
+    assert uncalled == []
 
 
 def test_bench_harness_still_binds():
