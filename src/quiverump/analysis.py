@@ -27,6 +27,8 @@ from .ideal import (
     LinearRelation,
     RowBasis,
     ZeroRelation,
+    _FM1,
+    _check_type,
     _colkey,
     _grow,
     is_special_multiserial,
@@ -58,8 +60,7 @@ def induced_algebra(alg: AlgebraPresentation, arrow_ids: frozenset[str]) -> Alge
     found so far divides close the truncation off, and the bound is one
     more than the longest path outside the ideal (at least 2).
     """
-    if not isinstance(alg, AlgebraPresentation):
-        raise InvalidPresentation(f"{alg!r} is no AlgebraPresentation")
+    _check_type(alg, AlgebraPresentation)
     try:
         if isinstance(arrow_ids, str):  # it would match its substrings
             raise TypeError
@@ -91,13 +92,15 @@ def induced_algebra(alg: AlgebraPresentation, arrow_ids: frozenset[str]) -> Alge
         if blk is None:
             return False
         if p not in done:
-            done.update(blk.members)
-            # re-reduce only when that can leave a subquiver row: when every
-            # member, so every column, lies in the subquiver, the rows are
-            # already reduced in that order, and a block's only row keeps
-            # its columns outside the subquiver
-            rows = blk.rows
-            if len(rows) > 1 and not all(is_sub(m) for m in blk.members):
+            done.update(blk)
+            # a member whose normal form is not itself is a pivot, and its
+            # normal form less itself is its row negated, a sign no relation
+            # and no re-reduction sees; re-reduce only when that can leave a
+            # subquiver row: when every member, so every column, lies in the
+            # subquiver, the rows are already reduced in that order, and a
+            # block's only row keeps its columns outside the subquiver
+            rows = [dict(nf + ((m, _FM1),)) for m, nf in blk.items() if not nf or nf[0][0] != m]
+            if len(rows) > 1 and not all(is_sub(m) for m in blk):
                 basis = RowBasis(key=key)
                 for row in rows:
                     basis.add(row)
@@ -110,7 +113,7 @@ def induced_algebra(alg: AlgebraPresentation, arrow_ids: frozenset[str]) -> Alge
                     zero.append(ZeroRelation(items[0][0]))
                 else:
                     linear.append(linear_relation(sub, [(c, t) for t, c in items]))
-        return blk.nf[p] == ()
+        return blk[p] == ()
 
     outside = _grow(sub, in_ideal, alg.bound - 1)
     divisible = zero_divisor(r.path for r in zero)
@@ -179,7 +182,7 @@ def _windows_independent(alg: AlgebraPresentation, word: tuple[str, ...], window
     rows: dict[int, list] = {}  # the normal forms of those windows, by block
     for j, length in held:
         blk = alg._engine.block(p := window(j, length))
-        rows.setdefault(id(blk), []).append(blk.nf[p])
+        rows.setdefault(id(blk), []).append(blk[p])
     for nfs in rows.values():
         basis = RowBasis()  # one nonzero normal form is independent alone
         if len(nfs) > 1 and not all(basis.add(dict(nf)) for nf in nfs):

@@ -21,12 +21,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BrauerValidationError, InvalidPresentation
+from .errors import BrauerValidationError
 from .ideal import (
     AlgebraPresentation,
     IdealPresentation,
+    ZeroRelation,
+    _check_type,
     linear_relation,
-    zero_relation,
 )
 from .quiver import _LABEL, Path, quiver
 
@@ -254,15 +255,16 @@ def brauer_algebra(g: BrauerGraph) -> BrauerAlgebra:
     next half, C'^m equals the turn at the other end of x's target edge,
     and x followed by that turn's first arrow is a zero relation of length
     2.  Every other relation listed is needed, so nothing is minimised.
+    Each full turn is built once, one Path per half, and the relations are
+    read off the turns and the arrows with no validation by Quiver.path.
     """
-    if not isinstance(g, BrauerGraph):
-        raise InvalidPresentation(f"{g!r} is no BrauerGraph")
+    _check_type(g, BrauerGraph)
     spinning = [v for v in g.vertex_ids if not g.is_truncated(v)]
     identified = {e for e, a, b in g.edges if not (g.is_truncated(a) or g.is_truncated(b))}
 
     made: set[str] = set()
     arrows = []
-    turns: dict[tuple[str, Half], list[str]] = {}
+    cycles: dict[tuple[str, Half], Path] = {}
     for v in spinning:
         ring = g.order(v)
         ids = [_arrow_id(g, v, h) for h in ring]
@@ -274,13 +276,12 @@ def brauer_algebra(g: BrauerGraph) -> BrauerAlgebra:
                 )
             made.add(aid)
             arrows.append((aid, h.edge, ring[(i + 1) % len(ring)].edge))
-            turns[(v, h)] = ids[i:] + ids[:i]
+            cycles[(v, h)] = Path(tuple(ids[i:] + ids[:i]), h.edge, h.edge)
     if set(a for a, _, _ in arrows) & set(g.edge_ids):
         raise BrauerValidationError(
             ["a generated arrow id collides with an edge id; rename"]
         )
     q = quiver(g.edge_ids, arrows)
-    cycles = {vh: q.path(turn) for vh, turn in turns.items()}
 
     zero = []
     linear = []
@@ -292,19 +293,20 @@ def brauer_algebra(g: BrauerGraph) -> BrauerAlgebra:
         if spin_a and spin_b:
             ca = cycles[(a, ha)].arrows * g.multiplicity(a)
             cb = cycles[(b, hb)].arrows * g.multiplicity(b)
-            linear.append(linear_relation(q, [(1, q.path(ca)), (-1, q.path(cb))]))
+            linear.append(linear_relation(q, [(1, Path(ca, e, e)), (-1, Path(cb, e, e))]))
         elif spin_a or spin_b:
             v, h = (a, ha) if spin_a else (b, hb)
             turn = cycles[(v, h)].arrows * g.multiplicity(v)
-            if q.arrow(turn[0]).target not in identified:
-                zero.append(zero_relation(q, turn + (turn[0],)))
+            first = q.arrow(turn[0])
+            if first.target not in identified:
+                zero.append(ZeroRelation(Path(turn + (first.id,), e, first.target)))
         # both ends truncated: the lone edge of a two-point graph, no arrows
 
-    consecutive = {(turn[0], turn[1 % len(turn)]) for turn in turns.values()}
+    consecutive = {(c.arrows[0], c.arrows[1 % len(c)]) for c in cycles.values()}
     for x in q.arrows:
         for y in q.arrows_from(x.target):
             if (x.id, y.id) not in consecutive:
-                zero.append(zero_relation(q, [x.id, y.id]))
+                zero.append(ZeroRelation(Path((x.id, y.id), x.source, y.target)))
 
     longest = max(
         (g.valency(v) * g.multiplicity(v) for v in spinning), default=1
@@ -329,8 +331,7 @@ def classify(g: BrauerGraph) -> BrauerShape:
     Exactly the one-edge graphs qualify: a bare edge, an edge with one
     spinning end (nilpotent loop), an edge with two (a pair of nilpotent
     loops with identified powers), or a loop (two alternating arrows)."""
-    if not isinstance(g, BrauerGraph):
-        raise InvalidPresentation(f"{g!r} is no BrauerGraph")
+    _check_type(g, BrauerGraph)
     if len(g.edges) > 1:
         return BrauerShape("multiple-edges", (len(g.edges),), False)
     e, a, b = g.edges[0]
@@ -348,8 +349,7 @@ def classify(g: BrauerGraph) -> BrauerShape:
 def brauer_dimension(g: BrauerGraph) -> int:
     """Dimension of the algebra: one per edge, a full grid per spinning
     vertex, minus one per edge whose two full turns get identified."""
-    if not isinstance(g, BrauerGraph):
-        raise InvalidPresentation(f"{g!r} is no BrauerGraph")
+    _check_type(g, BrauerGraph)
     spinning = [v for v in g.vertex_ids if not g.is_truncated(v)]
     both_spin = sum(
         1

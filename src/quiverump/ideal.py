@@ -27,10 +27,12 @@ with no copy holds no relation term and reaches nothing: it is its own
 block, outside the ideal, and none is built.  A lone path holds a term,
 but every copy through it has only dead siblings (a zero relation or the
 bound kills every other term in its context): each copy's row is the
-path alone, so its block is that one row, in the ideal, and no span is
+path alone, so its block is {p: ()}, p in the ideal, and no span is
 grown, like a full turn of a Brauer graph algebra extended by one arrow.
-Every other path grows its block by the one pass and reads its members'
-normal forms off the reduced echelon rows.  A block is cached for each
+Every other path grows its block by the one pass and keeps only its
+members' normal forms, read off the reduced echelon rows; the rows can
+be read back (a member whose normal form is not itself is a pivot, its
+row the member less its normal form).  A block is cached for each
 member, and a cached path is live (a span takes in no dead column, and
 a block is asked only of a live path), so a membership query asks the
 bound, the block cache, the zero windows and the copies, in that order;
@@ -52,10 +54,10 @@ coordinates, the identified admissibility bound, and the walk of
 analysis.induced_algebra all go through it.
 
 Each presentation object carries one engine, built on its first query
-and freed with it; equal copies build their own.  Its block cache, the
-members and normal forms of a block and the columns of its rows are
-keyed by quiver.Path, a tuple (arrows, source, target), so every lookup
-hashes and compares in C.
+and freed with it; equal copies build their own.  Its block cache and
+the normal forms of a block and their terms are keyed by quiver.Path, a
+tuple (arrows, source, target), so every lookup hashes and compares in
+C.
 
 Beside the engine it carries one table of the nonzero length-2
 compositions: for each arrow, the arrows after it whose composition with
@@ -173,6 +175,11 @@ def _check_relations(zero, linear, containers: tuple[type, ...]) -> None:
                                       f"{' or '.join(c.__name__ for c in containers)} of {kind.__name__}")
 
 
+def _check_type(value, kind: type) -> None:
+    if not isinstance(value, kind):
+        raise InvalidPresentation(f"{value!r} is no {kind.__name__}")
+
+
 def _check_at_least_two(value, name: str) -> None:
     # bool is an int, but below 2 anyway
     if not isinstance(value, int) or value < 2:
@@ -278,6 +285,7 @@ def zero_divisor(zero_paths: Iterable[Path]) -> Callable[[Path], bool]:
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
+_FM1 = Fraction(-1)
 
 
 def _colkey(p: Path):
@@ -420,13 +428,6 @@ def _span(seeds: Iterable[Path], copies, dead, veto=None) -> tuple[set[Path], Ro
 # -- the membership engine ---------------------------------------------------
 
 
-@dataclass
-class _Block:
-    members: frozenset[Path]
-    rows: tuple[dict[Path, Fraction], ...]  # reduced echelon form
-    nf: dict[Path, tuple]
-
-
 class _Engine:
     def __init__(self, zero_paths: Sequence[Path],
                  linear: Sequence[LinearRelation], bound: int):
@@ -434,7 +435,7 @@ class _Engine:
         self.zero_divisible = zero_divisor(zero_paths)
         self.linear = tuple(linear)
         self.copies = _copy_index(self.linear)
-        self._blocks: dict[Path, _Block] = {}
+        self._blocks: dict[Path, dict[Path, tuple]] = {}
 
     def truncated(self, bound: int) -> _Engine:
         """The engine of the same relations truncated at another bound: it
@@ -448,11 +449,11 @@ class _Engine:
     def dead(self, p: Path) -> bool:
         return len(p.arrows) >= self.bound or self.zero_divisible(p)
 
-    def block(self, p: Path) -> _Block | None:
-        """The block of a live path p, decided from one listing of its copies:
-        None when there is none (p holds no relation term, so it is its own
-        block outside I), the one row p alone when every copy has only dead
-        siblings (p is lone, its own block inside I), else the span grown
+    def block(self, p: Path) -> dict[Path, tuple] | None:
+        """The block of a live path p, its members' normal forms, decided
+        from one listing of p's copies: None when there is none (p holds no
+        relation term, so it is its own block outside I), {p: ()} when every
+        copy has only dead siblings (p is lone, in I), else the span grown
         from p, its normal forms read off its reduced rows.  A block is kept
         for each of its members, and in_ideal asks the bound, that cache,
         the zero windows, then the copies; a monomial engine answers None."""
@@ -471,17 +472,16 @@ class _Engine:
                 s = prefix + tp.arrows + suffix
                 if s != w and not self.dead(Path(s, source, target)):
                     return self._spanned(p)
-        blk = self._blocks[p] = _Block(frozenset((p,)), ({p: _F1},), {p: ()})
+        blk = self._blocks[p] = {p: ()}
         return blk
 
-    def _spanned(self, p: Path) -> _Block:
+    def _spanned(self, p: Path) -> dict[Path, tuple]:
         members, basis = _span((p,), self.copies, self.dead)
         rows = basis.rows
         # the rows are reduced: a pivot member is the rest of its row negated,
         # any other member its own normal form
-        nf = {m: tuple(sorted(((k, -v) for k, v in rows[m].items() if k != m), key=lambda kv: _colkey(kv[0])))
-              if m in rows else ((m, _F1),) for m in members}
-        blk = _Block(frozenset(members), tuple(rows.values()), nf)
+        blk = {m: tuple(sorted(((k, -v) for k, v in rows[m].items() if k != m), key=lambda kv: _colkey(kv[0])))
+               if m in rows else ((m, _F1),) for m in members}
         for m in members:
             self._blocks[m] = blk
         return blk
@@ -497,11 +497,11 @@ class _Engine:
             return True
         # a cached path is live; a monomial engine caches no block
         if self.linear and (blk := self._blocks.get(p)) is not None:
-            return blk.nf[p] == ()
+            return blk[p] == ()
         if self.zero_divisible(p):
             return True
         blk = self.block(p)
-        return blk is not None and blk.nf[p] == ()
+        return blk is not None and blk[p] == ()
 
 
 # -- admissibility -----------------------------------------------------------
@@ -516,8 +516,10 @@ def longest_avoiding(q: Quiver, zero_paths: Iterable[Path], cap: int) -> int:
     arrow leads on unless it completes a zero path.  One depth-first pass
     memoises the longest walk out of each state.  Raises NotAdmissible(cap)
     when such paths reach length cap, or a cycle of states is reachable,
-    so that they come in every length.
+    so that they come in every length.  InvalidPresentation when q is no
+    Quiver.
     """
+    _check_type(q, Quiver)
     words = {z.arrows for z in zero_paths}
     prefixes = {()} | {w[:i] for w in words for i in range(1, len(w))}
 
@@ -578,15 +580,23 @@ def admissibility_bound(q: Quiver, zero: Sequence[ZeroRelation] = (),
     length L stays in the ideal after any extension.  m is one more than
     the longest path left.  In both cases cap is only a ceiling:
     NotAdmissible is raised when some path of length cap lies outside the
-    ideal.  Sound and exact whenever the presented ideal is admissible at
-    all.  zero and linear must be lists or tuples of ZeroRelation and
+    ideal.  The walk lists every path outside the ideal, 2^L of length L
+    when xx = yy is all that binds two loops, so the first time it asks a
+    length beyond twice the longest relation word it runs longest_avoiding
+    once on the zero relations and every term: the monomial ideal they
+    generate holds I, so the paths it misses lie outside I, and when those
+    reach cap it refuses at once what the walk would refuse by listing.
+    Sound and exact whenever the presented ideal is admissible at all.  q
+    must be a Quiver, zero and linear lists or tuples of ZeroRelation and
     LinearRelation, every relation term a path of q, endpoints included,
     and cap an int of at least 2; else InvalidPresentation, or
     UnknownLabel for an arrow off q, is raised before any search.
     """
+    _check_type(q, Quiver)
     _check_relations(zero, linear, (list, tuple))
     _check_at_least_two(cap, "cap")
-    for term in [r.path for r in zero] + [t for r in linear for t in r.paths]:
+    words = [r.path for r in zero] + [t for r in linear for t in r.paths]
+    for term in words:
         end = term.source
         for a in map(q.arrow, term.arrows):  # UnknownLabel for an arrow off q
             end = a.target if a.source == end else None  # None once the walk breaks
@@ -597,15 +607,18 @@ def admissibility_bound(q: Quiver, zero: Sequence[ZeroRelation] = (),
     if not linear:
         return max(longest_avoiding(q, zero_paths, cap) + 1, 2)
     base = stage = _Engine(zero_paths, linear, 2)
+    beyond = 2 * max(len(w.arrows) for w in words) + 1
 
     def in_ideal(p: Path) -> bool:
         # a path of length L is tested in the truncation at L + 1, on a
         # stage engine of its own length, so no block holds a longer path;
         # _grow asks shortest first, so each stage is truncated once
         nonlocal stage
-        bound = len(p.arrows) + 1
-        if stage.bound != bound:
-            stage = base.truncated(bound)
+        length = len(p.arrows)
+        if stage.bound != length + 1:
+            if length == beyond:
+                longest_avoiding(q, words, cap)  # NotAdmissible(cap) if the walk would reach cap
+            stage = base.truncated(length + 1)
         return stage.in_ideal(p)
 
     outside = _grow(q, in_ideal, cap)
@@ -631,8 +644,8 @@ def coset_paths(alg: AlgebraPresentation, p: Path) -> frozenset[Path]:
     blk = eng._blocks.get(p)  # the query cached the block of a live path outside I, if any
     if blk is None:
         return frozenset((p,))
-    key = blk.nf[p]
-    return frozenset(m for m in blk.members if blk.nf[m] == key)
+    key = blk[p]
+    return frozenset(m for m, nf in blk.items() if nf == key)
 
 
 def live_paths(alg: AlgebraPresentation) -> tuple[Path, ...]:
@@ -641,6 +654,7 @@ def live_paths(alg: AlgebraPresentation) -> tuple[Path, ...]:
     These are the coordinates of the truncated quotient; paths in the
     ideal for linear reasons are still listed.
     """
+    _check_type(alg, AlgebraPresentation)
     return tuple(sorted(_grow(alg.quiver, alg._engine.dead, alg.bound - 1), key=_colkey))
 
 
@@ -785,8 +799,7 @@ class SpecialMultiserialResult:
 
 def is_special_multiserial(alg: AlgebraPresentation) -> SpecialMultiserialResult:
     """Each arrow composes nonzero with at most one arrow on each side."""
-    if not isinstance(alg, AlgebraPresentation):
-        raise InvalidPresentation(f"{alg!r} is no AlgebraPresentation")
+    _check_type(alg, AlgebraPresentation)
     q, after = alg.quiver, alg._after
     for a in q.arrows:
         good = after[a.id]

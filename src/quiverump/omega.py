@@ -2,11 +2,12 @@
 
 Every arrow extends to a canonical longest path through vertices that
 admit no branching: while the head of the path has exactly one arrow in
-and one arrow out, keep walking, and symmetrically at the tail.  One
-walk serves the whole chain it covers.  A forward walk that comes back
-to its starting arrow has found a standalone directed cycle, which
-contributes one fixed rotation of the full cycle, shared by all its
-arrows.
+and one arrow out, keep walking, and symmetrically at the tail.  So a
+saturation starts at an arrow whose source branches, unless it is a
+standalone directed cycle, which contributes one fixed rotation of the
+full cycle, anchored at its least label and shared by all its arrows.
+omega_map finds them all in one pass: one forward walk from each arrow
+whose source branches, then one walk around each cycle left over.
 
 The ramifications graph has the distinct saturations as nodes and an
 edge wherever two of them compose without falling into the ideal.  In a
@@ -20,44 +21,39 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvariantViolation
-from .ideal import AlgebraPresentation, _colkey
+from .ideal import AlgebraPresentation, _check_type, _colkey
 from .quiver import Arrow, Path, Quiver
 
 
-def omega_path(q: Quiver, arrow: Arrow | str) -> Path:
-    """The saturation of an arrow: its maximal unbranched extension."""
-    a = q.arrow(arrow) if isinstance(arrow, str) else arrow
-
-    def unbranched(v: str) -> bool:
-        return len(q.arrows_into(v)) == 1 and len(q.arrows_from(v)) == 1
-
-    def joined(walk: list[Arrow]) -> Path:
-        # consecutive arrows of the walk compose, so no validation is needed
-        return Path(tuple(x.id for x in walk), walk[0].source, walk[-1].target)
-
-    chain = [a]
-    while unbranched(chain[-1].target):
-        nxt = q.arrows_from(chain[-1].target)[0]
-        if nxt.id == a.id:
-            # one rotation per cycle, anchored at its smallest arrow label
-            i = min(range(len(chain)), key=lambda k: chain[k].id)
-            return joined(chain[i:] + chain[:i])
-        chain.append(nxt)
-    back = []
-    tail = a
-    while unbranched(tail.source):
-        tail = q.arrows_into(tail.source)[0]
-        back.append(tail)
-    return joined(back[::-1] + chain)
-
-
 def omega_map(q: Quiver) -> dict[str, Path]:
-    """Saturation of every arrow, keyed by arrow label."""
+    """Saturation of every arrow, keyed by arrow label, in one pass.
+
+    A saturation that is no standalone cycle starts at an arrow whose
+    source branches, so one forward walk from each such arrow finds it.
+    The arrows left over lie on standalone cycles, each walked once and
+    rotated to its least label.  Consecutive arrows of a walk compose, so
+    no path is validated.  InvalidPresentation when q is no Quiver."""
+    _check_type(q, Quiver)
+    unbranched = {v for v in q.vertex_ids if len(q.arrows_into(v)) == 1 and len(q.arrows_from(v)) == 1}
     out: dict[str, Path] = {}
+
+    def saturate(walk: list[Arrow]) -> None:
+        w = Path(tuple(x.id for x in walk), walk[0].source, walk[-1].target)
+        out.update(dict.fromkeys(w.arrows, w))
+
+    for a in q.arrows:
+        if a.source not in unbranched:
+            walk = [a]
+            while walk[-1].target in unbranched:
+                walk.append(q.arrows_from(walk[-1].target)[0])
+            saturate(walk)
     for a in q.arrows:
         if a.id not in out:
-            w = omega_path(q, a)
-            out.update(dict.fromkeys(w.arrows, w))
+            walk = [a]
+            while (nxt := q.arrows_from(walk[-1].target)[0]) is not a:
+                walk.append(nxt)
+            i = min(range(len(walk)), key=lambda k: walk[k].id)
+            saturate(walk[i:] + walk[:i])
     return {a.id: out[a.id] for a in q.arrows}
 
 
@@ -99,7 +95,9 @@ def ramifications_graph(alg: AlgebraPresentation) -> RamificationsGraph:
     A saturation ends at a branching vertex, where every arrow out begins
     a saturation, unless it is a standalone cycle, which only itself
     follows; so the saturations after one are those of the nonzero
-    successors of its last arrow."""
+    successors of its last arrow.  InvalidPresentation when alg is no
+    AlgebraPresentation."""
+    _check_type(alg, AlgebraPresentation)
     om = omega_map(alg.quiver)
     nodes = sorted(set(om.values()), key=_colkey)
     after = alg._after

@@ -35,10 +35,11 @@ from fractions import Fraction
 from itertools import product
 from typing import Mapping, Sequence
 
-from .errors import InvalidPresentation, InvariantViolation
+from .errors import InvariantViolation
 from .ideal import (
     AlgebraPresentation,
     RowBasis,
+    _check_type,
     _colkey,
     coset_paths,
     path_in_ideal,
@@ -68,7 +69,9 @@ def _listing(alg: AlgebraPresentation) -> list[Path]:
 
     Pruning on membership is sound and the listing complete: extensions
     of a path in the ideal stay in the ideal, so every prefix of a nonzero
-    path is nonzero and is itself listed and extended."""
+    path is nonzero and is itself listed and extended.  InvalidPresentation
+    when alg is no AlgebraPresentation."""
+    _check_type(alg, AlgebraPresentation)
     return _outside(alg.quiver, lambda p: path_in_ideal(alg, p))
 
 
@@ -184,8 +187,6 @@ class UmpReport:
 def ump_bruteforce(alg: AlgebraPresentation) -> UmpReport:
     """Unique maximal path test: no two distinct maximal classes may share
     an arrow, counting every path in each class."""
-    if not isinstance(alg, AlgebraPresentation):
-        raise InvalidPresentation(f"{alg!r} is no AlgebraPresentation")
     classes = maximal_classes(alg)
     witness = shared_arrow(classes)
     return UmpReport(witness is None, "oracle", witness, (), classes)
@@ -199,7 +200,9 @@ def global_basis(alg: AlgebraPresentation) -> tuple[list[Path], RowBasis]:
     relation divides; paths killed by identifications are still
     coordinates.  A path lies in the ideal exactly when its coordinate
     vector reduces to zero, and two paths share a coset exactly when their
-    reductions agree."""
+    reductions agree.  InvalidPresentation when alg is no
+    AlgebraPresentation."""
+    _check_type(alg, AlgebraPresentation)
     # a path is dead when some window of it is a zero relation
     words = {z.arrows for z in alg.ideal.zero_paths}
     lengths = sorted({len(z) for z in words})

@@ -20,7 +20,7 @@ from dataclasses import replace
 
 from .analysis import components, global_maximal_classes
 from .errors import InvariantViolation, NotSpecialMultiserial
-from .ideal import AlgebraPresentation, _colkey, coset_paths, path_in_ideal
+from .ideal import AlgebraPresentation, _check_type, _colkey, coset_paths, path_in_ideal
 from .oracle import UmpReport, extensions_die, shared_arrow, ump_bruteforce
 from .quiver import Path
 
@@ -60,8 +60,10 @@ def quick_non_ump(alg: AlgebraPresentation) -> tuple[Path, Path, str] | None:
     saturates each seed, and looks for two saturations in distinct
     residue classes sharing an arrow.  A returned witness is validated
     against the definitions, so it is sound for any algebra; None just
-    means the shortcut found nothing.
+    means the shortcut found nothing.  InvalidPresentation when alg is no
+    AlgebraPresentation.
     """
+    _check_type(alg, AlgebraPresentation)
     q, after = alg.quiver, alg._after
     seeds: set[Path] = set()
     for rel in alg.ideal.linear:

@@ -3,8 +3,9 @@ component, shared by the example tests and the generated ones, bound
 references that list paths, the maximal paths by their definition, the
 Brauer presentation that the generic builder makes of the full relation
 listing, the paper's UMP criterion stated on relations, the block cache
-that membership reads first, and the component objects no verdict reads:
-eta, the junction relations and the Brauer component-vertex bijection."""
+that membership reads first, the saturations arrow by arrow, and the
+component objects no verdict reads: eta, the junction relations and the
+Brauer component-vertex bijection."""
 
 from fractions import Fraction
 from functools import lru_cache
@@ -292,6 +293,29 @@ def check_windows(alg, comps):
         if c.is_ump is not None:
             assert sub.ideal.linear == (), c.id
             assert set(sub.ideal.zero_paths) == set(junction_relations(alg, c) + c.ordered_relations), c.id
+
+
+def saturations_by_definition(q):
+    """The saturation of each arrow by its definition, walked arrow by
+    arrow in q's order: forward while the head has one arrow in and one
+    out, back while the tail does, and a standalone cycle, which the
+    forward walk closes, rotated to its least label."""
+    def unbranched(v):
+        return len(q.arrows_into(v)) == 1 and len(q.arrows_from(v)) == 1
+
+    out = {}
+    for a in q.arrows:
+        chain = [a]
+        while unbranched(chain[-1].target) and (nxt := q.arrows_from(chain[-1].target)[0]) is not a:
+            chain.append(nxt)
+        if unbranched(chain[-1].target):  # the walk came back to a
+            i = min(range(len(chain)), key=lambda k: chain[k].id)
+            chain = chain[i:] + chain[:i]
+        else:
+            while unbranched(chain[0].source):
+                chain.insert(0, q.arrows_into(chain[0].source)[0])
+        out[a.id] = q.path(x.id for x in chain)
+    return out
 
 
 def component_vertex_bijection(ba):

@@ -20,6 +20,7 @@ from invariants import (
     enumerated_bound,
     pairwise_shared_arrow,
     reduced_bound,
+    saturations_by_definition,
 )
 from quiverump.analysis import components
 
@@ -98,6 +99,7 @@ def test_auto_matches_enumeration_and_saturations_partition(alg):
 
     q = alg.quiver
     om = omega_map(q)
+    assert list(om.items()) == list(saturations_by_definition(q).items())
     sats = set(om.values())
     assert sorted(a for w in sats for a in w.arrows) == sorted(a.id for a in q.arrows)
     assert all(om[a] == w for w in sats for a in w.arrows)
@@ -215,6 +217,7 @@ def _dead_sibling_term():
 @example(_dead_sibling_term())
 def test_identifications_match_enumeration(alg):
     rep = _auto_agrees(alg)
+    assert list(omega_map(alg.quiver).items()) == list(saturations_by_definition(alg.quiver).items())
     check_maximal(alg)
     check_global_basis(alg)
     check_block_cache(alg)

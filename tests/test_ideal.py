@@ -41,14 +41,23 @@ from quiverump.ideal import (
     is_special_multiserial,
     linear_relation,
     live_paths,
+    longest_avoiding,
     minimalize_relations,
     path_in_ideal,
     zero_divisor,
     zero_relation,
 )
-from quiverump.oracle import ump_bruteforce
+from quiverump.omega import omega_map, ramifications_graph
+from quiverump.oracle import (
+    dimension_bruteforce,
+    global_basis,
+    maximal_classes,
+    maximal_paths,
+    nonzero_paths,
+    ump_bruteforce,
+)
 from quiverump.quiver import Path, occurrences, quiver
-from quiverump.ump import ROUTES, ump_report
+from quiverump.ump import ROUTES, quick_non_ump, ump_report
 
 
 def test_relation_validation():
@@ -182,6 +191,29 @@ def test_unbounded_cycle_is_rejected():
     assert err.value.cap == 10
     with pytest.raises(NotAdmissible):
         algebra(loop, cap=10)
+
+
+class _Listed(Exception):
+    pass
+
+
+def test_a_non_admissible_identification_is_refused_without_listing_its_paths(monkeypatch):
+    # loops x and y with xx = yy alone: every path alternating x and y lies
+    # outside I, and the stage walk would list all 2^L paths of length L
+    q = quiver(["1"], [("x", "1", "1"), ("y", "1", "1")])
+    in_ideal = _Engine.in_ideal
+    calls = []
+
+    def counted(self, p):
+        calls.append(p)
+        if len(calls) > 2000:
+            raise _Listed("the stage walk lists the paths outside I")
+        return in_ideal(self, p)
+
+    monkeypatch.setattr(_Engine, "in_ideal", counted)
+    with pytest.raises(NotAdmissible) as err:
+        algebra(q, [], [linear_relation(q, [(1, "xx"), (-1, "yy")])])
+    assert err.value.cap == 64
 
 
 def test_membership_monomial():
@@ -451,7 +483,11 @@ def test_engine_dies_with_its_presentation():
 @pytest.mark.parametrize("name", sorted(ALL_FIXTURES))
 def test_queries_agree_with_the_block(name):
     # the reference spans a block from every live path, term-free and lone
-    # ones included, with no shortcut of the engine's
+    # ones included, with no shortcut of the engine's; the engine keeps a
+    # block as its normal forms only, and its reduced rows, which
+    # induced_algebra reads back off them (negated), are the reference's: a
+    # member whose normal form is not itself is a pivot, its row the member
+    # less its normal form
     A = ALL_FIXTURES[name]()
     eng = AlgebraPresentation(A.quiver, A.ideal)._engine
     for p in live_paths(A):
@@ -464,6 +500,11 @@ def test_queries_agree_with_the_block(name):
                 coset_paths(A, p)
         else:
             assert coset_paths(A, p) == {m for m in members if nf[m] == key}
+        blk = A._engine.block(p)
+        if blk is not None:
+            rows = {m: {m: Fraction(1), **{k: -v for k, v in form}}
+                    for m, form in blk.items() if form != ((m, Fraction(1)),)}
+            assert rows == basis.rows, p
 
 
 @pytest.mark.parametrize("name", sorted(ALL_FIXTURES))
@@ -513,7 +554,7 @@ def test_lone_paths_build_no_block(name, monkeypatch):
         if not path_in_ideal(A, p):
             coset_paths(A, p)
     assert lone == []
-    one_row = [p for p, blk in A._engine._blocks.items() if blk.members == {p} and len(blk.rows) == 1]
+    one_row = [p for p, blk in A._engine._blocks.items() if blk == {p: ()}]
     for p in one_row:  # each is lone indeed
         members, basis = span((p,), A._engine.copies, A._engine.dead)
         assert members == {p} and not basis.reduce({p: Fraction(1)})
@@ -576,6 +617,19 @@ def test_components_and_brauer_entries_reject_what_is_no_algebra_or_graph():
         for entry in (brauer_algebra, classify, brauer_dimension):
             with pytest.raises(InvalidPresentation):
                 entry(bad)
+
+
+@pytest.mark.parametrize("entry, rest", [
+    pytest.param(entry, rest, id=entry.__name__) for entry, rest in [
+        (algebra, ()), (admissibility_bound, ()), (longest_avoiding, ((), 64)), (omega_map, ()),
+        (ramifications_graph, ()), (live_paths, ()), (nonzero_paths, ()), (maximal_paths, ()),
+        (maximal_classes, ()), (global_basis, ()), (dimension_bruteforce, ()), (quick_non_ump, ()),
+    ]
+])
+@pytest.mark.parametrize("bad", [None, "ab"])
+def test_entries_reject_what_is_no_quiver_or_algebra(entry, rest, bad):
+    with pytest.raises(InvalidPresentation):
+        entry(bad, *rest)
 
 
 class _Walked(Exception):

@@ -3,10 +3,11 @@
 import pytest
 
 from quiverump.errors import InvariantViolation
-from quiverump.omega import RamificationsGraph, omega_map, omega_path, ramifications_graph
+from quiverump.omega import RamificationsGraph, omega_map, ramifications_graph
 from quiverump.quiver import quiver
 
 from fixtures import (
+    ALL_FIXTURES,
     chord_cycle_monomial,
     cycle_fork_tail,
     loop_meets_twocycle,
@@ -14,6 +15,7 @@ from fixtures import (
     petal_hub,
     two_loops_line,
 )
+from invariants import saturations_by_definition
 
 
 def _omega_strs(q):
@@ -62,15 +64,16 @@ def test_standalone_cycle_rotation():
         ["1", "2", "3"],
         [("p", "1", "2"), ("m", "2", "3"), ("k", "3", "1")],
     )
+    om = omega_map(q)
     for a in ("p", "m", "k"):
-        w = omega_path(q, a)
+        w = om[a]
         assert w.arrows == ("k", "p", "m")
         assert w.source == "3" and w.target == "3"
 
 
 def test_lone_loop_is_its_own_rotation():
     q = quiver(["v"], [("z", "v", "v")])
-    assert omega_path(q, "z").arrows == ("z",)
+    assert omega_map(q)["z"].arrows == ("z",)
 
 
 def test_disconnected_union_mixes_rules():
@@ -88,7 +91,13 @@ def test_embedded_two_cycle_uses_greedy_not_rotation():
     # the e/f two-cycle hangs off the petal hub, so vertex 2 disqualifies the
     # standalone rule; both arrows still agree on the same greedy saturation
     A = petal_hub()
-    assert str(omega_path(A.quiver, "f")) == "ef"
+    assert str(omega_map(A.quiver)["f"]) == "ef"
+
+
+@pytest.mark.parametrize("name", sorted(ALL_FIXTURES))
+def test_saturations_match_their_definition(name):
+    q = ALL_FIXTURES[name]().quiver
+    assert list(omega_map(q).items()) == list(saturations_by_definition(q).items())
 
 
 def _edge_strs(g):

@@ -154,15 +154,16 @@ def test_every_route_has_a_caller():
 
 
 def test_the_decision_route_builds_no_validated_path():
-    """omega, analysis, oracle and ump build their paths from arrows known
-    to compose, with Path(...), and never validate them again through
-    Quiver.path."""
+    """omega, analysis, oracle, ump and brauer build their paths from
+    arrows known to compose, with Path(...) and ZeroRelation(...), and
+    never validate them again through Quiver.path or zero_relation."""
     here = Path(quiverump.__file__).resolve().parent
     found = []
-    for name in ("omega.py", "analysis.py", "oracle.py", "ump.py"):
+    for name in ("omega.py", "analysis.py", "oracle.py", "ump.py", "brauer.py"):
         for node in ast.walk(ast.parse((here / name).read_text(), filename=name)):
             func = node.func if isinstance(node, ast.Call) else None
-            if isinstance(func, ast.Attribute) and func.attr == "path":
+            if (isinstance(func, ast.Attribute) and func.attr == "path"
+                    or isinstance(func, ast.Name) and func.id == "zero_relation"):
                 found.append(f"{name}:{node.lineno}")
     assert found == []
 
