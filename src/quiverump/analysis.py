@@ -5,9 +5,11 @@ Each weak component of the graph is a line or a cycle of saturations
 gives it in order, so omega is its saturations joined.  An arrow composes
 nonzero with at most one arrow on each side, so every nonzero path of a
 component is a window (i, L) of its component path omega: the L arrows
-from position i on, read on around omega when it closes.  One sweep finds
-l(i), the longest nonzero window at each position, and every component's
-maximal paths follow from l with no further query.  The induced ideal is
+from position i on, read on around omega when it closes.  l(i), the
+longest nonzero window at each position, comes from one listing of the
+zero occurrences along omega when the ideal is monomial, with no query,
+and otherwise from one sweep of queries; every component's maximal paths
+follow from l with no further query.  The induced ideal is
 monomial exactly when the nonzero windows are independent modulo the
 ideal, tested per block on the windows holding a term copy the engine
 lists along omega.  Only there does the paper's test apply: the minimal
@@ -19,6 +21,7 @@ benchmark.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .errors import InvalidPresentation, InvariantViolation, NotSpecialMultiserial
 from .ideal import (
@@ -116,7 +119,7 @@ def induced_algebra(alg: AlgebraPresentation, arrow_ids: frozenset[str]) -> Alge
         return blk[p] == ()
 
     outside = _grow(sub, in_ideal, alg.bound - 1)
-    divisible = zero_divisor(r.path for r in zero)
+    divisible, _ = zero_divisor(r.path for r in zero)
     zero.extend(
         ZeroRelation(c)
         for p in outside if len(p) == alg.bound - 1
@@ -145,11 +148,21 @@ class Component:
     is_ump: bool | None  # None when the induced ideal is not monomial
 
 
-def _lengths(alg: AlgebraPresentation, window, n: int, closes: bool) -> list[int]:
-    """l(i) at each of the n positions of omega, by one two-pointer sweep: a
+def _lengths(alg: AlgebraPresentation, word: tuple[str, ...], window, n: int, closes: bool) -> list[int]:
+    """l(i) at each of the n positions of omega, read along word (omega,
+    repeated when it closes).  On a monomial ideal l(i) = min(bound - 1,
+    e(j) - i - 1 over j >= i), e(j) the end of the shortest zero relation
+    at position j, so one suffix minimum over one listing of the zero
+    occurrences gives l with no query.  Otherwise one two-pointer sweep: a
     suffix of a nonzero window is nonzero, so position i starts at
     max(l(i-1) - 1, 1).  Each query moves the window's end on or closes a
     position: at most 2n + bound queries, none on a window of length bound."""
+    if alg.is_monomial:
+        # windows start before n and stay below the bound; where no zero relation
+        # starts, the lister reads the word's length + 1, which caps a line at n - i
+        longest = alg.bound - 1
+        first = list(accumulate(reversed(alg._engine.zero_ends(word[:n + longest - 1])), min))[::-1]
+        return [min(longest, first[i] - i - 1) for i in range(n)]
     out: list[int] = []
     length = 1
     for i in range(n):
@@ -210,7 +223,7 @@ def _build_component(alg: AlgebraPresentation, cid: str, order: tuple[Path, ...]
     def window(i: int, length: int) -> Path:
         return Path(word[i:i + length], arrows[i].source, arrows[i + length - 1].target)
 
-    ls = _lengths(alg, window, n, closes)
+    ls = _lengths(alg, word, window, n, closes)
     # the maximal windows: those not the suffix of a nonzero window
     maximal = [(i, ls[i]) for i in range(n) if (ls[i - 1] if closes or i else 0) <= ls[i]]
     ordered, sigma, ump = [], (), None

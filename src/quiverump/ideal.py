@@ -41,13 +41,14 @@ a coset query takes the block its membership query has just cached.
 Whether a zero relation occurs in a path is asked of a window test,
 zero_divisor, that indexes the relation words by first arrow: a path is
 read once, and at each arrow only the windows of the lengths that start
-there are looked up.  Each relation set is indexed once.  An engine holds
-the window test of its zero relations and the copy index of its terms;
-the stage engines of admissibility_bound are truncations of one engine
-and share both, and minimalize_relations keeps one window test and one
-copy index for all its candidates, built again only after it drops a
-relation of their kind.  analysis reads the engine's copy index too, to
-list the term copies along a component path.
+there are looked up; the same index lists the shortest zero occurrence
+at each position of a word.  Each relation set is indexed once.  An
+engine holds both tests of its zero relations and the copy index of its
+terms; the stage engines of admissibility_bound are truncations of one
+engine and share them, and minimalize_relations keeps one window test
+and one copy index for all its candidates, built again only after it
+drops a relation of their kind.  analysis reads the engine's lister and
+copy index too, along a component path.
 
 Paths are grown in one place, _grow, one layer per length: the listed
 coordinates, the identified admissibility bound, and the walk of
@@ -61,8 +62,9 @@ C.
 
 Beside the engine it carries one table of the nonzero length-2
 compositions: for each arrow, the arrows after it whose composition with
-it survives, in arrows_from order, asked of the engine once per
-composable pair on first use.  The special multiserial test, the
+it survives, in arrows_from order, built on first use: read off the
+length-2 zero relations of a monomial ideal, else asked of the engine
+once per composable pair.  The special multiserial test, the
 ramifications graph, the shape and closing tests of analysis, and
 the one-arrow paddings of ump.quick_non_ump all read it, so no pair is
 asked twice.  Like the engine it is a cache: copies and pickles leave it
@@ -228,8 +230,14 @@ class AlgebraPresentation:
 
     @cached_property
     def _after(self) -> dict[str, tuple[str, ...]]:
-        """The arrows composing nonzero after each arrow, in arrows_from order."""
-        q, in_ideal = self.quiver, self._engine.in_ideal
+        """The arrows composing nonzero after each arrow, in arrows_from order;
+        a monomial ideal holds ab exactly when the bound is 2 or ab is a zero relation."""
+        q, bound = self.quiver, self.bound
+        if self.is_monomial:
+            zero = {r.path.arrows for r in self.ideal.zero if len(r.path) == 2}
+            return {a.id: tuple(b.id for b in q.arrows_from(a.target)
+                                if bound > 2 and (a.id, b.id) not in zero) for a in q.arrows}
+        in_ideal = self._engine.in_ideal
         return {a.id: tuple(b.id for b in q.arrows_from(a.target)
                             if not in_ideal(Path((a.id, b.id), a.source, b.target)))
                 for a in q.arrows}
@@ -242,20 +250,23 @@ class AlgebraPresentation:
 # -- zero divisibility --------------------------------------------------------
 
 
-def zero_divisor(zero_paths: Iterable[Path]) -> Callable[[Path], bool]:
-    """Predicate telling whether one of the given paths divides a path.
+def zero_divisor(zero_paths: Iterable[Path]) -> tuple[Callable[[Path], bool], Callable]:
+    """Window tests of the given paths, on one index: a predicate telling
+    whether one of them divides a path, and a lister giving, at each
+    position i of an arrow sequence w, the end i + k of the shortest of
+    them that starts there and ends inside w, or len(w) + 1 when none does.
 
     The relation arrow sequences are indexed by their first arrow, which
     keeps the distinct lengths of the sequences starting there, shortest
-    first.  A path is tested position by position, and only the windows
-    of those lengths that end inside the path are looked up in the set of
+    first.  A sequence is read position by position, and only the windows
+    of those lengths that end inside it are looked up in the set of
     sequences: about one lookup per arrow when, as in Brauer and monomial
     relation sets, about one length starts at each arrow.  Build it once
     per relation set; an engine and its truncations share theirs.
     """
     seqs = frozenset(z.arrows for z in zero_paths)
-    if () in seqs:
-        return lambda p: True  # a trivial path divides every path
+    if () in seqs:  # a trivial path divides every path, and starts everywhere
+        return (lambda p: True), (lambda w: list(range(len(w))))
     starts: dict[str, set[int]] = {}
     for s in seqs:
         starts.setdefault(s[0], set()).add(len(s))
@@ -278,7 +289,17 @@ def zero_divisor(zero_paths: Iterable[Path]) -> Callable[[Path], bool]:
             i += 1
         return False
 
-    return divisible
+    def ends(w: tuple[str, ...]) -> list[int]:
+        n = len(w)
+        out = [n + 1] * n
+        for i, a in enumerate(w):
+            for k in lengths(a, ()):  # shortest first
+                if i + k <= n and w[i:i + k] in seqs:
+                    out[i] = i + k
+                    break
+        return out
+
+    return divisible, ends
 
 
 # -- sparse exact row reduction ----------------------------------------------
@@ -432,7 +453,7 @@ class _Engine:
     def __init__(self, zero_paths: Sequence[Path],
                  linear: Sequence[LinearRelation], bound: int):
         self.bound = bound
-        self.zero_divisible = zero_divisor(zero_paths)
+        self.zero_divisible, self.zero_ends = zero_divisor(zero_paths)
         self.linear = tuple(linear)
         self.copies = _copy_index(self.linear)
         self._blocks: dict[Path, dict[Path, tuple]] = {}
@@ -748,7 +769,7 @@ def minimalize_relations(q: Quiver, zero: Sequence[ZeroRelation],
     divisible = copies = None
     for cand in sorted(zs + ls, key=_candidate_key):
         if divisible is None:
-            divisible = zero_divisor(r.path for r in zs)
+            divisible, _ = zero_divisor(r.path for r in zs)
         if copies is None and ls:
             copies = _copy_index(ls)
         if _removable(q, cand, zs, divisible, copies, bound):

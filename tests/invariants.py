@@ -10,14 +10,17 @@ Brauer component-vertex bijection."""
 from fractions import Fraction
 from functools import lru_cache
 
+import pytest
+
 import quiverump.oracle
 import quiverump.ump
 from quiverump.analysis import components, induced_algebra
 from quiverump.brauer import Half, brauer_algebra
-from quiverump.errors import NotAdmissible, TrivialPath
+from quiverump.errors import NotAdmissible, NotSpecialMultiserial, TrivialPath
 from quiverump.ideal import (
     AlgebraPresentation,
     IdealPresentation,
+    _Engine,
     _colkey,
     _grow,
     algebra,
@@ -204,22 +207,51 @@ def check_block_cache(alg):
 
 
 def count_window_scans(monkeypatch, eng):
-    """The arrow sequences an engine's zero-window test and copy listing
-    read from now on, by kind."""
-    scans = {"zero": [], "copies": []}
-    divisible, copies = eng.zero_divisible, eng.copies
+    """The arrow sequences an engine's zero-window test, zero-occurrence
+    lister and copy listing read from now on, by kind."""
+    scans = {"zero": [], "ends": [], "copies": []}
+    divisible, ends, copies = eng.zero_divisible, eng.zero_ends, eng.copies
 
     def counted_divisible(p):
         scans["zero"].append(p.arrows)
         return divisible(p)
+
+    def counted_ends(w):
+        scans["ends"].append(w)
+        return ends(w)
 
     def counted_copies(w):
         scans["copies"].append(w)
         return copies(w)
 
     monkeypatch.setattr(eng, "zero_divisible", counted_divisible)
+    monkeypatch.setattr(eng, "zero_ends", counted_ends)
     monkeypatch.setattr(eng, "copies", counted_copies)
     return scans
+
+
+def _asked(engine, p):
+    raise AssertionError(f"a monomial component asked whether {p} lies in the ideal")
+
+
+def check_components_ask_nothing(alg):
+    """On a fresh copy of a monomial presentation, components asks the
+    engine no membership query and scans no window: the length-2 table is
+    read off the relations, and each component reads one listing of the
+    zero occurrences along its word.  Returns the components, or () when
+    the algebra is not special multiserial."""
+    assert alg.is_monomial
+    fresh = AlgebraPresentation(alg.quiver, alg.ideal)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_Engine, "in_ideal", _asked)
+        scans = count_window_scans(mp, fresh._engine)
+        try:
+            comps = components(fresh)
+        except NotSpecialMultiserial:
+            comps = ()
+    assert scans["zero"] == scans["copies"] == []
+    assert len(scans["ends"]) == len(comps)
+    return comps
 
 
 def pairwise_shared_arrow(classes):

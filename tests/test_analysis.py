@@ -21,8 +21,8 @@ from quiverump.ideal import (
     zero_relation,
 )
 from quiverump.omega import omega_map, ramifications_graph
-from quiverump.oracle import MaximalClass, maximal_classes, ump_bruteforce
-from quiverump.quiver import Path, quiver
+from quiverump.oracle import MaximalClass, maximal_classes, maximal_paths, ump_bruteforce
+from quiverump.quiver import Path, occurrences, quiver
 from quiverump.ump import ROUTES, ump_report
 
 from fixtures import (
@@ -36,6 +36,7 @@ from fixtures import (
     two_loops_line,
 )
 from invariants import (
+    check_components_ask_nothing,
     check_induced,
     check_relation_level,
     check_windows,
@@ -160,6 +161,50 @@ def test_components_reject_non_special():
     for build in (loop_spur, chord_cycle_monomial, chord_cycle_identified):
         with pytest.raises(NotSpecialMultiserial):
             components(build())
+
+
+@pytest.mark.parametrize("name", sorted(n for n, build in ALL_FIXTURES.items() if build().is_monomial))
+def test_monomial_components_ask_no_query(name):
+    A = ALL_FIXTURES[name]()
+    assert check_components_ask_nothing(A) == (components(A) if is_special_multiserial(A) else ())
+
+
+def _monomial(arrows, *words):
+    q = quiver(sorted({v for _, s, t in arrows for v in (s, t)}), arrows)
+    return algebra(q, [zero_relation(q, w) for w in words])
+
+
+_TWO_CYCLE = [("a", "1", "2"), ("b", "2", "1")]
+_THREE_CYCLE = [("a", "1", "2"), ("b", "2", "3"), ("c", "3", "1")]
+_LINE = [("a", "1", "2"), ("b", "2", "3"), ("c", "3", "4"), ("d", "4", "5")]
+
+# monomial presentations at the edges of the zero-occurrence listing, with
+# whether their one component closes and its window lengths
+_LISTING_EDGES = {
+    "bound_two": (lambda: _monomial(_TWO_CYCLE, "ab", "ba"), False, (1, 1)),
+    "bound_two_with_no_relation": (
+        lambda: AlgebraPresentation(quiver(["1", "2"], _TWO_CYCLE), IdealPresentation((), (), 2)), False, (1, 1)),
+    "relation_across_the_seam": (lambda: _monomial(_THREE_CYCLE, "cab"), True, (4, 3, 2)),
+    "relation_longer_than_omega": (lambda: _monomial(_TWO_CYCLE, "ababa"), True, (4, 5)),
+    "loop_power": (lambda: _monomial([("x", "1", "1")], "xxxx"), True, (3,)),
+    "line_relation_ending_at_the_last_arrow": (lambda: _monomial(_LINE, "bcd"), False, (3, 2, 2, 1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LISTING_EDGES))
+def test_monomial_windows_at_the_edges_of_the_zero_listing(name):
+    build, closes, lengths = _LISTING_EDGES[name]
+    A = build()
+    (comp,) = check_components_ask_nothing(A)
+    assert (comp.closes, comp.lengths) == (closes, lengths)
+    assert (comp,) == components(A)
+    check_windows(A, (comp,))
+    assert set(comp.maximal) == set(maximal_paths(A))
+    if A.bound == 2:
+        assert not any(A._after.values())
+    if closes:  # its relation straddles the seam or outgrows omega
+        (r,) = A.ideal.zero_paths
+        assert not occurrences(r.arrows, comp.omega.arrows)
 
 
 def test_induced_ideal_restricts_monomial_generators():
@@ -408,7 +453,8 @@ def test_relation_level_statement_gives_every_structural_verdict():
 
 
 def test_the_sweep_asks_at_most_two_queries_per_position_plus_the_bound(monkeypatch):
-    asked = []  # per sweep: [queries, positions, bound]
+    """A monomial component is read off its zero relations with no query."""
+    asked = []  # per sweep: [queries, positions, bound, monomial]
     sweeping = False
     in_ideal = _Engine.in_ideal
 
@@ -417,12 +463,12 @@ def test_the_sweep_asks_at_most_two_queries_per_position_plus_the_bound(monkeypa
             asked[-1][0] += 1
         return in_ideal(self, p)
 
-    def sweep(alg, window, n, closes):
+    def sweep(alg, word, window, n, closes):
         nonlocal sweeping
-        asked.append([0, n, alg.bound])
+        asked.append([0, n, alg.bound, alg.is_monomial])
         sweeping = True
         try:
-            return _lengths(alg, window, n, closes)
+            return _lengths(alg, word, window, n, closes)
         finally:
             sweeping = False
 
@@ -430,14 +476,17 @@ def test_the_sweep_asks_at_most_two_queries_per_position_plus_the_bound(monkeypa
     monkeypatch.setattr(quiverump.analysis, "_lengths", sweep)
     built = sum(len(components(A)) for _, A in _structural_cases())
     assert len(asked) == built
-    assert all(queries <= 2 * n + bound for queries, n, bound in asked), asked
-    assert any(queries > 0 for queries, _, _ in asked)
+    assert all(queries <= 2 * n + bound for queries, n, bound, _ in asked), asked
+    assert all(queries == 0 for queries, _, _, monomial in asked if monomial), asked
+    assert any(queries > 0 for queries, _, _, _ in asked)
+    assert any(monomial for *_, monomial in asked)
 
 
 def test_the_entry_tests_ask_each_composable_pair_once(monkeypatch):
     """The special multiserial test, the ramifications graph and the
     components read one table of the nonzero length-2 compositions, so
-    outside the sweep they ask each composable arrow pair once."""
+    outside the sweep they ask each composable arrow pair once, and none
+    when the ideal is monomial: the table is read off its relations."""
     asked = 0
     sweeping = False
     in_ideal = _Engine.in_ideal
@@ -468,4 +517,6 @@ def test_the_entry_tests_ask_each_composable_pair_once(monkeypatch):
         assert is_special_multiserial(A)
         ramifications_graph(A)
         components(A)
-        assert asked == sum(len(q.arrows_from(a.target)) for a in q.arrows), name
+        pairs = sum(len(q.arrows_from(a.target)) for a in q.arrows)
+        assert asked == (0 if A.is_monomial else pairs), name
+    assert any(A.is_monomial for _, A in cases) and not all(A.is_monomial for _, A in cases)

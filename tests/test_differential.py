@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from invariants import (
     brauer_reference,
     check_block_cache,
+    check_components_ask_nothing,
     check_global_basis,
     check_induced,
     check_maximal,
@@ -104,8 +105,9 @@ def test_auto_matches_enumeration_and_saturations_partition(alg):
     assert sorted(a for w in sats for a in w.arrows) == sorted(a.id for a in q.arrows)
     assert all(om[a] == w for w in sats for a in w.arrows)
 
+    comps = check_components_ask_nothing(alg)
     if is_special_multiserial(alg):
-        comps = components(alg)
+        assert comps == components(alg)
         check_windows(alg, comps)
         check_induced(alg, [component_algebra(alg, c) for c in comps])
         check_relation_level(alg, comps, rep.is_ump)
@@ -411,6 +413,7 @@ def test_saturation_chains_match_enumeration_on_every_branch():
         assert is_special_multiserial(alg)
         report = _auto_agrees(alg)
         comps = components(alg)
+        assert check_components_ask_nothing(alg) == comps
         check_windows(alg, comps)
         check_induced(alg, [component_algebra(alg, c) for c in comps])
         check_relation_level(alg, comps, report.is_ump)

@@ -277,7 +277,7 @@ def test_coset_paths():
 
 def test_zero_divisor():
     q = quiver(["1", "2"], [("a", "1", "1"), ("b", "1", "2"), ("c", "2", "2")])
-    divisible = zero_divisor([q.path("ab"), q.path("aaa")])
+    divisible, ends = zero_divisor([q.path("ab"), q.path("aaa")])
     assert divisible(q.path("ab"))
     assert divisible(q.path("abcc"))  # relation at the start
     assert divisible(q.path("aab"))  # relation at the end
@@ -286,9 +286,14 @@ def test_zero_divisor():
     assert not divisible(q.path("aa"))
     assert not divisible(q.path("bccc"))
     assert not divisible(q.path("b"))  # shorter than every relation
-    never = zero_divisor([])
+    # the shortest relation ending inside the sequence, or its length + 1
+    assert ends(tuple("aaab")) == [3, 5, 4, 5]
+    assert ends(tuple("aab")) == [4, 3, 4]
+    assert ends(()) == []
+    never, nowhere = zero_divisor([])
     assert not never(q.path("ab"))
     assert not never(q.path("aaab"))
+    assert nowhere(tuple("aaab")) == [5] * 4
 
 
 _WORDS = st.text(alphabet="abc", min_size=1, max_size=4).map(tuple)
@@ -320,8 +325,22 @@ def _relation_sets_and_paths(draw):
 @example(([tuple("abc"), tuple("aba"), tuple("bca"), tuple("aaaa")], tuple("ab")))
 def test_zero_divisor_matches_a_scan_of_every_window(case):
     words, w = case
-    divisible = zero_divisor(Path(z, "1", "1") for z in words)
+    divisible, _ = zero_divisor(Path(z, "1", "1") for z in words)
     assert divisible(Path(w, "1", "1")) == any(occurrences(z, w) for z in words)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(_relation_sets_and_paths())
+@example(([tuple("abc"), tuple("aba"), tuple("bca"), tuple("aaaa")], tuple("ab")))
+# a longer word shares its start with a shorter one that ends only at the last arrow
+@example(([tuple("aab"), tuple("a"), tuple("ab")], tuple("cab")))
+def test_zero_occurrence_ends_match_a_scan_of_every_window(case):
+    words, w = case
+    _, ends = zero_divisor(Path(z, "1", "1") for z in words)
+    n = len(w)
+    # at each position, the end of the shortest word starting there that ends inside w
+    expected = [min((i + len(z) for z in words if i in occurrences(z, w)), default=n + 1) for i in range(n)]
+    assert ends(w) == expected
 
 
 def test_live_paths_enumeration():
@@ -590,7 +609,7 @@ def test_repeated_queries_of_a_block_member_scan_no_window(name, monkeypatch):
     for p in cached:
         if not path_in_ideal(A, p):
             coset_paths(A, p)
-    assert scans == {"zero": [], "copies": []}
+    assert scans == {"zero": [], "ends": [], "copies": []}
 
 
 def test_queries_and_routes_reject_what_is_no_path_or_algebra():
@@ -668,6 +687,7 @@ def test_stage_engines_share_the_indexes_and_agree_with_fresh_ones(name):
             if stage is None:
                 stage = stages[bound] = base.truncated(bound)
                 assert stage.zero_divisible is base.zero_divisible
+                assert stage.zero_ends is base.zero_ends
                 assert stage.copies is base.copies
                 assert stage._blocks is not base._blocks
             assert stage.in_ideal(p) == _Engine(zero, linear, bound).in_ideal(p), (p, bound)

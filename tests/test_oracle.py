@@ -152,6 +152,7 @@ def test_classes_of_scans_each_class_once(name, monkeypatch):
     scanned = sorted(p.arrows for p in firsts if p not in cached)
     assert sorted(scans["zero"]) == scanned
     assert sorted(scans["copies"]) == (scanned if alg.ideal.linear else [])
+    assert scans["ends"] == []
     assert any(p in cached for p in firsts) == bool(alg.ideal.linear)
 
 
