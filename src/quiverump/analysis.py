@@ -1,21 +1,21 @@
 """Decomposition of an algebra along its ramifications graph, on positions.
 
 Each weak component of the graph is a line or a cycle of saturations
-(special multiserial algebras admit nothing else), and the graph's walk
-gives it in order, so omega is its saturations joined.  An arrow composes
-nonzero with at most one arrow on each side, so every nonzero path of a
-component is a window (i, L) of its component path omega: the L arrows
-from position i on, read on around omega when it closes.  l(i), the
-longest nonzero window at each position, comes from one listing of the
-zero occurrences along omega when the ideal is monomial, with no query,
-and otherwise from one sweep of queries; every component's maximal paths
-follow from l with no further query.  The induced ideal is
-monomial exactly when the nonzero windows are independent modulo the
-ideal, tested per block on the windows holding a term copy the engine
-lists along omega.  Only there does the paper's test apply: the minimal
-zero windows (ordered relations, with sigma) follow from l.  No verdict
-reads an induced presentation: induced_algebra builds one for tests and
-benchmark.
+(special multiserial algebras admit nothing else), read in order off the
+length-2 table with no graph built, so omega is its saturations joined.
+An arrow composes nonzero with at most one arrow on each side, so every
+nonzero path of a component is a window (i, L) of its component path
+omega: the L arrows from position i on, read on around omega when it
+closes.  l(i), the longest nonzero window at each position, comes from
+one listing of the zero occurrences along omega when the ideal is
+monomial, with no query, and otherwise from one sweep of queries; every
+component's maximal paths follow from l with no further query.  The
+induced ideal is monomial exactly when the nonzero windows are
+independent modulo the ideal, tested per block on the windows holding a
+term copy the engine lists along omega.  Only there does the paper's
+test apply: the minimal zero windows (ordered relations, with sigma)
+follow from l.  No verdict reads an induced presentation:
+induced_algebra builds one for tests and benchmark.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .errors import InvalidPresentation, InvariantViolation, NotSpecialMultiserial
+from .errors import InvalidPresentation, NotSpecialMultiserial
 from .ideal import (
     AlgebraPresentation,
     IdealPresentation,
@@ -40,7 +40,7 @@ from .ideal import (
     path_in_ideal,
     zero_divisor,
 )
-from .omega import ramifications_graph
+from .omega import saturation_walks
 from .oracle import MaximalClass, classes_of
 from .quiver import Path
 
@@ -203,25 +203,18 @@ def _windows_independent(alg: AlgebraPresentation, word: tuple[str, ...], window
     return True
 
 
-def _build_component(alg: AlgebraPresentation, cid: str, order: tuple[Path, ...]) -> Component:
-    q = alg.quiver
-    # each saturation ends where its successor in the order starts; the last
-    # one runs on into another, the first, only when the walk is a cycle
-    shape = "single" if len(order) == 1 else "cycle" if alg._after[order[-1].arrows[-1]] else "line"
+def _build_component(alg: AlgebraPresentation, cid: str, order: tuple[Path, ...], closes: bool) -> Component:
+    shape = "single" if len(order) == 1 else "cycle" if closes else "line"
     omega = Path(tuple(a for w in order for a in w.arrows), order[0].source, order[-1].target)
 
-    closes = omega.target == omega.source and omega.arrows[0] in alg._after[omega.arrows[-1]]
-    if shape == "cycle" and not closes:
-        raise InvariantViolation("cycle component whose path does not close")
-
-    # the window (i, L) is the path of the L arrows of omega from position i
-    # on, read around omega when it closes
+    # the window (i, L), i < n and L <= bound, is the path of the L arrows of
+    # omega from position i on, read around omega when it closes
     n = len(omega)
-    word = omega.arrows * (alg.bound // n + 2) if closes else omega.arrows
-    arrows = [q.arrow(a) for a in word]
+    word = (omega.arrows * (alg.bound // n + 2))[:n + alg.bound - 1] if closes else omega.arrows
+    arrows = [alg.quiver.arrow(a) for a in omega.arrows]
 
     def window(i: int, length: int) -> Path:
-        return Path(word[i:i + length], arrows[i].source, arrows[i + length - 1].target)
+        return Path(word[i:i + length], arrows[i].source, arrows[(i + length - 1) % n].target)
 
     ls = _lengths(alg, word, window, n, closes)
     # the maximal windows: those not the suffix of a nonzero window
@@ -239,18 +232,15 @@ def _build_component(alg: AlgebraPresentation, cid: str, order: tuple[Path, ...]
 
 
 def components(alg: AlgebraPresentation) -> tuple[Component, ...]:
-    """Weak components of the ramifications graph, fully analyzed.
-
-    Only defined for special multiserial algebras; anything else raises
-    with the violating arrow as witness.
-    """
+    """Weak components of the ramifications graph, fully analyzed, each
+    walked off the length-2 table by omega.saturation_walks, sorted by its
+    least saturation.  Only defined for special multiserial algebras;
+    anything else raises with the violating arrow as witness."""
     res = is_special_multiserial(alg)
     if not res:
         raise NotSpecialMultiserial(res.witness)
-    return tuple(
-        _build_component(alg, f"N{i}", order)
-        for i, order in enumerate(ramifications_graph(alg).weak_components(), start=1)
-    )
+    walks = sorted(saturation_walks(alg.quiver, alg._after), key=lambda w: min(map(_colkey, w[0])))
+    return tuple(_build_component(alg, f"N{i}", *w) for i, w in enumerate(walks, start=1))
 
 
 # -- global classes -----------------------------------------------------------

@@ -64,11 +64,10 @@ Beside the engine it carries one table of the nonzero length-2
 compositions: for each arrow, the arrows after it whose composition with
 it survives, in arrows_from order, built on first use: read off the
 length-2 zero relations of a monomial ideal, else asked of the engine
-once per composable pair.  The special multiserial test, the
-ramifications graph, the shape and closing tests of analysis, and
-the one-arrow paddings of ump.quick_non_ump all read it, so no pair is
-asked twice.  Like the engine it is a cache: copies and pickles leave it
-behind.
+once per composable pair.  The special multiserial test, the walk of
+omega.saturation_walks and the one-arrow paddings of ump.quick_non_ump
+all read it, so no pair is asked twice.  Like the engine it is a cache:
+copies and pickles leave it behind.
 """
 
 from __future__ import annotations
@@ -822,12 +821,15 @@ def is_special_multiserial(alg: AlgebraPresentation) -> SpecialMultiserialResult
     """Each arrow composes nonzero with at most one arrow on each side."""
     _check_type(alg, AlgebraPresentation)
     q, after = alg.quiver, alg._after
+    preds: dict[str, list[str]] = {}  # in arrows_into order, which is q's
     for a in q.arrows:
         good = after[a.id]
         if len(good) > 1:
             return SpecialMultiserialResult(False, SMWitness(a.id, "right", (good[0], good[1])))
+        for b in good:
+            preds.setdefault(b, []).append(a.id)
     for a in q.arrows:
-        good = [b.id for b in q.arrows_into(a.source) if a.id in after[b.id]]
+        good = preds.get(a.id, ())
         if len(good) > 1:
             return SpecialMultiserialResult(False, SMWitness(a.id, "left", (good[0], good[1])))
     return SpecialMultiserialResult(True)

@@ -1,4 +1,4 @@
-"""Arrow saturations and the ramifications graph.
+"""Arrow saturations, the ramifications graph and its components.
 
 Every arrow extends to a canonical longest path through vertices that
 admit no branching: while the head of the path has exactly one arrow in
@@ -6,14 +6,12 @@ and one arrow out, keep walking, and symmetrically at the tail.  So a
 saturation starts at an arrow whose source branches, unless it is a
 standalone directed cycle, which contributes one fixed rotation of the
 full cycle, anchored at its least label and shared by all its arrows.
-omega_map finds them all in one pass: one forward walk from each arrow
-whose source branches, then one walk around each cycle left over.
 
-The ramifications graph has the distinct saturations as nodes and an
-edge wherever two of them compose without falling into the ideal.  In a
-special multiserial algebra a saturation has at most one successor and one
-predecessor there, so weak_components walks each component, a line or a
-cycle, in order.
+The ramifications graph joins two saturations that compose outside the
+ideal.  In a special multiserial algebra its weak components are lines
+and cycles, and saturation_walks reads them straight off the length-2
+table with the one walker, _walk, that also gives omega_map its
+saturations and weak_components a graph's components.
 """
 
 from __future__ import annotations
@@ -22,38 +20,61 @@ from dataclasses import dataclass
 
 from .errors import InvariantViolation
 from .ideal import AlgebraPresentation, _check_type, _colkey
-from .quiver import Arrow, Path, Quiver
+from .quiver import Path, Quiver
+
+
+def _walk(arrows: list[str], nxt: dict[str, str], starts) -> list[tuple[list[list[str]], bool]]:
+    """Each line of the partial injection nxt on arrows from its head, and
+    each cycle from the last start at or before its least arrow (from that
+    arrow when it holds no start), cut into runs at the starts, with
+    whether it is a cycle.  InvariantViolation when it reaches an arrow twice."""
+    heads = set(arrows) - set(nxt.values())
+    seen: set[str] = set()
+    out = []
+    for a in sorted(arrows, key=lambda a: a not in heads):  # the arrows no line reaches lie on cycles
+        if a in seen:
+            continue
+        walk, x = [], a
+        while x is not None and not (walk and x == a):
+            if x in seen:
+                raise InvariantViolation(f"arrow {x} reached twice")
+            seen.add(x)
+            walk.append(x)
+            x = nxt.get(x)
+        closed = x is not None
+        if closed:
+            i = walk.index(min(walk))
+            k = next((k for k in range(i, i - len(walk), -1) if walk[k] in starts), i)
+            walk = walk[k:] + walk[:k]
+        cuts = [k for k, y in enumerate(walk) if k == 0 or y in starts]
+        out.append(([walk[b:e] for b, e in zip(cuts, cuts[1:] + [len(walk)])], closed))
+    return out
+
+
+def saturation_walks(q: Quiver, after: dict[str, tuple[str, ...]]) -> list[tuple[tuple[Path, ...], bool]]:
+    """Walks of q's arrows through every unbranched vertex and on from each
+    other arrow to its first successor in after, cut into saturations, each
+    with whether it closes: a cycle whose last arrow composes nonzero with
+    its first (only a standalone cycle's may not).  Consecutive arrows of a
+    walk compose, so no path is validated."""
+    unbranched = {v for v in q.vertex_ids if len(q.arrows_into(v)) == 1 and len(q.arrows_from(v)) == 1}
+    nxt = {}
+    for a in q.arrows:
+        if a.target in unbranched:
+            nxt[a.id] = q.arrows_from(a.target)[0].id
+        elif after.get(a.id):
+            nxt[a.id] = after[a.id][0]
+    starts = {a.id for a in q.arrows if a.source not in unbranched}
+    return [(tuple(Path(tuple(r), q.arrow(r[0]).source, q.arrow(r[-1]).target) for r in runs),
+             closed and bool(after.get(runs[-1][-1])))
+            for runs, closed in _walk([a.id for a in q.arrows], nxt, starts)]
 
 
 def omega_map(q: Quiver) -> dict[str, Path]:
-    """Saturation of every arrow, keyed by arrow label, in one pass.
-
-    A saturation that is no standalone cycle starts at an arrow whose
-    source branches, so one forward walk from each such arrow finds it.
-    The arrows left over lie on standalone cycles, each walked once and
-    rotated to its least label.  Consecutive arrows of a walk compose, so
-    no path is validated.  InvalidPresentation when q is no Quiver."""
+    """Saturation of every arrow, keyed by arrow label: the walks through
+    the unbranched vertices alone.  InvalidPresentation when q is no Quiver."""
     _check_type(q, Quiver)
-    unbranched = {v for v in q.vertex_ids if len(q.arrows_into(v)) == 1 and len(q.arrows_from(v)) == 1}
-    out: dict[str, Path] = {}
-
-    def saturate(walk: list[Arrow]) -> None:
-        w = Path(tuple(x.id for x in walk), walk[0].source, walk[-1].target)
-        out.update(dict.fromkeys(w.arrows, w))
-
-    for a in q.arrows:
-        if a.source not in unbranched:
-            walk = [a]
-            while walk[-1].target in unbranched:
-                walk.append(q.arrows_from(walk[-1].target)[0])
-            saturate(walk)
-    for a in q.arrows:
-        if a.id not in out:
-            walk = [a]
-            while (nxt := q.arrows_from(walk[-1].target)[0]) is not a:
-                walk.append(nxt)
-            i = min(range(len(walk)), key=lambda k: walk[k].id)
-            saturate(walk[i:] + walk[:i])
+    out = {a: w for sats, _ in saturation_walks(q, {}) for w in sats for a in w.arrows}
     return {a.id: out[a.id] for a in q.arrows}
 
 
@@ -66,27 +87,14 @@ class RamificationsGraph:
         """The components as walks, sorted by their least saturation: a line
         from its saturation with no predecessor, a cycle from the one
         holding its least arrow."""
-        succ: dict[Path, Path] = {}
-        pred: dict[Path, Path] = {}
+        nxt = {x: y for w in self.nodes for x, y in zip(w.arrows, w.arrows[1:])}
         for a, b in self.edges:
-            if succ.setdefault(a, b) != b or pred.setdefault(b, a) != a:
-                raise InvariantViolation("saturation with two successors or two predecessors")
-        comps = []
-        seen: set[Path] = set()
-        for node in sorted(self.nodes, key=_colkey):
-            if node in seen:
-                continue
-            back = [node]
-            while (prev := pred.get(back[-1])) is not None and prev != node:
-                back.append(prev)
-            # a line starts where the walk back stops; a cycle came back to node
-            start = back[-1] if prev is None else min(back, key=lambda w: min(w.arrows))
-            walk = [start]
-            while (nxt := succ.get(walk[-1])) is not None and nxt != start:
-                walk.append(nxt)
-            seen.update(walk)
-            comps.append(tuple(walk))
-        return tuple(comps)
+            if nxt.setdefault(a.arrows[-1], b.arrows[0]) != b.arrows[0]:
+                raise InvariantViolation(f"saturation {a} with two successors")
+        first = {w.arrows[0]: w for w in self.nodes}
+        walks = _walk([x for w in self.nodes for x in w.arrows], nxt, first)
+        return tuple(sorted((tuple(first[r[0]] for r in runs) for runs, _ in walks),
+                            key=lambda c: min(map(_colkey, c))))
 
 
 def ramifications_graph(alg: AlgebraPresentation) -> RamificationsGraph:

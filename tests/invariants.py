@@ -3,9 +3,9 @@ component, shared by the example tests and the generated ones, bound
 references that list paths, the maximal paths by their definition, the
 Brauer presentation that the generic builder makes of the full relation
 listing, the paper's UMP criterion stated on relations, the block cache
-that membership reads first, the saturations arrow by arrow, and the
-component objects no verdict reads: eta, the junction relations and the
-Brauer component-vertex bijection."""
+that membership reads first, the saturations arrow by arrow and the
+components walked on them, and the component objects no verdict reads:
+eta, the junction relations and the Brauer component-vertex bijection."""
 
 from fractions import Fraction
 from functools import lru_cache
@@ -348,6 +348,47 @@ def saturations_by_definition(q):
                 chain.insert(0, q.arrows_into(chain[0].source)[0])
         out[a.id] = q.path(x.id for x in chain)
     return out
+
+
+def component_orders_by_definition(alg):
+    """The weak components of a special multiserial algebra's
+    ramifications graph as (saturations, shape, closes), each walked on
+    saturation-level successor and predecessor maps built from
+    saturations_by_definition and the length-2 table: a line from its
+    saturation with no predecessor, a cycle from the one holding its least
+    arrow, sorted by their least saturation.  A component closes when its
+    path is a cycle whose last arrow composes nonzero with its first."""
+    om, after = saturations_by_definition(alg.quiver), alg._after
+    nodes = sorted(set(om.values()), key=_colkey)
+    succ, pred = {}, {}
+    for w in nodes:
+        for b in after[w.arrows[-1]]:
+            if om[b] != w:
+                assert succ.setdefault(w, om[b]) == om[b] and pred.setdefault(om[b], w) == w, w
+    out, seen = [], set()
+    for node in nodes:
+        if node in seen:
+            continue
+        back = [node]
+        while (prev := pred.get(back[-1])) is not None and prev != node:
+            back.append(prev)
+        # a line starts where the walk back stops; a cycle came back to node
+        start = back[-1] if prev is None else min(back, key=lambda w: min(w.arrows))
+        walk = [start]
+        while (nxt := succ.get(walk[-1])) is not None and nxt != start:
+            walk.append(nxt)
+        seen.update(walk)
+        shape = "single" if len(walk) == 1 else "cycle" if after[walk[-1].arrows[-1]] else "line"
+        first, last = walk[0].arrows[0], walk[-1].arrows[-1]
+        closes = walk[0].source == walk[-1].target and first in after[last]
+        out.append((tuple(walk), shape, closes))
+    return out
+
+
+def check_component_orders(alg, comps):
+    """The saturations, shape, closing and order of the components match
+    their definition."""
+    assert [(c.omegas, c.shape, c.closes) for c in comps] == component_orders_by_definition(alg)
 
 
 def component_vertex_bijection(ba):

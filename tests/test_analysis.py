@@ -20,9 +20,10 @@ from quiverump.ideal import (
     linear_relation,
     zero_relation,
 )
-from quiverump.omega import omega_map, ramifications_graph
+import quiverump.omega
+from quiverump.omega import RamificationsGraph, omega_map, ramifications_graph
 from quiverump.oracle import MaximalClass, maximal_classes, maximal_paths, ump_bruteforce
-from quiverump.quiver import Path, occurrences, quiver
+from quiverump.quiver import Path, Quiver, occurrences, quiver
 from quiverump.ump import ROUTES, ump_report
 
 from fixtures import (
@@ -36,6 +37,7 @@ from fixtures import (
     two_loops_line,
 )
 from invariants import (
+    check_component_orders,
     check_components_ask_nothing,
     check_induced,
     check_relation_level,
@@ -205,6 +207,48 @@ def test_monomial_windows_at_the_edges_of_the_zero_listing(name):
     if closes:  # its relation straddles the seam or outgrows omega
         (r,) = A.ideal.zero_paths
         assert not occurrences(r.arrows, comp.omega.arrows)
+
+
+def _ordered_cases():
+    """The structural cases and the monomial presentations at the edges of
+    the zero listing, among them a standalone cycle whose seam is zero."""
+    return _structural_cases() + [(name, build()) for name, (build, _, _) in sorted(_LISTING_EDGES.items())]
+
+
+def test_components_follow_their_definition():
+    shapes = set()
+    for _, A in _ordered_cases():
+        comps = components(A)
+        check_component_orders(A, comps)
+        shapes.update((c.shape, c.closes) for c in comps)
+    assert shapes == {("single", False), ("single", True), ("line", False), ("cycle", True)}
+
+
+def test_a_closed_component_looks_up_each_arrow_of_omega_once(monkeypatch):
+    """A window starts before n and is at most bound long, so the arrows
+    of a closed omega are looked up once each, never along its repeats."""
+    looked = 0
+    arrow, build = Quiver.arrow, quiverump.analysis._build_component
+    built = []
+
+    def counting(self, aid):
+        nonlocal looked
+        looked += 1
+        return arrow(self, aid)
+
+    def counted(alg, *args):
+        nonlocal looked
+        looked = 0
+        comp = build(alg, *args)
+        built.append((looked, len(comp.omega), alg.bound, comp.closes))
+        return comp
+
+    monkeypatch.setattr(Quiver, "arrow", counting)
+    monkeypatch.setattr(quiverump.analysis, "_build_component", counted)
+    for _, A in _ordered_cases():
+        components(A)
+    assert all(looked <= n + bound - 2 for looked, n, bound, closes in built if closes), built
+    assert any(closes and bound > n + 1 for _, n, bound, closes in built)
 
 
 def test_induced_ideal_restricts_monomial_generators():
@@ -445,6 +489,33 @@ def test_auto_builds_no_induced_presentation(monkeypatch):
         assert _every_route(A) == expected[name], name
     with pytest.raises(_Walked):
         quiverump.analysis.induced_algebra(petal_hub(), frozenset("abcd"))
+
+
+def _components_and_auto(A):
+    try:
+        comps = components(A)
+    except NotSpecialMultiserial as err:
+        comps = repr(err)
+    return comps, ump_report(A, "auto")
+
+
+def test_deciding_builds_no_ramifications_graph(monkeypatch):
+    """components and the auto route read the components off the length-2
+    table: with the graph and its walk made to raise, every fixture and
+    Brauer graph gets the same components and report."""
+    cases = {name: build for name, build in ALL_FIXTURES.items()}
+    cases.update({name: (lambda b=build: brauer_algebra(b()).algebra) for name, build in ALL_GRAPHS.items()})
+    expected = {name: _components_and_auto(build()) for name, build in cases.items()}
+
+    def refuse(*args, **kwargs):
+        raise _Walked("the decision route built the ramifications graph")
+
+    monkeypatch.setattr(quiverump.omega, "ramifications_graph", refuse)
+    monkeypatch.setattr(RamificationsGraph, "weak_components", refuse)
+    for name, build in cases.items():
+        assert _components_and_auto(build()) == expected[name], name
+    with pytest.raises(_Walked):
+        RamificationsGraph((), ()).weak_components()
 
 
 def test_relation_level_statement_gives_every_structural_verdict():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from invariants import (
     brauer_reference,
     check_block_cache,
+    check_component_orders,
     check_components_ask_nothing,
     check_global_basis,
     check_induced,
@@ -108,6 +109,7 @@ def test_auto_matches_enumeration_and_saturations_partition(alg):
     comps = check_components_ask_nothing(alg)
     if is_special_multiserial(alg):
         assert comps == components(alg)
+        check_component_orders(alg, comps)
         check_windows(alg, comps)
         check_induced(alg, [component_algebra(alg, c) for c in comps])
         check_relation_level(alg, comps, rep.is_ump)
@@ -137,6 +139,7 @@ def test_brauer_trees_match_classification_and_enumeration(g):
     assert brauer_dimension(g) == dimension_bruteforce(ba.algebra)
     component_vertex_bijection(ba)
     comps = components(ba.algebra)
+    check_component_orders(ba.algebra, comps)
     check_windows(ba.algebra, comps)
     check_induced(ba.algebra, [component_algebra(ba.algebra, c) for c in comps])
     check_relation_level(ba.algebra, comps, classify(g).is_ump)
@@ -175,6 +178,7 @@ def test_brauer_graphs_with_loops_and_multiple_edges_match_enumeration(g):
     assert brauer_dimension(g) == dimension_bruteforce(ba.algebra)
     component_vertex_bijection(ba)
     comps = components(ba.algebra)
+    check_component_orders(ba.algebra, comps)
     check_windows(ba.algebra, comps)
     check_induced(ba.algebra, [component_algebra(ba.algebra, c) for c in comps])
     check_relation_level(ba.algebra, comps, classify(g).is_ump)
@@ -225,6 +229,7 @@ def test_identifications_match_enumeration(alg):
     check_block_cache(alg)
     if is_special_multiserial(alg):
         comps = components(alg)
+        check_component_orders(alg, comps)
         check_windows(alg, comps)
         check_induced(alg, [component_algebra(alg, c) for c in comps])
         check_relation_level(alg, comps, rep.is_ump)
@@ -414,6 +419,7 @@ def test_saturation_chains_match_enumeration_on_every_branch():
         report = _auto_agrees(alg)
         comps = components(alg)
         assert check_components_ask_nothing(alg) == comps
+        check_component_orders(alg, comps)
         check_windows(alg, comps)
         check_induced(alg, [component_algebra(alg, c) for c in comps])
         check_relation_level(alg, comps, report.is_ump)

@@ -216,3 +216,20 @@ def test_no_verdict_path_names_the_induced_presentation():
             if name == "induced_algebra" and not any(a <= node.lineno <= b for a, b in own):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_no_verdict_path_names_the_ramifications_graph():
+    """analysis.py and ump.py read the components off the length-2 table
+    through omega.saturation_walks: neither names the ramifications graph
+    or its walk, which only the tests and the benchmark harness call."""
+    graph = {"ramifications_graph", "RamificationsGraph", "weak_components"}
+    found = []
+    for path in SOURCES:
+        if path.name not in ("analysis.py", "ump.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            name = (node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute)
+                    else node.name if isinstance(node, ast.alias) else None)
+            if name in graph:
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
