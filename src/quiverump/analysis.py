@@ -9,8 +9,9 @@ omega: the L arrows from position i on, read on around omega when it
 closes.  l(i), the longest nonzero window at each position, comes from
 one listing of the zero occurrences along omega when the ideal is
 monomial, with no query, and otherwise from one sweep of queries; every
-component's maximal paths follow from l with no further query.  The
-induced ideal is monomial exactly when the nonzero windows are
+component's maximal paths follow from l with no further query (a lone
+arrow that does not close holds no relation word: l = (1,), no sweep).
+The induced ideal is monomial exactly when the nonzero windows are
 independent modulo the ideal, tested per block on the windows holding a
 term copy the engine lists along omega.  Only there does the paper's
 test apply: the minimal zero windows (ordered relations, with sigma)
@@ -204,6 +205,8 @@ def _windows_independent(alg: AlgebraPresentation, word: tuple[str, ...], window
 
 
 def _build_component(alg: AlgebraPresentation, cid: str, order: tuple[Path, ...], closes: bool) -> Component:
+    if len(order) == 1 and len(order[0]) == 1 and not closes:  # a lone open arrow holds no relation word
+        return Component(cid, order, "single", order[0], False, (1,), (), (), order, True)
     shape = "single" if len(order) == 1 else "cycle" if closes else "line"
     omega = Path(tuple(a for w in order for a in w.arrows), order[0].source, order[-1].target)
 
@@ -239,7 +242,7 @@ def components(alg: AlgebraPresentation) -> tuple[Component, ...]:
     res = is_special_multiserial(alg)
     if not res:
         raise NotSpecialMultiserial(res.witness)
-    walks = sorted(saturation_walks(alg.quiver, alg._after), key=lambda w: min(map(_colkey, w[0])))
+    walks = sorted(saturation_walks(alg), key=lambda w: min(map(_colkey, w[0])))
     return tuple(_build_component(alg, f"N{i}", *w) for i, w in enumerate(walks, start=1))
 
 

@@ -60,14 +60,14 @@ the normal forms of a block and their terms are keyed by quiver.Path, a
 tuple (arrows, source, target), so every lookup hashes and compares in
 C.
 
-Beside the engine it carries one table of the nonzero length-2
-compositions: for each arrow, the arrows after it whose composition with
-it survives, in arrows_from order, built on first use: read off the
-length-2 zero relations of a monomial ideal, else asked of the engine
-once per composable pair.  The special multiserial test, the walk of
-omega.saturation_walks and the one-arrow paddings of ump.quick_non_ump
-all read it, so no pair is asked twice.  Like the engine it is a cache:
-copies and pickles leave it behind.
+Every relation word has length >= 2, so a composable pair ab holds only
+itself, and the pair rule (_composing) follows: ab lies in I exactly
+when the bound is 2, when ab is a zero relation, or when ab is a term
+the engine puts in I, the only pairs asked.  The table of the nonzero
+pairs, the arrows after each arrow in arrows_from order, is kept beside
+the engine by is_special_multiserial when its right pass holds, for its
+left pass and omega.saturation_walks: no pair is decided twice.  Like
+the engine it is a cache: copies and pickles leave it behind.
 """
 
 from __future__ import annotations
@@ -76,7 +76,7 @@ import copy
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     InvalidPresentation,
@@ -84,7 +84,7 @@ from .errors import (
     PathInIdeal,
     TrivialPath,
 )
-from .quiver import Path, Quiver
+from .quiver import Arrow, Path, Quiver
 
 
 # -- relation types ----------------------------------------------------------
@@ -228,18 +228,24 @@ class AlgebraPresentation:
         return _Engine(self.ideal.zero_paths, self.ideal.linear, self.bound)
 
     @cached_property
+    def _length2(self) -> tuple[set[tuple[str, str]], set[tuple[str, str]]]:
+        # the arrow pairs of the length-2 zero relations and linear-relation terms
+        return ({r.path.arrows for r in self.ideal.zero if len(r.path) == 2},
+                {t.arrows for r in self.ideal.linear for t in r.paths if len(t) == 2})
+
+    def _composing(self, a: Arrow, after: Iterable[Arrow]) -> Iterator[str]:
+        """The arrows b of after, each composable after a, with ab outside I, by the pair rule."""
+        if self.ideal.bound > 2:
+            zero, terms = self._length2
+            for b in after:
+                w = (a.id, b.id)
+                if w not in zero and (w not in terms or not self._engine.in_ideal(Path(w, a.source, b.target))):
+                    yield b.id
+
+    @cached_property
     def _after(self) -> dict[str, tuple[str, ...]]:
-        """The arrows composing nonzero after each arrow, in arrows_from order;
-        a monomial ideal holds ab exactly when the bound is 2 or ab is a zero relation."""
-        q, bound = self.quiver, self.bound
-        if self.is_monomial:
-            zero = {r.path.arrows for r in self.ideal.zero if len(r.path) == 2}
-            return {a.id: tuple(b.id for b in q.arrows_from(a.target)
-                                if bound > 2 and (a.id, b.id) not in zero) for a in q.arrows}
-        in_ideal = self._engine.in_ideal
-        return {a.id: tuple(b.id for b in q.arrows_from(a.target)
-                            if not in_ideal(Path((a.id, b.id), a.source, b.target)))
-                for a in q.arrows}
+        """The arrows composing nonzero after each arrow, in arrows_from order."""
+        return {a.id: tuple(self._composing(a, self.quiver.arrows_from(a.target))) for a in self.quiver.arrows}
 
     def __getstate__(self):
         # the engine and the table are caches: pickles and copies leave them behind
@@ -818,16 +824,22 @@ class SpecialMultiserialResult:
 
 
 def is_special_multiserial(alg: AlgebraPresentation) -> SpecialMultiserialResult:
-    """Each arrow composes nonzero with at most one arrow on each side."""
+    """Each arrow composes nonzero with at most one arrow on each side.  The
+    right pass decides pairs arrow by arrow, in q.arrows order, and stops at
+    its witness, the second nonzero successor of the first arrow with two;
+    a pass that holds has decided every pair and keeps them as alg._after."""
     _check_type(alg, AlgebraPresentation)
-    q, after = alg.quiver, alg._after
+    q, known, after, composing = alg.quiver, vars(alg).get("_after"), {}, alg._composing
     preds: dict[str, list[str]] = {}  # in arrows_into order, which is q's
     for a in q.arrows:
-        good = after[a.id]
-        if len(good) > 1:
-            return SpecialMultiserialResult(False, SMWitness(a.id, "right", (good[0], good[1])))
-        for b in good:
+        good = ()
+        for b in known[a.id] if known is not None else composing(a, q.arrows_from(a.target)):
+            good += (b,)
+            if len(good) > 1:  # the witness: no later pair is decided
+                return SpecialMultiserialResult(False, SMWitness(a.id, "right", good))
             preds.setdefault(b, []).append(a.id)
+        after[a.id] = good
+    vars(alg).setdefault("_after", after)
     for a in q.arrows:
         good = preds.get(a.id, ())
         if len(good) > 1:

@@ -51,7 +51,12 @@ def _walk(arrows: list[str], nxt: dict[str, str], starts) -> list[tuple[list[lis
     return out
 
 
-def saturation_walks(q: Quiver, after: dict[str, tuple[str, ...]]) -> list[tuple[tuple[Path, ...], bool]]:
+def saturation_walks(alg: AlgebraPresentation) -> list[tuple[tuple[Path, ...], bool]]:
+    """The saturation walks of alg's quiver on its length-2 table (_walks)."""
+    return _walks(alg.quiver, alg._after)
+
+
+def _walks(q: Quiver, after: dict[str, tuple[str, ...]]) -> list[tuple[tuple[Path, ...], bool]]:
     """Walks of q's arrows through every unbranched vertex and on from each
     other arrow to its first successor in after, cut into saturations, each
     with whether it closes: a cycle whose last arrow composes nonzero with
@@ -74,7 +79,7 @@ def omega_map(q: Quiver) -> dict[str, Path]:
     """Saturation of every arrow, keyed by arrow label: the walks through
     the unbranched vertices alone.  InvalidPresentation when q is no Quiver."""
     _check_type(q, Quiver)
-    out = {a: w for sats, _ in saturation_walks(q, {}) for w in sats for a in w.arrows}
+    out = {a: w for sats, _ in _walks(q, {}) for w in sats for a in w.arrows}
     return {a.id: out[a.id] for a in q.arrows}
 
 

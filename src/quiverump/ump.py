@@ -57,14 +57,14 @@ def quick_non_ump(alg: AlgebraPresentation) -> tuple[Path, Path, str] | None:
     """Advisory search for a refuting pair grown from identification terms.
 
     Seeds every identification term plus its live one-arrow paddings,
-    saturates each seed, and looks for two saturations in distinct
-    residue classes sharing an arrow.  A returned witness is validated
-    against the definitions, so it is sound for any algebra; None just
-    means the shortcut found nothing.  InvalidPresentation when alg is no
-    AlgebraPresentation.
+    each decided by ideal's pair rule with no table, saturates each seed,
+    and looks for two saturations in distinct residue classes sharing an
+    arrow.  A returned witness is validated against the definitions, so
+    it is sound for any algebra; None just means the shortcut found
+    nothing.  InvalidPresentation when alg is no AlgebraPresentation.
     """
     _check_type(alg, AlgebraPresentation)
-    q, after = alg.quiver, alg._after
+    q = alg.quiver
     seeds: set[Path] = set()
     for rel in alg.ideal.linear:
         for term in rel.paths:
@@ -72,9 +72,9 @@ def quick_non_ump(alg: AlgebraPresentation) -> tuple[Path, Path, str] | None:
                 seeds.add(term)
             first, last = q.arrow(term.arrows[0]), q.arrow(term.arrows[-1])
             seeds.update(Path((b.id, first.id), b.source, first.target)
-                         for b in q.arrows_into(first.source) if first.id in after[b.id])
-            seeds.update(Path((last.id, g.id), last.source, g.target)
-                         for g in map(q.arrow, after[last.id]))
+                         for b in q.arrows_into(first.source) if any(alg._composing(b, (first,))))
+            seeds.update(Path((last.id, g), last.source, q.arrow(g).target)
+                         for g in alg._composing(last, q.arrows_from(last.target)))
     sats = sorted({_saturate(alg, s) for s in seeds}, key=_colkey)
     for i, u in enumerate(sats):
         for v in sats[i + 1:]:

@@ -34,6 +34,7 @@ from quiverump.ideal import (
 from quiverump.omega import omega_map
 from quiverump.oracle import extensions_die, global_basis, maximal_paths, nonzero_paths, ump_bruteforce
 from quiverump.quiver import Path, occurrences
+from quiverump.ump import quick_non_ump
 
 
 def paths_up_to(q, longest):
@@ -234,12 +235,19 @@ def _asked(engine, p):
     raise AssertionError(f"a monomial component asked whether {p} lies in the ideal")
 
 
+def lone_open_arrow(comp):
+    """Whether a component is one arrow whose windows do not read on around
+    it: a lone arrow that does not close, such as a loop whose square is zero."""
+    return len(comp.omega) == 1 and not comp.closes
+
+
 def check_components_ask_nothing(alg):
     """On a fresh copy of a monomial presentation, components asks the
     engine no membership query and scans no window: the length-2 table is
-    read off the relations, and each component reads one listing of the
-    zero occurrences along its word.  Returns the components, or () when
-    the algebra is not special multiserial."""
+    read off the relations, each component that is not a lone open arrow
+    reads one listing of the zero occurrences along its word, and a lone
+    open arrow reads none.  Returns the components, or () when the algebra
+    is not special multiserial."""
     assert alg.is_monomial
     fresh = AlgebraPresentation(alg.quiver, alg.ideal)
     with pytest.MonkeyPatch.context() as mp:
@@ -250,8 +258,23 @@ def check_components_ask_nothing(alg):
         except NotSpecialMultiserial:
             comps = ()
     assert scans["zero"] == scans["copies"] == []
-    assert len(scans["ends"]) == len(comps)
+    assert len(scans["ends"]) == sum(not lone_open_arrow(c) for c in comps)
     return comps
+
+
+def _table_refused(alg):
+    raise AssertionError("quick_non_ump read the length-2 table")
+
+
+def check_quick_non_ump_reads_no_table(alg):
+    """quick_non_ump decides its one-arrow paddings pair by pair: with the
+    length-2 table made to raise, a fresh copy gets the witness it gets
+    with the table.  Returns that witness."""
+    witness = quick_non_ump(AlgebraPresentation(alg.quiver, alg.ideal))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(AlgebraPresentation, "_after", property(_table_refused))
+        assert quick_non_ump(AlgebraPresentation(alg.quiver, alg.ideal)) == witness
+    return witness
 
 
 def pairwise_shared_arrow(classes):

@@ -15,6 +15,7 @@ from quiverump.ideal import (
     AlgebraPresentation,
     IdealPresentation,
     _Engine,
+    _colkey,
     algebra,
     is_special_multiserial,
     linear_relation,
@@ -47,6 +48,7 @@ from invariants import (
     divides_power,
     eta,
     junction_relations,
+    lone_open_arrow,
     omega_relations,
 )
 from test_brauer import ALL_GRAPHS
@@ -189,6 +191,7 @@ _LISTING_EDGES = {
     "relation_across_the_seam": (lambda: _monomial(_THREE_CYCLE, "cab"), True, (4, 3, 2)),
     "relation_longer_than_omega": (lambda: _monomial(_TWO_CYCLE, "ababa"), True, (4, 5)),
     "loop_power": (lambda: _monomial([("x", "1", "1")], "xxxx"), True, (3,)),
+    "loop_square_zero": (lambda: _monomial([("x", "1", "1")], "xx"), False, (1,)),
     "line_relation_ending_at_the_last_arrow": (lambda: _monomial(_LINE, "bcd"), False, (3, 2, 2, 1)),
 }
 
@@ -553,19 +556,32 @@ def test_the_sweep_asks_at_most_two_queries_per_position_plus_the_bound(monkeypa
     assert any(monomial for *_, monomial in asked)
 
 
+def _asked_pairs(A):
+    """The composable pairs the entry tests ask the engine: the length-2
+    linear terms that are no length-2 zero relation, when the bound is
+    above 2.  Every relation word has length >= 2, so a pair holds no other."""
+    if A.bound == 2:
+        return set()
+    zero = {p for p in A.ideal.zero_paths if len(p) == 2}
+    return {t for rel in A.ideal.linear for t in rel.paths if len(t) == 2 and t not in zero}
+
+
 def test_the_entry_tests_ask_each_composable_pair_once(monkeypatch):
     """The special multiserial test, the ramifications graph and the
     components read one table of the nonzero length-2 compositions, so
-    outside the sweep they ask each composable arrow pair once, and none
-    when the ideal is monomial: the table is read off its relations."""
-    asked = 0
+    outside the sweep they ask the engine about a composable pair at most
+    once: exactly the pairs that are a length-2 term and no zero relation,
+    with the bound above 2, and no other.  A right pass that fails asks no
+    pair of an arrow after its witness arrow, nor of the witness arrow after
+    its second nonzero successor, and builds no table, not even when the
+    auto route goes on to refute or enumerate."""
+    asked = []
     sweeping = False
     in_ideal = _Engine.in_ideal
 
     def counting(self, p):
-        nonlocal asked
         if not sweeping:
-            asked += 1
+            asked.append(p)
         return in_ideal(self, p)
 
     def sweep(*args):
@@ -583,11 +599,60 @@ def test_the_entry_tests_ask_each_composable_pair_once(monkeypatch):
     monkeypatch.setattr(quiverump.analysis, "_lengths", sweep)
     for name, built in cases:
         A = AlgebraPresentation(built.quiver, built.ideal)  # no engine, no table yet
-        q = A.quiver
-        asked = 0
+        asked.clear()
         assert is_special_multiserial(A)
         ramifications_graph(A)
         components(A)
-        pairs = sum(len(q.arrows_from(a.target)) for a in q.arrows)
-        assert asked == (0 if A.is_monomial else pairs), name
+        assert sorted(asked, key=_colkey) == sorted(_asked_pairs(A), key=_colkey), name
     assert any(A.is_monomial for _, A in cases) and not all(A.is_monomial for _, A in cases)
+    # some pairs are asked, and some pairs of a presentation with terms are not
+    assert any(_asked_pairs(A) for _, A in cases)
+    assert any(len(_asked_pairs(A)) < sum(len(A.quiver.arrows_from(a.target)) for a in A.quiver.arrows)
+               for _, A in cases if not A.is_monomial)
+
+    def third_successor_term():
+        # a has nonzero successors b and c, then d, whose ad is a relation term
+        q = quiver([str(v) for v in range(7)], [("a", "1", "2"), ("b", "2", "3"), ("c", "2", "4"),
+                                                ("d", "2", "5"), ("e", "1", "6"), ("f", "6", "5")])
+        return algebra(q, [], [linear_relation(q, [(1, "ad"), (-1, "ef")])])
+
+    refuted = []
+    for build in (loop_spur, chord_cycle_monomial, chord_cycle_identified, third_successor_term):
+        A = build()
+        A = AlgebraPresentation(A.quiver, A.ideal)
+        asked.clear()
+        res = is_special_multiserial(A)
+        assert res.witness.side == "right", build.__name__
+        w = res.witness
+        order = [a.id for a in A.quiver.arrows]
+        after = [b.id for b in A.quiver.arrows_from(A.quiver.arrow(w.arrow).target)]
+        assert len(set(asked)) == len(asked) and set(asked) <= _asked_pairs(A), build.__name__
+        assert all(order.index(p.arrows[0]) < order.index(w.arrow)
+                   or p.arrows[0] == w.arrow and after.index(p.arrows[1]) <= after.index(w.pair[1])
+                   for p in asked), build.__name__
+        assert "_after" not in vars(A), build.__name__
+        refuted.append(asked[:])
+        B = AlgebraPresentation(A.quiver, A.ideal)
+        ump_report(B, "auto")
+        assert "_after" not in vars(B), build.__name__
+    assert any(refuted)
+
+
+def test_lone_open_arrows_match_enumeration():
+    """A component of one arrow that does not close is built with no word
+    and no query; its fields match enumeration in monomial and identified
+    presentations alike, a loop whose square is zero included."""
+    loop = _LISTING_EDGES["loop_square_zero"][0]()
+    # two identified paths of length 2 and a third arrow parallel to both
+    q = quiver(["1", "2", "3", "4"], [("a", "1", "2"), ("b", "2", "4"), ("c", "1", "3"), ("d", "3", "4"),
+                                      ("x", "1", "4")])
+    chord = algebra(q, [], [linear_relation(q, [(1, "ab"), (-1, "cd")])])
+    lone = {True: [], False: []}
+    for name, A in _structural_cases() + [("loop_square_zero", loop), ("identified_chord", chord)]:
+        comps = components(A)
+        check_windows(A, comps)
+        check_component_orders(A, comps)
+        lone[A.is_monomial] += [c for c in comps if lone_open_arrow(c)]
+    assert lone[True] and lone[False]
+    (comp,) = components(loop)
+    assert lone_open_arrow(comp) and comp.omega.source == comp.omega.target

@@ -15,6 +15,7 @@ from invariants import (
     check_global_basis,
     check_induced,
     check_maximal,
+    check_quick_non_ump_reads_no_table,
     check_relation_level,
     check_windows,
     component_algebra,
@@ -113,6 +114,8 @@ def test_auto_matches_enumeration_and_saturations_partition(alg):
         check_windows(alg, comps)
         check_induced(alg, [component_algebra(alg, c) for c in comps])
         check_relation_level(alg, comps, rep.is_ump)
+    else:
+        check_quick_non_ump_reads_no_table(alg)
     check_global_basis(alg)
 
 
@@ -233,6 +236,8 @@ def test_identifications_match_enumeration(alg):
         check_windows(alg, comps)
         check_induced(alg, [component_algebra(alg, c) for c in comps])
         check_relation_level(alg, comps, rep.is_ump)
+    else:
+        check_quick_non_ump_reads_no_table(alg)
 
 
 @st.composite

@@ -233,3 +233,20 @@ def test_no_verdict_path_names_the_ramifications_graph():
             if name in graph:
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_only_the_ideal_and_omega_name_the_length2_table():
+    """is_special_multiserial keeps the length-2 table when its right pass
+    holds and omega walks it; no other module names _after, as an attribute
+    or a string, so quick_non_ump decides its paddings pair by pair and a
+    right pass that fails leaves the table unbuilt."""
+    found = []
+    for path in SOURCES:
+        if path.name in ("ideal.py", "omega.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            name = (node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute)
+                    else node.value if isinstance(node, ast.Constant) else None)
+            if name == "_after":
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

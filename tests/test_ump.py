@@ -11,7 +11,7 @@ import pytest
 import quiverump
 import quiverump.ump
 
-from invariants import check_relation_level, forbid_enumeration
+from invariants import check_quick_non_ump_reads_no_table, check_relation_level, forbid_enumeration
 from quiverump.analysis import components
 from quiverump.errors import InvariantViolation
 from quiverump.ideal import algebra, is_special_multiserial, linear_relation, zero_relation
@@ -150,6 +150,11 @@ def test_quick_refutation_stays_silent():
     assert quick_non_ump(chord_cycle_identified()) is None
     # no identifications at all, so no seeds
     assert quick_non_ump(loop_spur()) is None
+
+
+def test_quick_refutation_builds_no_length2_table():
+    witnesses = {name: check_quick_non_ump_reads_no_table(build()) for name, build in ALL_FIXTURES.items()}
+    assert witnesses["loop_meets_twocycle"] is not None
 
 
 def test_parallel_tracks_merge_into_one_class():
