@@ -15,6 +15,17 @@ state, never path by path.  A reachable cycle of states means paths of
 every length survive, so the ideal is not admissible (Ufnarovskii 1982);
 the cap on m is then only a ceiling, never a search depth.
 
+algebra() first reduces the linear relations modulo the zero relations:
+a term that a zero relation divides lies in the ideal the zero relations
+generate, so dropping it changes no relation's class modulo them, nor the
+ideal, its bound, membership, cosets or verdicts.  A relation left with
+one term becomes a zero relation on it, one left with none goes, and a
+new zero relation may kill a term of another, so this repeats until no
+term drops.  An ideal whose zero relations kill its identifications then
+comes out monomial and takes the monomial path of every layer: the
+automaton for its bound, no span in minimalize_relations, and no
+membership query for its components.
+
 Membership is decided block-locally: starting from a path, repeatedly
 replace an occurrence of one linear-relation term by a sibling term.
 The paths reachable that way form the only coordinates its coset can
@@ -618,17 +629,26 @@ def admissibility_bound(q: Quiver, zero: Sequence[ZeroRelation] = (),
     and cap an int of at least 2; else InvalidPresentation, or
     UnknownLabel for an arrow off q, is raised before any search.
     """
+    _check_presentation(q, zero, linear, cap)
+    return _bound(q, zero, linear, cap)
+
+
+def _check_presentation(q: Quiver, zero, linear, cap) -> None:
     _check_type(q, Quiver)
     _check_relations(zero, linear, (list, tuple))
     _check_at_least_two(cap, "cap")
-    words = [r.path for r in zero] + [t for r in linear for t in r.paths]
-    for term in words:
+    for term in [r.path for r in zero] + [t for r in linear for t in r.paths]:
         end = term.source
         for a in map(q.arrow, term.arrows):  # UnknownLabel for an arrow off q
             end = a.target if a.source == end else None  # None once the walk breaks
         if end != term.target:
             raise InvalidPresentation(f"relation term {term} is no path of the quiver "
                                       f"from {term.source} to {term.target}")
+
+
+def _bound(q: Quiver, zero: Sequence[ZeroRelation], linear: Sequence[LinearRelation], cap: int) -> int:
+    """admissibility_bound of relations already checked."""
+    words = [r.path for r in zero] + [t for r in linear for t in r.paths]
     zero_paths = tuple(r.path for r in zero)
     if not linear:
         return max(longest_avoiding(q, zero_paths, cap) + 1, 2)
@@ -790,10 +810,47 @@ def minimalize_relations(q: Quiver, zero: Sequence[ZeroRelation],
 # -- algebra construction ------------------------------------------------------
 
 
+def _reduce_by_zero(q: Quiver, zero: Sequence[ZeroRelation],
+                    linear: Sequence[LinearRelation]) -> tuple[list, list]:
+    """The relations with every linear-relation term that a zero relation
+    divides dropped: a relation left with one term becomes a zero relation
+    on it, one left with none goes, and one left with two or more is
+    renormalised.  Repeated while a new zero relation appears, since it
+    may divide a term of another relation.  Each dropped term lies in the
+    ideal of the zero relations, so the ideal is the same."""
+    zero, linear = list(zero), list(linear)
+    grew = True
+    while grew and linear and zero:
+        divisible, _ = zero_divisor(r.path for r in zero)
+        grew, kept = False, []
+        for rel in linear:
+            if not any(map(divisible, rel.paths)):
+                kept.append(rel)
+                continue
+            live = [(c, p) for c, p in rel.terms() if not divisible(p)]
+            if len(live) == 1:
+                zero.append(ZeroRelation(live[0][1]))
+                grew = True
+            elif live:
+                kept.append(linear_relation(q, live))
+        linear = kept
+    return zero, linear
+
+
 def algebra(q: Quiver, zero: Sequence[ZeroRelation] = (),
             linear: Sequence[LinearRelation] = (), cap: int = 64) -> AlgebraPresentation:
-    """Validate admissibility and build a presentation with minimal relations."""
-    bound = admissibility_bound(q, zero, linear, cap=cap)
+    """Validate admissibility and build a presentation with minimal relations.
+
+    The input is checked as admissibility_bound checks it, before anything
+    else.  Then every linear-relation term that a zero relation divides is
+    dropped (_reduce_by_zero): the term lies in the ideal the zero
+    relations generate, so the ideal, and with it the bound, membership,
+    cosets and verdicts, stay the same, while an ideal whose zero
+    relations kill all its identifications comes out monomial and takes
+    the monomial path of every layer."""
+    _check_presentation(q, zero, linear, cap)
+    zero, linear = _reduce_by_zero(q, zero, linear)
+    bound = _bound(q, zero, linear, cap)
     zero, linear = minimalize_relations(q, zero, linear, bound)
     return AlgebraPresentation(q, IdealPresentation(zero, linear, bound))
 

@@ -2,7 +2,8 @@
 component, shared by the example tests and the generated ones, bound
 references that list paths, the maximal paths by their definition, the
 Brauer presentation that the generic builder makes of the full relation
-listing, the paper's UMP criterion stated on relations, the block cache
+listing, the zero reduction of algebra() against the presentation it
+rewrites, the paper's UMP criterion stated on relations, the block cache
 that membership reads first, the saturations arrow by arrow and the
 components walked on them, and the component objects no verdict reads:
 eta, the junction relations and the Brauer component-vertex bijection."""
@@ -23,12 +24,14 @@ from quiverump.ideal import (
     _Engine,
     _colkey,
     _grow,
+    admissibility_bound,
     algebra,
     coset_paths,
     linear_relation,
     live_paths,
     minimalize_relations,
     path_in_ideal,
+    zero_divisor,
     zero_relation,
 )
 from quiverump.omega import omega_map
@@ -84,6 +87,49 @@ def reduced_bound(q, zero, linear, cap):
     if longest >= cap:
         raise NotAdmissible(cap)
     return max(longest + 1, 2)
+
+
+def unrewritten(q, zero, linear, cap=64):
+    """The presentation of the relations as given, at their bound, with
+    none of algebra()'s zero reduction: the relations minimalised, built
+    by hand.  Its identifications keep the terms a zero relation divides,
+    so its engine meets dead siblings that algebra() would drop."""
+    bound = admissibility_bound(q, zero, linear, cap=cap)
+    return AlgebraPresentation(q, IdealPresentation(*minimalize_relations(q, zero, linear, bound), bound))
+
+
+def _class_sets(rep):
+    return {c.paths for c in rep.classes}
+
+
+def check_zero_reduction(q, zero, linear, cap=64):
+    """algebra() drops the linear-relation terms the zero relations divide,
+    and the ideal stays the same: its bound is admissibility_bound of the
+    relations as given, membership and cosets of every path shorter than
+    the bound match the global basis of the unrewritten presentation, no
+    term it keeps is divisible by one of its zero relations, and both
+    presentations get the same verdicts, with the same class sets wherever
+    both reports list classes.  Returns the rewritten presentation."""
+    alg, raw = algebra(q, zero, linear, cap=cap), unrewritten(q, zero, linear, cap)
+    assert alg.bound == raw.bound
+    divisible, _ = zero_divisor(alg.ideal.zero_paths)
+    assert not any(divisible(t) for rel in alg.ideal.linear for t in rel.paths)
+    live, basis = global_basis(raw)
+    normal = {p: normal_key(basis, {p: Fraction(1)}) for p in live}
+    by_normal = {}
+    for p, key in normal.items():
+        by_normal.setdefault(key, set()).add(p)
+    for p in paths_up_to(q, alg.bound - 1):
+        key = normal.get(p, ())  # a path off the coordinates is dead
+        assert path_in_ideal(alg, p) == (key == ()), p
+        if key:
+            assert coset_paths(alg, p) == by_normal[key], p
+    for route in quiverump.ump.ROUTES:
+        rep, ref = quiverump.ump.ump_report(alg, route), quiverump.ump.ump_report(raw, route)
+        assert rep.is_ump == ref.is_ump, route
+        if rep.classes and ref.classes:
+            assert _class_sets(rep) == _class_sets(ref), route
+    return alg
 
 
 def maximal_by_extension(alg):

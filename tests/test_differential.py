@@ -18,12 +18,14 @@ from invariants import (
     check_quick_non_ump_reads_no_table,
     check_relation_level,
     check_windows,
+    check_zero_reduction,
     component_algebra,
     component_vertex_bijection,
     enumerated_bound,
     pairwise_shared_arrow,
     reduced_bound,
     saturations_by_definition,
+    unrewritten,
 )
 from quiverump.analysis import components
 
@@ -192,7 +194,8 @@ def test_brauer_graphs_with_loops_and_multiple_edges_match_enumeration(g):
 def identified_algebras(draw):
     """Acyclic quivers (arrows go up the vertex order) on 3-5 vertices with
     2-7 arrows, random length-2 zero relations, and 1-2 identifications
-    p = c*r between distinct parallel paths of length 2 or 3."""
+    p = c*r between distinct parallel paths of length 2 or 3: the quiver
+    and the relations as given, before algebra() rewrites them."""
     n = draw(st.integers(3, 5))
     m = draw(st.integers(2, 7))
     upward = st.sampled_from([(s, t) for s in range(n) for t in range(s + 1, n)])
@@ -206,38 +209,58 @@ def identified_algebras(draw):
     coef = st.sampled_from([Fraction(-1), Fraction(1), Fraction(2), Fraction(-1, 2)])
     linear = [linear_relation(q, [(1, u), (draw(coef), v)]) for u, v in ids]
     chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
-    return algebra(q, [zero_relation(q, p) for p in sorted(chosen)], linear)
+    return q, [zero_relation(q, p) for p in sorted(chosen)], linear
 
 
 def _dead_sibling_term():
     """0->1 twice (a0, a1), 0->2->3 (a2, a4), 1->3 (a3) and 3->4 (a5), with
     a2a4 = 0, a0a3 + 2 a1a3 = 0 and a1a3 - a2a4 = 0: the block of a0a3
     reaches a1a3, whose other relation has the dead term a2a4.  The
-    strategy above does not draw a span that meets a dead term."""
+    strategy above does not draw a span that meets a dead term.  algebra()
+    would kill a2a4, then a1a3, then a0a3, and present it as monomial."""
     q = quiver([str(v) for v in range(5)], [("a0", "0", "1"), ("a1", "0", "1"), ("a2", "0", "2"),
                                             ("a3", "1", "3"), ("a4", "2", "3"), ("a5", "3", "4")])
     linear = [linear_relation(q, [(1, ["a0", "a3"]), (2, ["a1", "a3"])]),
               linear_relation(q, [(1, ["a1", "a3"]), (-1, ["a2", "a4"])])]
-    return algebra(q, [zero_relation(q, ["a2", "a4"])], linear)
+    return q, [zero_relation(q, ["a2", "a4"])], linear
 
 
-@settings(derandomize=True, max_examples=60, deadline=None)
-@given(identified_algebras())
-@example(_dead_sibling_term())
-def test_identifications_match_enumeration(alg):
-    rep = _auto_agrees(alg)
-    assert list(omega_map(alg.quiver).items()) == list(saturations_by_definition(alg.quiver).items())
-    check_maximal(alg)
-    check_global_basis(alg)
-    check_block_cache(alg)
-    if is_special_multiserial(alg):
-        comps = components(alg)
-        check_component_orders(alg, comps)
-        check_windows(alg, comps)
-        check_induced(alg, [component_algebra(alg, c) for c in comps])
-        check_relation_level(alg, comps, rep.is_ump)
-    else:
-        check_quick_non_ump_reads_no_table(alg)
+def test_the_dead_sibling_example_keeps_its_identifications_only_unrewritten():
+    assert unrewritten(*_dead_sibling_term()).ideal.linear
+    assert check_zero_reduction(*_dead_sibling_term()).is_monomial
+
+
+# algebra() presents about four in ten draws as monomial; the engine checks
+# run on every draw unrewritten, and at least this share of the rewritten
+# draws must still carry an identification
+KEEP_IDENTIFICATIONS = 0.5
+
+
+def test_identifications_match_enumeration():
+    identified = []
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(identified_algebras())
+    @example(_dead_sibling_term())
+    def run(case):
+        alg = unrewritten(*case)
+        rep = _auto_agrees(alg)
+        assert list(omega_map(alg.quiver).items()) == list(saturations_by_definition(alg.quiver).items())
+        check_maximal(alg)
+        check_global_basis(alg)
+        check_block_cache(alg)
+        if is_special_multiserial(alg):
+            comps = components(alg)
+            check_component_orders(alg, comps)
+            check_windows(alg, comps)
+            check_induced(alg, [component_algebra(alg, c) for c in comps])
+            check_relation_level(alg, comps, rep.is_ump)
+        else:
+            check_quick_non_ump_reads_no_table(alg)
+        identified.append(bool(check_zero_reduction(*case).ideal.linear))
+
+    run()
+    assert sum(identified) >= KEEP_IDENTIFICATIONS * len(identified), (sum(identified), len(identified))
 
 
 @st.composite
@@ -275,12 +298,14 @@ def test_identified_bounds_match_the_global_basis():
         try:
             expected = reduced_bound(q, zero, linear, cap)
         except NotAdmissible:
-            with pytest.raises(NotAdmissible) as err:
-                admissibility_bound(q, zero, linear, cap=cap)
-            assert err.value.cap == cap
+            for build in (admissibility_bound, algebra):
+                with pytest.raises(NotAdmissible) as err:
+                    build(q, zero, linear, cap=cap)
+                assert err.value.cap == cap
             outcomes.add("not admissible")
             return
         assert admissibility_bound(q, zero, linear, cap=cap) == expected
+        check_zero_reduction(q, zero, linear, cap)
         outcomes.add("bound")
 
     run()

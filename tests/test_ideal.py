@@ -19,7 +19,14 @@ from fixtures import (
     petal_hub,
     two_loops_line,
 )
-from invariants import check_block_cache, count_window_scans, normal_key, paths_up_to
+from invariants import (
+    check_block_cache,
+    check_zero_reduction,
+    count_window_scans,
+    normal_key,
+    paths_up_to,
+    unrewritten,
+)
 from quiverump.analysis import components
 from quiverump.brauer import brauer_algebra, brauer_dimension, brauer_graph, classify
 from quiverump.errors import (
@@ -581,12 +588,17 @@ def test_lone_paths_build_no_block(name, monkeypatch):
         assert one_row
 
 
-def _dead_sibling():
+def _dead_sibling_relations():
     # the block of ad reaches bd, whose other copy has the dead sibling ce
     q = quiver(["1", "2", "3", "4", "5"], [("a", "1", "2"), ("b", "1", "2"), ("c", "1", "3"),
                                            ("d", "2", "4"), ("e", "3", "4"), ("f", "4", "5")])
-    return algebra(q, [zero_relation(q, "ce")],
-                   [linear_relation(q, [(1, "ce"), (2, "bd")]), linear_relation(q, [(1, "ad"), (-2, "bd")])])
+    return q, [zero_relation(q, "ce")], [linear_relation(q, [(1, "ce"), (2, "bd")]),
+                                         linear_relation(q, [(1, "ad"), (-2, "bd")])]
+
+
+def _dead_sibling():
+    # unrewritten: algebra() kills ce, then bd, then ad, and leaves no block
+    return unrewritten(*_dead_sibling_relations())
 
 
 WITH_DEAD_SIBLING = {**WITH_BRAUER_TREE, "dead_sibling": _dead_sibling}
@@ -594,7 +606,91 @@ WITH_DEAD_SIBLING = {**WITH_BRAUER_TREE, "dead_sibling": _dead_sibling}
 
 @pytest.mark.parametrize("name", sorted(WITH_DEAD_SIBLING))
 def test_block_cache_holds_live_paths_whatever_the_query_order(name):
-    check_block_cache(WITH_DEAD_SIBLING[name]())
+    A = WITH_DEAD_SIBLING[name]()
+    if name == "dead_sibling":
+        assert A.ideal.linear
+    check_block_cache(A)
+
+
+# -- algebra() reduces the identifications modulo the zero relations -----------
+
+
+@pytest.mark.parametrize("name", sorted(WITH_DEAD_SIBLING))
+def test_zero_reduction_keeps_the_ideal_of_every_fixture(name):
+    A = WITH_DEAD_SIBLING[name]()
+    check_zero_reduction(A.quiver, list(A.ideal.zero), list(A.ideal.linear))
+
+
+def _square():
+    # two routes from 1 to 4, ab and cd, a third one ef, and g after them
+    return quiver(["1", "2", "3", "4", "5", "6"], [("a", "1", "2"), ("b", "2", "4"), ("c", "1", "3"),
+                                                   ("d", "3", "4"), ("e", "1", "5"), ("f", "5", "4"),
+                                                   ("g", "4", "6")])
+
+
+def _one_dead_term(q):
+    return [zero_relation(q, "cd")], [linear_relation(q, [(1, "ab"), (-1, "cd")])]
+
+
+def _every_term_dead(q):
+    return [zero_relation(q, "ab"), zero_relation(q, "cd")], [linear_relation(q, [(1, "ab"), (2, "cd")])]
+
+
+def _chained_kill(q):
+    # cd kills a term of the second relation, which makes ab zero, which
+    # kills a term of the first on a second pass: efg is zero too
+    return [zero_relation(q, "cd")], [linear_relation(q, [(1, "abg"), (-1, "efg")]),
+                                      linear_relation(q, [(1, "ab"), (-1, "cd")])]
+
+
+def _three_terms_lose_one(q):
+    # the dead term ab leads, so the two left are renormalised
+    return [zero_relation(q, "ab")], [linear_relation(q, [(2, "ab"), (4, "cd"), (-2, "ef")])]
+
+
+ZERO_REDUCTIONS = {
+    # case: (relations, the zero and linear relations algebra() keeps)
+    "one dead term": (_one_dead_term, {"ab", "cd"}, []),
+    "every term dead": (_every_term_dead, {"ab", "cd"}, []),
+    "chained kill": (_chained_kill, {"ab", "cd", "efg"}, []),
+    "three terms lose one": (_three_terms_lose_one, {"ab"}, [((Fraction(1), "cd"), (Fraction(-1, 2), "ef"))]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ZERO_REDUCTIONS))
+def test_zero_reduction_cases(case):
+    relations, zero, linear = ZERO_REDUCTIONS[case]
+    q = _square()
+    A = check_zero_reduction(q, *relations(q))
+    assert {"".join(p.arrows) for p in A.ideal.zero_paths} == zero
+    assert [tuple((c, "".join(p.arrows)) for c, p in r.terms()) for r in A.ideal.linear] == linear
+    assert unrewritten(q, *relations(q)).ideal.linear
+
+
+def test_zero_reduction_comes_after_the_checks_of_every_term():
+    # a zero relation divides each bad term, so a reduction ahead of the
+    # checks would drop it unseen
+    q = quiver(["1", "2"], [("a", "1", "2"), ("b", "2", "1"), ("c", "1", "2")])
+    zero = [zero_relation(q, "ab")]
+    for bogus, error in ((Path(("a", "b", "c", "c"), "1", "2"), InvalidPresentation),
+                         (Path(("a", "b", "x"), "1", "2"), UnknownLabel)):
+        rel = LinearRelation((Fraction(1), Fraction(-1)), (bogus, q.path("cbc")))
+        for build in (admissibility_bound, algebra):
+            with pytest.raises(error):
+                build(q, zero, [rel])
+
+
+def test_algebra_checks_its_input_once(monkeypatch):
+    calls = []
+    check = quiverump.ideal._check_presentation
+
+    def counted(*args):
+        calls.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(quiverump.ideal, "_check_presentation", counted)
+    A = algebra(*_dead_sibling_relations())
+    assert len(calls) == 1 and A.is_monomial
 
 
 @pytest.mark.parametrize("name", sorted(WITH_BRAUER_TREE))
