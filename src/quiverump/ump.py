@@ -6,8 +6,11 @@ classes of maximal paths never share an arrow.  A special multiserial
 algebra is decided on the classes of its components' maximal windows,
 and the paper's component test (the monomial corollary, or the main
 theorem) explains the verdict where the component ideals are monomial.
-Only other algebras are enumerated, after a cheap sound refutation
-attempt.  The "oracle" route always enumerates.
+Any other algebra fails the special multiserial test at an arrow with two
+nonzero compositions on one side; the two maximal paths grown from them
+share that arrow and refute the property when they lie in distinct
+classes.  Only where they do not is the algebra enumerated.  The
+"oracle" route always enumerates.
 
 Both routes answer with the one report type of the class layer,
 oracle.UmpReport, which lives there beside MaximalClass, classes_of and
@@ -20,7 +23,7 @@ from dataclasses import replace
 
 from .analysis import components, global_maximal_classes
 from .errors import InvariantViolation, NotSpecialMultiserial
-from .ideal import AlgebraPresentation, _check_type, _colkey, coset_paths, path_in_ideal
+from .ideal import AlgebraPresentation, coset_paths, is_special_multiserial, path_in_ideal
 from .oracle import UmpReport, extensions_die, shared_arrow, ump_bruteforce
 from .quiver import Path
 
@@ -54,38 +57,26 @@ def _saturate(alg: AlgebraPresentation, p: Path) -> Path:
 
 
 def quick_non_ump(alg: AlgebraPresentation) -> tuple[Path, Path, str] | None:
-    """Advisory search for a refuting pair grown from identification terms.
+    """Refute unique maximal paths from the special multiserial witness.
 
-    Seeds every identification term plus its live one-arrow paddings,
-    each decided by ideal's pair rule with no table, saturates each seed,
-    and looks for two saturations in distinct residue classes sharing an
-    arrow.  A returned witness is validated against the definitions, so
-    it is sound for any algebra; None just means the shortcut found
-    nothing.  InvalidPresentation when alg is no AlgebraPresentation.
+    The witness is an arrow a with two nonzero compositions on one side
+    (ab1 and ab2, or b1a and b2a); saturating each gives two maximal paths
+    that share a.  The pair is validated against the definitions, so a
+    returned (u, v, a) is sound; None when the algebra is special
+    multiserial or the pair fails the check.
+    InvalidPresentation when alg is no AlgebraPresentation.
     """
-    _check_type(alg, AlgebraPresentation)
-    q = alg.quiver
-    seeds: set[Path] = set()
-    for rel in alg.ideal.linear:
-        for term in rel.paths:
-            if not path_in_ideal(alg, term):
-                seeds.add(term)
-            first, last = q.arrow(term.arrows[0]), q.arrow(term.arrows[-1])
-            seeds.update(Path((b.id, first.id), b.source, first.target)
-                         for b in q.arrows_into(first.source) if any(alg._composing(b, (first,))))
-            seeds.update(Path((last.id, g), last.source, q.arrow(g).target)
-                         for g in alg._composing(last, q.arrows_from(last.target)))
-    sats = sorted({_saturate(alg, s) for s in seeds}, key=_colkey)
-    for i, u in enumerate(sats):
-        for v in sats[i + 1:]:
-            # a saturation is nonzero, so it has a coset
-            shared = set(u.arrows) & set(v.arrows)
-            if not shared or v in coset_paths(alg, u):
-                continue
-            if any(path_in_ideal(alg, p) or not extensions_die(alg, p) for p in (u, v)):
-                continue
-            return (u, v, min(shared))
-    return None
+    w = is_special_multiserial(alg).witness
+    if w is None:
+        return None
+    q, a = alg.quiver, alg.quiver.arrow(w.arrow)
+    pairs = [(a, q.arrow(b)) if w.side == "right" else (q.arrow(b), a) for b in w.pair]
+    u, v = (_saturate(alg, Path((x.id, y.id), x.source, y.target)) for x, y in pairs)
+    if u == v or v in coset_paths(alg, u):  # a saturation is nonzero, so it has a coset
+        return None
+    if any(path_in_ideal(alg, p) or not extensions_die(alg, p) for p in (u, v)):
+        return None
+    return (u, v, w.arrow)
 
 
 # -- the dispatcher ------------------------------------------------------------
@@ -97,8 +88,10 @@ def ump_report(alg: AlgebraPresentation, route: str = "auto") -> UmpReport:
     "auto" decides a special multiserial algebra on the classes of its
     components' maximal windows, checked against the paper's test where
     the component ideals are monomial (route "monomial-corollary" or
-    "main-theorem" if all are, else "component-windows"); other algebras
-    and "oracle" enumerate.  Both raise InvalidPresentation on a non-algebra.
+    "main-theorem" if all are, else "component-windows").  Another
+    algebra is refuted from its special multiserial witness where
+    quick_non_ump can, and enumerated otherwise, as "oracle" always is.
+    Both raise InvalidPresentation on a non-algebra.
     """
     if route not in ROUTES:
         raise ValueError(f"unknown route {route!r}; expected one of {ROUTES}")
@@ -109,7 +102,7 @@ def ump_report(alg: AlgebraPresentation, route: str = "auto") -> UmpReport:
     except NotSpecialMultiserial:
         w = quick_non_ump(alg)
         if w is not None:
-            notes = ("not special multiserial; refuted by identification witness without enumeration",)
+            notes = ("not special multiserial; refuted from the special multiserial witness without enumeration",)
             return UmpReport(False, "oracle", w, (), (), notes)
         return replace(ump_bruteforce(alg), notes=("not special multiserial; enumerated",))
     per = tuple((c.id, c.is_ump) for c in comps)

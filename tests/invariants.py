@@ -35,7 +35,14 @@ from quiverump.ideal import (
     zero_relation,
 )
 from quiverump.omega import omega_map
-from quiverump.oracle import extensions_die, global_basis, maximal_paths, nonzero_paths, ump_bruteforce
+from quiverump.oracle import (
+    extensions_die,
+    global_basis,
+    maximal_classes,
+    maximal_paths,
+    nonzero_paths,
+    ump_bruteforce,
+)
 from quiverump.quiver import Path, occurrences
 from quiverump.ump import quick_non_ump
 
@@ -313,13 +320,30 @@ def _table_refused(alg):
 
 
 def check_quick_non_ump_reads_no_table(alg):
-    """quick_non_ump decides its one-arrow paddings pair by pair: with the
-    length-2 table made to raise, a fresh copy gets the witness it gets
-    with the table.  Returns that witness."""
+    """quick_non_ump grows its pair from the special multiserial witness
+    and saturates it by membership queries, never through the length-2
+    table: with the table made to raise, a fresh copy gets the witness it
+    gets with the table.  Returns that witness."""
     witness = quick_non_ump(AlgebraPresentation(alg.quiver, alg.ideal))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(AlgebraPresentation, "_after", property(_table_refused))
         assert quick_non_ump(AlgebraPresentation(alg.quiver, alg.ideal)) == witness
+    return witness
+
+
+def check_refutation(alg):
+    """A pair quick_non_ump returns, held to enumeration on a fresh copy:
+    both paths are maximal, they lie in distinct maximal classes and both
+    hold the returned arrow.  Returns the pair, or None."""
+    witness = quick_non_ump(alg)
+    if witness is not None:
+        u, v, arrow = witness
+        fresh = AlgebraPresentation(alg.quiver, alg.ideal)
+        assert {u, v} <= set(maximal_paths(fresh))
+        (cu,) = [c for c in maximal_classes(fresh) if u in c.paths]
+        (cv,) = [c for c in maximal_classes(fresh) if v in c.paths]
+        assert cu != cv
+        assert arrow in u.arrows and arrow in v.arrows
     return witness
 
 

@@ -16,6 +16,7 @@ from invariants import (
     check_induced,
     check_maximal,
     check_quick_non_ump_reads_no_table,
+    check_refutation,
     check_relation_level,
     check_windows,
     check_zero_reduction,
@@ -118,6 +119,7 @@ def test_auto_matches_enumeration_and_saturations_partition(alg):
         check_relation_level(alg, comps, rep.is_ump)
     else:
         check_quick_non_ump_reads_no_table(alg)
+        check_refutation(alg)
     check_global_basis(alg)
 
 
@@ -257,6 +259,7 @@ def test_identifications_match_enumeration():
             check_relation_level(alg, comps, rep.is_ump)
         else:
             check_quick_non_ump_reads_no_table(alg)
+            check_refutation(alg)
         identified.append(bool(check_zero_reduction(*case).ideal.linear))
 
     run()

@@ -238,8 +238,9 @@ def test_no_verdict_path_names_the_ramifications_graph():
 def test_only_the_ideal_and_omega_name_the_length2_table():
     """is_special_multiserial keeps the length-2 table when its right pass
     holds and omega walks it; no other module names _after, as an attribute
-    or a string, so quick_non_ump decides its paddings pair by pair and a
-    right pass that fails leaves the table unbuilt."""
+    or a string, so quick_non_ump grows its pair from the special
+    multiserial witness with membership queries alone and a right pass
+    that fails leaves the table unbuilt."""
     found = []
     for path in SOURCES:
         if path.name in ("ideal.py", "omega.py"):
@@ -249,4 +250,16 @@ def test_only_the_ideal_and_omega_name_the_length2_table():
                     else node.value if isinstance(node, ast.Constant) else None)
             if name == "_after":
                 found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+def test_the_refutation_reads_no_relation():
+    """quick_non_ump has one seed source, the special multiserial witness:
+    ump.py reads no relation of the ideal and decides no length-2
+    composition itself, so seeding from identification terms cannot
+    return as a second path."""
+    here = Path(quiverump.__file__).resolve().parent / "ump.py"
+    relations = {"ideal", "linear", "zero", "_composing", "_length2"}
+    found = [f"ump.py:{node.lineno}" for node in ast.walk(ast.parse(here.read_text(), filename="ump.py"))
+             if isinstance(node, ast.Attribute) and node.attr in relations]
     assert found == []

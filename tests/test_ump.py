@@ -11,7 +11,12 @@ import pytest
 import quiverump
 import quiverump.ump
 
-from invariants import check_quick_non_ump_reads_no_table, check_relation_level, forbid_enumeration
+from invariants import (
+    check_quick_non_ump_reads_no_table,
+    check_refutation,
+    check_relation_level,
+    forbid_enumeration,
+)
 from quiverump.analysis import components
 from quiverump.errors import InvariantViolation
 from quiverump.ideal import algebra, is_special_multiserial, linear_relation, zero_relation
@@ -135,26 +140,43 @@ def test_relation_level_reference_rejects_a_flipped_verdict(build):
 
 
 def test_quick_refutation_finds_witness():
-    w = quick_non_ump(loop_meets_twocycle())
+    w = quick_non_ump(chord_cycle_monomial())
     assert w is not None
     p1, p2, arrow = w
-    assert {str(p1), str(p2)} == {"bc", "cb"}
-    assert arrow in p1.arrows and arrow in p2.arrows
+    assert {str(p1), str(p2)} == {"ep.al.bt.dl", "ep.gm"}
+    assert arrow == "ep"
 
 
 def test_quick_refutation_stays_silent():
-    # identified squares collapse into one class: nothing to refute with
-    assert quick_non_ump(two_loops_line()) is None
-    # both tracks land in the same class as well
-    assert quick_non_ump(parallel_tracks()) is None
+    # special multiserial: the test names no witness to grow a pair from
+    special = [name for name, build in ALL_FIXTURES.items() if is_special_multiserial(build())]
+    assert {"two_loops_line", "parallel_tracks", "loop_meets_twocycle"} <= set(special)
+    for name in special:
+        assert quick_non_ump(ALL_FIXTURES[name]()) is None, name
+    # not special multiserial, but UMP: no refutation exists
     assert quick_non_ump(chord_cycle_identified()) is None
-    # no identifications at all, so no seeds
     assert quick_non_ump(loop_spur()) is None
 
 
+def test_auto_refutes_a_monomial_algebra_that_is_not_special_multiserial(monkeypatch):
+    """chord_cycle_monomial has no identification term, yet the special
+    multiserial witness alone refutes it without enumeration."""
+    alg = chord_cycle_monomial()
+    assert alg.is_monomial and not is_special_multiserial(alg)
+    forbid_enumeration(monkeypatch)
+    rep = ump_report(alg, "auto")
+    assert rep.route == "oracle" and rep.is_ump is False
+    assert rep.classes == ()
+    assert rep.witness[2] == "ep"
+    assert rep.notes == ("not special multiserial; refuted from the special multiserial witness without enumeration",)
+
+
 def test_quick_refutation_builds_no_length2_table():
-    witnesses = {name: check_quick_non_ump_reads_no_table(build()) for name, build in ALL_FIXTURES.items()}
-    assert witnesses["loop_meets_twocycle"] is not None
+    witnesses = {}
+    for name, build in ALL_FIXTURES.items():
+        witnesses[name] = check_quick_non_ump_reads_no_table(build())
+        assert check_refutation(build()) == witnesses[name], name
+    assert witnesses["chord_cycle_monomial"] is not None
 
 
 def test_parallel_tracks_merge_into_one_class():
