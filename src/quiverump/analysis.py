@@ -99,17 +99,12 @@ def induced_algebra(alg: AlgebraPresentation, arrow_ids: frozenset[str]) -> Alge
             done.update(blk)
             # a member whose normal form is not itself is a pivot, and its
             # normal form less itself is its row negated, a sign no relation
-            # and no re-reduction sees; re-reduce only when that can leave a
-            # subquiver row: when every member, so every column, lies in the
-            # subquiver, the rows are already reduced in that order, and a
-            # block's only row keeps its columns outside the subquiver
-            rows = [dict(nf + ((m, _FM1),)) for m, nf in blk.items() if not nf or nf[0][0] != m]
-            if len(rows) > 1 and not all(is_sub(m) for m in blk):
-                basis = RowBasis(key=key)
-                for row in rows:
-                    basis.add(row)
-                rows = basis.rows.values()
-            for row in rows:
+            # and no re-reduction sees
+            basis = RowBasis(key=key)
+            for m, nf in blk.items():
+                if not nf or nf[0][0] != m:
+                    basis.add(dict(nf + ((m, _FM1),)))
+            for row in basis.rows.values():
                 if not all(is_sub(c) for c in row):
                     continue
                 items = sorted(row.items(), key=lambda kv: _colkey(kv[0]))
@@ -237,8 +232,9 @@ def _build_component(alg: AlgebraPresentation, cid: str, order: tuple[Path, ...]
 def components(alg: AlgebraPresentation) -> tuple[Component, ...]:
     """Weak components of the ramifications graph, fully analyzed, each
     walked off the length-2 table by omega.saturation_walks, sorted by its
-    least saturation.  Only defined for special multiserial algebras;
-    anything else raises with the violating arrow as witness."""
+    least saturation.  Only defined for special multiserial algebras: it
+    reads the presentation's cached decision, and raises with its witness
+    on anything else."""
     res = is_special_multiserial(alg)
     if not res:
         raise NotSpecialMultiserial(res.witness)

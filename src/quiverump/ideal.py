@@ -53,13 +53,14 @@ Whether a zero relation occurs in a path is asked of a window test,
 zero_divisor, that indexes the relation words by first arrow: a path is
 read once, and at each arrow only the windows of the lengths that start
 there are looked up; the same index lists the shortest zero occurrence
-at each position of a word.  Each relation set is indexed once.  An
-engine holds both tests of its zero relations and the copy index of its
-terms; the stage engines of admissibility_bound are truncations of one
-engine and share them, and minimalize_relations keeps one window test
-and one copy index for all its candidates, built again only after it
-drops a relation of their kind.  analysis reads the engine's lister and
-copy index too, along a component path.
+at each position of a word.  An engine holds both tests of its zero
+relations and the copy index of its terms, and its truncations, the
+stage engines of admissibility_bound, share them; minimalize_relations
+keeps one window test and one copy index for all its candidates, built
+again only after it drops a relation of their kind.  Inside algebra()
+_reduce_by_zero, _bound's engine and minimalize_relations each index the
+same zero relations.  analysis reads the engine's lister and copy index
+too, along a component path.
 
 Paths are grown in one place, _grow, one layer per length: the listed
 coordinates, the identified admissibility bound, and the walk of
@@ -74,11 +75,12 @@ C.
 Every relation word has length >= 2, so a composable pair ab holds only
 itself, and the pair rule (_composing) follows: ab lies in I exactly
 when the bound is 2, when ab is a zero relation, or when ab is a term
-the engine puts in I, the only pairs asked.  The table of the nonzero
-pairs, the arrows after each arrow in arrows_from order, is kept beside
-the engine by is_special_multiserial when its right pass holds, for its
-left pass and omega.saturation_walks: no pair is decided twice.  Like
-the engine it is a cache: copies and pickles leave it behind.
+the engine puts in I, the only pairs asked.  Whether the algebra is
+special multiserial is decided once per presentation, beside the engine;
+its right pass stops at the witness, and one that holds keeps the table
+of the nonzero pairs, the arrows after each arrow in arrows_from order,
+for the left pass and omega.saturation_walks: no pair is decided twice.
+Both are caches like the engine: copies and pickles leave them behind.
 """
 
 from __future__ import annotations
@@ -258,8 +260,29 @@ class AlgebraPresentation:
         """The arrows composing nonzero after each arrow, in arrows_from order."""
         return {a.id: tuple(self._composing(a, self.quiver.arrows_from(a.target))) for a in self.quiver.arrows}
 
+    @cached_property
+    def _special(self) -> SpecialMultiserialResult:
+        """is_special_multiserial's decision.  The right pass decides pairs in
+        q.arrows order; one that holds keeps every pair as _after."""
+        q, after = self.quiver, {}
+        preds: dict[str, list[str]] = {}  # in arrows_into order, which is q's
+        for a in q.arrows:
+            good = ()
+            for b in self._composing(a, q.arrows_from(a.target)):
+                good += (b,)
+                if len(good) > 1:  # the witness: no later pair is decided
+                    return SpecialMultiserialResult(False, SMWitness(a.id, "right", good))
+                preds.setdefault(b, []).append(a.id)
+            after[a.id] = good
+        vars(self).setdefault("_after", after)
+        for a in q.arrows:
+            good = preds.get(a.id, ())
+            if len(good) > 1:
+                return SpecialMultiserialResult(False, SMWitness(a.id, "left", (good[0], good[1])))
+        return SpecialMultiserialResult(True)
+
     def __getstate__(self):
-        # the engine and the table are caches: pickles and copies leave them behind
+        # the engine, the table and the decision are caches: pickles and copies leave them behind
         return {"quiver": self.quiver, "ideal": self.ideal}
 
 
@@ -881,24 +904,6 @@ class SpecialMultiserialResult:
 
 
 def is_special_multiserial(alg: AlgebraPresentation) -> SpecialMultiserialResult:
-    """Each arrow composes nonzero with at most one arrow on each side.  The
-    right pass decides pairs arrow by arrow, in q.arrows order, and stops at
-    its witness, the second nonzero successor of the first arrow with two;
-    a pass that holds has decided every pair and keeps them as alg._after."""
+    """Each arrow composes nonzero with at most one arrow on each side (cached, with a witness where not)."""
     _check_type(alg, AlgebraPresentation)
-    q, known, after, composing = alg.quiver, vars(alg).get("_after"), {}, alg._composing
-    preds: dict[str, list[str]] = {}  # in arrows_into order, which is q's
-    for a in q.arrows:
-        good = ()
-        for b in known[a.id] if known is not None else composing(a, q.arrows_from(a.target)):
-            good += (b,)
-            if len(good) > 1:  # the witness: no later pair is decided
-                return SpecialMultiserialResult(False, SMWitness(a.id, "right", good))
-            preds.setdefault(b, []).append(a.id)
-        after[a.id] = good
-    vars(alg).setdefault("_after", after)
-    for a in q.arrows:
-        good = preds.get(a.id, ())
-        if len(good) > 1:
-            return SpecialMultiserialResult(False, SMWitness(a.id, "left", (good[0], good[1])))
-    return SpecialMultiserialResult(True)
+    return alg._special

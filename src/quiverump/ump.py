@@ -6,11 +6,11 @@ classes of maximal paths never share an arrow.  A special multiserial
 algebra is decided on the classes of its components' maximal windows,
 and the paper's component test (the monomial corollary, or the main
 theorem) explains the verdict where the component ideals are monomial.
-Any other algebra fails the special multiserial test at an arrow with two
-nonzero compositions on one side; the two maximal paths grown from them
-share that arrow and refute the property when they lie in distinct
-classes.  Only where they do not is the algebra enumerated.  The
-"oracle" route always enumerates.
+"auto" routes on the cached special multiserial test.  An algebra that
+fails it has an arrow with two nonzero compositions on one side; the two
+maximal paths grown from them share that arrow and refute the property
+when they lie in distinct classes.  Only where they do not is the
+algebra enumerated.  The "oracle" route always enumerates.
 
 Both routes answer with the one report type of the class layer,
 oracle.UmpReport, which lives there beside MaximalClass, classes_of and
@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 from .analysis import components, global_maximal_classes
-from .errors import InvariantViolation, NotSpecialMultiserial
+from .errors import InvariantViolation
 from .ideal import AlgebraPresentation, coset_paths, is_special_multiserial, path_in_ideal
 from .oracle import UmpReport, extensions_die, shared_arrow, ump_bruteforce
 from .quiver import Path
@@ -85,26 +85,25 @@ def quick_non_ump(alg: AlgebraPresentation) -> tuple[Path, Path, str] | None:
 def ump_report(alg: AlgebraPresentation, route: str = "auto") -> UmpReport:
     """Decide unique maximal paths, via the requested route.
 
-    "auto" decides a special multiserial algebra on the classes of its
-    components' maximal windows, checked against the paper's test where
-    the component ideals are monomial (route "monomial-corollary" or
-    "main-theorem" if all are, else "component-windows").  Another
-    algebra is refuted from its special multiserial witness where
-    quick_non_ump can, and enumerated otherwise, as "oracle" always is.
-    Both raise InvalidPresentation on a non-algebra.
+    "auto" asks the cached special multiserial test first.  It decides a
+    special multiserial algebra on the classes of its components' maximal
+    windows, checked against the paper's test where the component ideals
+    are monomial (route "monomial-corollary" or "main-theorem" if all are,
+    else "component-windows").  Another algebra is refuted from the test's
+    witness where quick_non_ump can, and enumerated otherwise, as "oracle"
+    always is.  Both raise InvalidPresentation on a non-algebra.
     """
     if route not in ROUTES:
         raise ValueError(f"unknown route {route!r}; expected one of {ROUTES}")
     if route == "oracle":
         return ump_bruteforce(alg)
-    try:
-        comps = components(alg)
-    except NotSpecialMultiserial:
+    if not is_special_multiserial(alg):
         w = quick_non_ump(alg)
         if w is not None:
             notes = ("not special multiserial; refuted from the special multiserial witness without enumeration",)
             return UmpReport(False, "oracle", w, (), (), notes)
         return replace(ump_bruteforce(alg), notes=("not special multiserial; enumerated",))
+    comps = components(alg)
     per = tuple((c.id, c.is_ump) for c in comps)
     classes = global_maximal_classes(alg, comps)
     witness = shared_arrow(classes)

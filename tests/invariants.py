@@ -44,7 +44,7 @@ from quiverump.oracle import (
     ump_bruteforce,
 )
 from quiverump.quiver import Path, occurrences
-from quiverump.ump import quick_non_ump
+from quiverump.ump import quick_non_ump, ump_report
 
 
 def paths_up_to(q, longest):
@@ -329,6 +329,26 @@ def check_quick_non_ump_reads_no_table(alg):
         mp.setattr(AlgebraPresentation, "_after", property(_table_refused))
         assert quick_non_ump(AlgebraPresentation(alg.quiver, alg.ideal)) == witness
     return witness
+
+
+def check_auto_composes_each_arrow_once(alg):
+    """On a fresh copy, one ump_report(alg, "auto") asks the pair rule
+    (AlgebraPresentation._composing) about the arrows after each arrow at
+    most once: the special multiserial test is decided once per
+    presentation, and the route, the components and the refutation read
+    that one decision.  Returns the arrows asked about, in order."""
+    composing = AlgebraPresentation._composing
+    asked = []
+
+    def counted(self, a, after):
+        asked.append(a.id)
+        return composing(self, a, after)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(AlgebraPresentation, "_composing", counted)
+        ump_report(AlgebraPresentation(alg.quiver, alg.ideal), "auto")
+    assert len(asked) == len(set(asked)), asked
+    return asked
 
 
 def check_refutation(alg):

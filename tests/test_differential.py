@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from invariants import (
     brauer_reference,
+    check_auto_composes_each_arrow_once,
     check_block_cache,
     check_component_orders,
     check_components_ask_nothing,
@@ -120,6 +121,7 @@ def test_auto_matches_enumeration_and_saturations_partition(alg):
     else:
         check_quick_non_ump_reads_no_table(alg)
         check_refutation(alg)
+        check_auto_composes_each_arrow_once(alg)
     check_global_basis(alg)
 
 
@@ -260,6 +262,7 @@ def test_identifications_match_enumeration():
         else:
             check_quick_non_ump_reads_no_table(alg)
             check_refutation(alg)
+            check_auto_composes_each_arrow_once(alg)
         identified.append(bool(check_zero_reduction(*case).ideal.linear))
 
     run()

@@ -477,13 +477,15 @@ def test_queries_share_one_engine():
 def test_equal_copies_build_their_own_engine(name):
     A = ALL_FIXTURES[name]()
     live = live_paths(A)  # builds A's engine before the copies are taken
+    special = is_special_multiserial(A)  # its special multiserial decision
     after = A._after  # and its table of nonzero compositions
     copies = [AlgebraPresentation(A.quiver, A.ideal), pickle.loads(pickle.dumps(A)), copy.copy(A)]
     for B in copies:
         assert B == A
-        assert "_engine" not in vars(B) and "_after" not in vars(B)
+        assert "_engine" not in vars(B) and "_after" not in vars(B) and "_special" not in vars(B)
         assert B._engine is not A._engine
         assert B._after == after
+        assert is_special_multiserial(B) == special
         assert [path_in_ideal(B, p) for p in live] == [path_in_ideal(A, p) for p in live]
         outside = [p for p in live if not path_in_ideal(A, p)]
         assert [coset_paths(B, p) for p in outside] == [coset_paths(A, p) for p in outside]

@@ -240,16 +240,29 @@ def test_only_the_ideal_and_omega_name_the_length2_table():
     holds and omega walks it; no other module names _after, as an attribute
     or a string, so quick_non_ump grows its pair from the special
     multiserial witness with membership queries alone and a right pass
-    that fails leaves the table unbuilt."""
+    that fails leaves the table unbuilt.  The cached decision itself,
+    _special, is named only in ideal.py: every other module asks
+    is_special_multiserial."""
+    readers = {"_after": ("ideal.py", "omega.py"), "_special": ("ideal.py",)}
     found = []
     for path in SOURCES:
-        if path.name in ("ideal.py", "omega.py"):
-            continue
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             name = (node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute)
                     else node.value if isinstance(node, ast.Constant) else None)
-            if name == "_after":
+            if name in readers and path.name not in readers[name]:
                 found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+def test_auto_routes_on_the_decision_not_on_an_exception():
+    """ump_report asks is_special_multiserial and routes on its result: ump.py
+    neither names NotSpecialMultiserial nor catches any exception."""
+    here = Path(quiverump.__file__).resolve().parent / "ump.py"
+    found = []
+    for node in ast.walk(ast.parse(here.read_text(), filename="ump.py")):
+        name = node.id if isinstance(node, ast.Name) else node.name if isinstance(node, ast.alias) else None
+        if isinstance(node, ast.Try) or name == "NotSpecialMultiserial":
+            found.append(f"ump.py:{node.lineno}")
     assert found == []
 
 

@@ -12,6 +12,7 @@ import quiverump
 import quiverump.ump
 
 from invariants import (
+    check_auto_composes_each_arrow_once,
     check_quick_non_ump_reads_no_table,
     check_refutation,
     check_relation_level,
@@ -177,6 +178,15 @@ def test_quick_refutation_builds_no_length2_table():
         witnesses[name] = check_quick_non_ump_reads_no_table(build())
         assert check_refutation(build()) == witnesses[name], name
     assert witnesses["chord_cycle_monomial"] is not None
+
+
+def test_auto_decides_the_compositions_after_each_arrow_once():
+    """One auto call asks the pair rule about the arrows after each arrow at
+    most once on every fixture, also where the algebra is not special
+    multiserial and the route goes on to refute or enumerate it."""
+    asked = {name: check_auto_composes_each_arrow_once(build()) for name, build in ALL_FIXTURES.items()}
+    assert all(asked.values())
+    assert not all(is_special_multiserial(build()) for build in ALL_FIXTURES.values())
 
 
 def test_parallel_tracks_merge_into_one_class():
