@@ -3,7 +3,8 @@
 Each weak component of the graph is a line or a cycle of saturations
 (special multiserial algebras admit nothing else), read in order off the
 length-2 table with no graph built, so omega is its saturations joined.
-An arrow composes nonzero with at most one arrow on each side, so every
+The saturations partition the arrows, so the components do too.  An
+arrow composes nonzero with at most one arrow on each side, so every
 nonzero path of a component is a window (i, L) of its component path
 omega: the L arrows from position i on, read on around omega when it
 closes.  l(i), the longest nonzero window at each position, comes from
@@ -11,17 +12,22 @@ one listing of the zero occurrences along omega when the ideal is
 monomial, with no query, and otherwise from one sweep of queries; every
 component's maximal paths follow from l with no further query (a lone
 arrow that does not close holds no relation word: l = (1,), no sweep).
-The induced ideal is monomial exactly when the nonzero windows are
-independent modulo the ideal, tested per block on the windows holding a
-term copy the engine lists along omega.  Only there does the paper's
-test apply: the minimal zero windows (ordered relations, with sigma)
-follow from l.  No verdict reads an induced presentation:
+The windows holding a term copy, the held ones, are listed along omega
+by the engine's copy index with no query.  A window holding none has no
+engine block, so it is its own coset: only held maximal windows are
+grouped by coset queries.  Two maximal paths sharing an arrow are
+overlapping windows of one component, so where no two overlap in
+distinct classes the verdict builds no arrow set.  The induced ideal is
+monomial exactly when the nonzero windows are independent modulo the
+ideal, tested per block on the held windows.  Only there does the
+paper's test apply: the minimal zero windows (ordered relations, with
+sigma) follow from l.  No verdict reads an induced presentation:
 induced_algebra builds one for tests and benchmark.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate
 
 from .errors import InvalidPresentation, NotSpecialMultiserial
@@ -42,7 +48,7 @@ from .ideal import (
     zero_divisor,
 )
 from .omega import saturation_walks
-from .oracle import MaximalClass, classes_of
+from .oracle import MaximalClass, classes_of, shared_arrow
 from .quiver import Path
 
 
@@ -142,6 +148,8 @@ class Component:
     sigma: tuple[int, ...]
     maximal: tuple[Path, ...]  # maximal windows, by position
     is_ump: bool | None  # None when the induced ideal is not monomial
+    starts: tuple[int, ...] = field(repr=False, compare=False)  # of the maximal windows
+    held: set[tuple[int, int]] = field(repr=False, compare=False)  # the windows (i, L) holding a term copy
 
 
 def _lengths(alg: AlgebraPresentation, word: tuple[str, ...], window, n: int, closes: bool) -> list[int]:
@@ -170,16 +178,15 @@ def _lengths(alg: AlgebraPresentation, word: tuple[str, ...], window, n: int, cl
     return out
 
 
-def _windows_independent(alg: AlgebraPresentation, word: tuple[str, ...], window,
-                         lengths: list[int], closes: bool) -> bool:
-    """Whether the nonzero windows are linearly independent modulo I, that
-    is, whether I meets the component's path algebra in a monomial ideal.
-
-    The engine's blocks are direct summands, so this is decided per block.
-    A window holding no relation term is its own coset.  Those holding the
-    term copy at position i, listed by the engine's copy index with no
-    query, are the windows (j, L) that start d positions before it with
-    d + len(term) <= L <= l(j)."""
+def _held_windows(alg: AlgebraPresentation, word: tuple[str, ...], window,
+                  lengths: list[int], closes: bool) -> tuple[set[tuple[int, int]], bool]:
+    """The nonzero windows (j, L) holding a term copy, the held ones, listed
+    by the engine's copy index with no query, and whether the nonzero
+    windows are independent modulo I, that is, whether I meets the
+    component's path algebra in a monomial ideal.  Those holding the copy at
+    position i start d positions before it, with d + len(term) <= L <= l(j).
+    The blocks are direct summands, so independence is decided per block,
+    on the held windows: the others are their own cosets."""
     n = len(lengths)
     head = word[:n + alg.bound - 2]  # a copy kept starts before n and is shorter than the bound
     held: set[tuple[int, int]] = set()  # (j, L) of the windows holding a term
@@ -195,13 +202,13 @@ def _windows_independent(alg: AlgebraPresentation, word: tuple[str, ...], window
     for nfs in rows.values():
         basis = RowBasis()  # one nonzero normal form is independent alone
         if len(nfs) > 1 and not all(basis.add(dict(nf)) for nf in nfs):
-            return False
-    return True
+            return held, False
+    return held, True
 
 
 def _build_component(alg: AlgebraPresentation, cid: str, order: tuple[Path, ...], closes: bool) -> Component:
     if len(order) == 1 and len(order[0]) == 1 and not closes:  # a lone open arrow holds no relation word
-        return Component(cid, order, "single", order[0], False, (1,), (), (), order, True)
+        return Component(cid, order, "single", order[0], False, (1,), (), (), order, True, (0,), set())
     shape = "single" if len(order) == 1 else "cycle" if closes else "line"
     omega = Path(tuple(a for w in order for a in w.arrows), order[0].source, order[-1].target)
 
@@ -216,9 +223,10 @@ def _build_component(alg: AlgebraPresentation, cid: str, order: tuple[Path, ...]
 
     ls = _lengths(alg, word, window, n, closes)
     # the maximal windows: those not the suffix of a nonzero window
-    maximal = [(i, ls[i]) for i in range(n) if (ls[i - 1] if closes or i else 0) <= ls[i]]
+    starts = tuple(i for i in range(n) if (ls[i - 1] if closes or i else 0) <= ls[i])
+    held, independent = (set(), True) if alg.is_monomial else _held_windows(alg, word, window, ls, closes)
     ordered, sigma, ump = [], (), None
-    if alg.is_monomial or _windows_independent(alg, word, window, ls, closes):
+    if independent:
         # the minimal windows in I: one longer than l(i), with a nonzero suffix
         ordered = [(i, ls[i] + 1) for i in range(n)
                    if (closes or i + ls[i] < n) and ls[(i + 1) % n] >= ls[i]]
@@ -226,7 +234,8 @@ def _build_component(alg: AlgebraPresentation, cid: str, order: tuple[Path, ...]
         ump = not ordered or all(s == 1 for s in sigma) or (len(ordered) == 1 and closes)
     return Component(cid, order, shape, omega, closes, tuple(ls),
                      tuple(window(*w) for w in ordered), sigma,
-                     tuple(window(*w) for w in maximal), ump)
+                     tuple(window(i, ls[i]) for i in starts), ump,
+                     starts, held)
 
 
 def components(alg: AlgebraPresentation) -> tuple[Component, ...]:
@@ -245,10 +254,39 @@ def components(alg: AlgebraPresentation) -> tuple[Component, ...]:
 # -- global classes -----------------------------------------------------------
 
 
-def global_maximal_classes(alg: AlgebraPresentation,
-                           comps: tuple[Component, ...]) -> tuple[MaximalClass, ...]:
-    """Residue classes of the maximal windows of all components.
+def global_maximal_classes(alg: AlgebraPresentation, comps: tuple[Component, ...]) -> tuple[MaximalClass, ...]:
+    """Residue classes of the maximal windows of all components, by
+    _colkey of their representatives, each recording its components.
 
-    Identifications can merge paths from different components into one
-    class; the class then records every contributing component."""
-    return classes_of(alg, {m: (comp.id,) for comp in comps for m in comp.maximal})
+    A window holding no term copy has no block: it is its own class, built
+    with no query.  classes_of groups the held ones, which identifications
+    can merge across components, and checks that each coset it asks holds
+    only given windows: a path congruent to another holds a term."""
+    wins = [(c, m, (i, len(m)) in c.held) for c in comps for i, m in zip(c.starts, c.maximal)]
+    alone = [MaximalClass(m, frozenset((m,)), (c.id,)) for c, m, held in wins if not held]
+    merged = classes_of(alg, {m: (c.id,) for c, m, held in wins if held})
+    return tuple(sorted(alone + list(merged), key=lambda c: _colkey(c.representative)))
+
+
+def maximal_witness(comps: tuple[Component, ...],
+                    classes: tuple[MaximalClass, ...]) -> tuple[Path, Path, str] | None:
+    """The witness shared_arrow picks in the classes, or None, decided on positions first.
+
+    The arrows partition into components, so two maximal paths sharing an
+    arrow are overlapping windows of one component, which a component the
+    paper's test refutes has.  Maximal windows have increasing starts and
+    ends along omega, read around it when it closes, so if two overlap, so
+    do all between them: where no two consecutive ones overlap in distinct
+    classes, no arrow set is built.  Distinct windows lie in one class only
+    if parallel and held: a term-free window is its own coset."""
+    for c in comps:
+        if c.is_ump is False:
+            return shared_arrow(classes)
+        s, m, n = c.starts, c.maximal, len(c.lengths)
+        # each window (i, p) and the next (j, q), read one turn on past the last when omega closes
+        for k in range(1, len(s) + (c.closes and len(s) > 1)):
+            i, p, q, j = s[k - 1], m[k - 1], m[k % len(s)], s[k % len(s)] + n * (k == len(s))
+            if j < i + len(p) and not (p[1:] == q[1:] and (i, len(p)) in c.held
+                                       and any(p in x.paths and q in x.paths for x in classes)):
+                return shared_arrow(classes)
+    return None

@@ -57,10 +57,10 @@ at each position of a word.  An engine holds both tests of its zero
 relations and the copy index of its terms, and its truncations, the
 stage engines of admissibility_bound, share them; minimalize_relations
 keeps one window test and one copy index for all its candidates, built
-again only after it drops a relation of their kind.  Inside algebra()
-_reduce_by_zero, _bound's engine and minimalize_relations each index the
-same zero relations.  analysis reads the engine's lister and copy index
-too, along a component path.
+again only after it drops a relation of their kind.  algebra() indexes
+each list of zero relations once and hands the last index on to _bound's
+engine and minimalize_relations.  analysis reads the engine's lister and
+copy index too, along a component path.
 
 Paths are grown in one place, _grow, one layer per length: the listed
 coordinates, the identified admissibility bound, and the walk of
@@ -490,9 +490,9 @@ def _span(seeds: Iterable[Path], copies, dead, veto=None) -> tuple[set[Path], Ro
 
 class _Engine:
     def __init__(self, zero_paths: Sequence[Path],
-                 linear: Sequence[LinearRelation], bound: int):
+                 linear: Sequence[LinearRelation], bound: int, index=None):
         self.bound = bound
-        self.zero_divisible, self.zero_ends = zero_divisor(zero_paths)
+        self.zero_divisible, self.zero_ends = index or zero_divisor(zero_paths)
         self.linear = tuple(linear)
         self.copies = _copy_index(self.linear)
         self._blocks: dict[Path, dict[Path, tuple]] = {}
@@ -669,13 +669,14 @@ def _check_presentation(q: Quiver, zero, linear, cap) -> None:
                                       f"from {term.source} to {term.target}")
 
 
-def _bound(q: Quiver, zero: Sequence[ZeroRelation], linear: Sequence[LinearRelation], cap: int) -> int:
-    """admissibility_bound of relations already checked."""
+def _bound(q: Quiver, zero: Sequence[ZeroRelation], linear: Sequence[LinearRelation], cap: int,
+           index=None) -> int:
+    """admissibility_bound of relations already checked; index is their zero_divisor, if built."""
     words = [r.path for r in zero] + [t for r in linear for t in r.paths]
     zero_paths = tuple(r.path for r in zero)
     if not linear:
         return max(longest_avoiding(q, zero_paths, cap) + 1, 2)
-    base = stage = _Engine(zero_paths, linear, 2)
+    base = stage = _Engine(zero_paths, linear, 2, index)
     beyond = 2 * max(len(w.arrows) for w in words) + 1
 
     def in_ideal(p: Path) -> bool:
@@ -802,7 +803,7 @@ def _candidate_key(rel):
 
 
 def minimalize_relations(q: Quiver, zero: Sequence[ZeroRelation],
-                         linear: Sequence[LinearRelation], bound: int):
+                         linear: Sequence[LinearRelation], bound: int, divisible=None):
     """Greedily drop generators already implied by the rest.
 
     Returns the (zero, linear) that survive.  Candidates are scanned
@@ -810,11 +811,11 @@ def minimalize_relations(q: Quiver, zero: Sequence[ZeroRelation],
     that imply them; the scan order is deterministic, and the result is
     idempotent.  The window test of the zero relations and the copy index
     of the linear ones are built once and again only after a relation of
-    their kind is dropped.
+    their kind is dropped; divisible, when given, is the window test of zero.
     """
     zs = list(zero)
     ls = list(linear)
-    divisible = copies = None
+    copies = None
     for cand in sorted(zs + ls, key=_candidate_key):
         if divisible is None:
             divisible, _ = zero_divisor(r.path for r in zs)
@@ -834,18 +835,19 @@ def minimalize_relations(q: Quiver, zero: Sequence[ZeroRelation],
 
 
 def _reduce_by_zero(q: Quiver, zero: Sequence[ZeroRelation],
-                    linear: Sequence[LinearRelation]) -> tuple[list, list]:
+                    linear: Sequence[LinearRelation]) -> tuple[list, list, tuple]:
     """The relations with every linear-relation term that a zero relation
     divides dropped: a relation left with one term becomes a zero relation
     on it, one left with none goes, and one left with two or more is
     renormalised.  Repeated while a new zero relation appears, since it
     may divide a term of another relation.  Each dropped term lies in the
-    ideal of the zero relations, so the ideal is the same."""
+    ideal of the zero relations, so the ideal is the same.  Returns their zero_divisor too."""
     zero, linear = list(zero), list(linear)
-    grew = True
-    while grew and linear and zero:
-        divisible, _ = zero_divisor(r.path for r in zero)
-        grew, kept = False, []
+    while True:
+        index = zero_divisor(r.path for r in zero)
+        if not (linear and zero):
+            return zero, linear, index
+        divisible, grew, kept = index[0], False, []
         for rel in linear:
             if not any(map(divisible, rel.paths)):
                 kept.append(rel)
@@ -857,7 +859,8 @@ def _reduce_by_zero(q: Quiver, zero: Sequence[ZeroRelation],
             elif live:
                 kept.append(linear_relation(q, live))
         linear = kept
-    return zero, linear
+        if not grew:
+            return zero, linear, index
 
 
 def algebra(q: Quiver, zero: Sequence[ZeroRelation] = (),
@@ -872,9 +875,9 @@ def algebra(q: Quiver, zero: Sequence[ZeroRelation] = (),
     relations kill all its identifications comes out monomial and takes
     the monomial path of every layer."""
     _check_presentation(q, zero, linear, cap)
-    zero, linear = _reduce_by_zero(q, zero, linear)
-    bound = _bound(q, zero, linear, cap)
-    zero, linear = minimalize_relations(q, zero, linear, bound)
+    zero, linear, index = _reduce_by_zero(q, zero, linear)
+    bound = _bound(q, zero, linear, cap, index)
+    zero, linear = minimalize_relations(q, zero, linear, bound, index[0])
     return AlgebraPresentation(q, IdealPresentation(zero, linear, bound))
 
 

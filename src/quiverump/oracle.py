@@ -20,12 +20,12 @@ reads maximality off the listing and asks the engine nothing more.
 extensions_die is the definition itself, one query per extension;
 ump.quick_non_ump checks its witness with it.
 
-The class layer is written once, here, for every route, together with
-the one report type every route returns (UmpReport): the structural
-routes list the maximal paths off their components, enumeration off its
-listing, and both group them with classes_of and look for two classes
-sharing an arrow with shared_arrow.  classes_of takes each path with its
-component ids and sets a class's components as it builds it.
+Here live the class layer and the one report type of every route
+(UmpReport).  Enumeration groups its maximal paths with classes_of and
+finds its witness with shared_arrow; the structural routes hand
+classes_of only the maximal windows holding a relation term, with their
+component ids, and ask shared_arrow only where two overlapping windows
+lie in distinct classes.
 """
 
 from __future__ import annotations

@@ -12,19 +12,18 @@ maximal paths grown from them share that arrow and refute the property
 when they lie in distinct classes.  Only where they do not is the
 algebra enumerated.  The "oracle" route always enumerates.
 
-Both routes answer with the one report type of the class layer,
-oracle.UmpReport, which lives there beside MaximalClass, classes_of and
-shared_arrow.
+Both routes answer with oracle.UmpReport, the structural ones with the
+classes and witness that analysis reads off the components' positions.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
 
-from .analysis import components, global_maximal_classes
+from .analysis import components, global_maximal_classes, maximal_witness
 from .errors import InvariantViolation
 from .ideal import AlgebraPresentation, coset_paths, is_special_multiserial, path_in_ideal
-from .oracle import UmpReport, extensions_die, shared_arrow, ump_bruteforce
+from .oracle import UmpReport, extensions_die, ump_bruteforce
 from .quiver import Path
 
 ROUTES = ("auto", "oracle")
@@ -106,7 +105,7 @@ def ump_report(alg: AlgebraPresentation, route: str = "auto") -> UmpReport:
     comps = components(alg)
     per = tuple((c.id, c.is_ump) for c in comps)
     classes = global_maximal_classes(alg, comps)
-    witness = shared_arrow(classes)
+    witness = maximal_witness(comps, classes)
     verdicts = {v for _, v in per}  # None where the test does not apply
     if (False in verdicts) if witness is None else verdicts <= {True}:
         raise InvariantViolation("the component test and the maximal classes disagree")

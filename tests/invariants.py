@@ -8,6 +8,7 @@ that membership reads first, the saturations arrow by arrow and the
 components walked on them, and the component objects no verdict reads:
 eta, the junction relations and the Brauer component-vertex bijection."""
 
+from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 
@@ -15,7 +16,7 @@ import pytest
 
 import quiverump.oracle
 import quiverump.ump
-from quiverump.analysis import components, induced_algebra
+from quiverump.analysis import components, global_maximal_classes, induced_algebra, maximal_witness
 from quiverump.brauer import Half, brauer_algebra
 from quiverump.errors import NotAdmissible, NotSpecialMultiserial, TrivialPath
 from quiverump.ideal import (
@@ -36,11 +37,13 @@ from quiverump.ideal import (
 )
 from quiverump.omega import omega_map
 from quiverump.oracle import (
+    classes_of,
     extensions_die,
     global_basis,
     maximal_classes,
     maximal_paths,
     nonzero_paths,
+    shared_arrow,
     ump_bruteforce,
 )
 from quiverump.quiver import Path, occurrences
@@ -292,6 +295,37 @@ def lone_open_arrow(comp):
     """Whether a component is one arrow whose windows do not read on around
     it: a lone arrow that does not close, such as a loop whose square is zero."""
     return len(comp.omega) == 1 and not comp.closes
+
+
+def check_positional_classes(alg):
+    """On fresh copies of a special multiserial presentation, the classes
+    the structural route builds off its components' positions equal
+    classes_of of every maximal window, each mapped to its component, and
+    its witness equals shared_arrow of those classes, also read off the
+    positions alone, as if the paper's test applied to no component."""
+    comps = components(AlgebraPresentation(alg.quiver, alg.ideal))
+    classes = global_maximal_classes(AlgebraPresentation(alg.quiver, alg.ideal), comps)
+    expected = classes_of(AlgebraPresentation(alg.quiver, alg.ideal),
+                          {m: (c.id,) for c in comps for m in c.maximal})
+    assert classes == expected
+    assert maximal_witness(comps, classes) == shared_arrow(expected)
+    assert maximal_witness([replace(c, is_ump=None) for c in comps], classes) == shared_arrow(expected)
+
+
+def check_auto_cosets(alg):
+    """ump_report(alg, "auto") on a fresh copy of a special multiserial
+    presentation asks a coset at most once per maximal path holding a
+    relation term, so never on a monomial one: a path holding none is its
+    own coset.  Returns the number of cosets asked."""
+    terms = [t.arrows for rel in alg.ideal.linear for t in rel.paths]
+    held = sum(any(occurrences(t, m.arrows) for t in terms) for m in maximal_paths(alg))
+    asked = []
+    real = quiverump.oracle.coset_paths
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(quiverump.oracle, "coset_paths", lambda a, p: asked.append(p) or real(a, p))
+        ump_report(AlgebraPresentation(alg.quiver, alg.ideal), "auto")
+    assert len(asked) <= held, (len(asked), held)
+    return len(asked)
 
 
 def check_components_ask_nothing(alg):

@@ -10,12 +10,14 @@ from hypothesis import strategies as st
 from invariants import (
     brauer_reference,
     check_auto_composes_each_arrow_once,
+    check_auto_cosets,
     check_block_cache,
     check_component_orders,
     check_components_ask_nothing,
     check_global_basis,
     check_induced,
     check_maximal,
+    check_positional_classes,
     check_quick_non_ump_reads_no_table,
     check_refutation,
     check_relation_level,
@@ -118,6 +120,8 @@ def test_auto_matches_enumeration_and_saturations_partition(alg):
         check_windows(alg, comps)
         check_induced(alg, [component_algebra(alg, c) for c in comps])
         check_relation_level(alg, comps, rep.is_ump)
+        check_positional_classes(alg)
+        assert check_auto_cosets(alg) == 0
     else:
         check_quick_non_ump_reads_no_table(alg)
         check_refutation(alg)
@@ -152,6 +156,8 @@ def test_brauer_trees_match_classification_and_enumeration(g):
     check_windows(ba.algebra, comps)
     check_induced(ba.algebra, [component_algebra(ba.algebra, c) for c in comps])
     check_relation_level(ba.algebra, comps, classify(g).is_ump)
+    check_positional_classes(ba.algebra)
+    check_auto_cosets(ba.algebra)
     check_global_basis(ba.algebra)
 
 
@@ -191,6 +197,8 @@ def test_brauer_graphs_with_loops_and_multiple_edges_match_enumeration(g):
     check_windows(ba.algebra, comps)
     check_induced(ba.algebra, [component_algebra(ba.algebra, c) for c in comps])
     check_relation_level(ba.algebra, comps, classify(g).is_ump)
+    check_positional_classes(ba.algebra)
+    check_auto_cosets(ba.algebra)
     check_global_basis(ba.algebra)
 
 
@@ -259,6 +267,8 @@ def test_identifications_match_enumeration():
             check_windows(alg, comps)
             check_induced(alg, [component_algebra(alg, c) for c in comps])
             check_relation_level(alg, comps, rep.is_ump)
+            check_positional_classes(alg)
+            check_auto_cosets(alg)
         else:
             check_quick_non_ump_reads_no_table(alg)
             check_refutation(alg)
@@ -459,6 +469,8 @@ def test_saturation_chains_match_enumeration_on_every_branch():
         check_windows(alg, comps)
         check_induced(alg, [component_algebra(alg, c) for c in comps])
         check_relation_level(alg, comps, report.is_ump)
+        check_positional_classes(alg)
+        assert check_auto_cosets(alg) == 0
         branches.update(_theorem_branch(c) for c in comps)
         verdicts.add(report.is_ump)
 

@@ -13,6 +13,8 @@ import quiverump.ump
 
 from invariants import (
     check_auto_composes_each_arrow_once,
+    check_auto_cosets,
+    check_positional_classes,
     check_quick_non_ump_reads_no_table,
     check_refutation,
     check_relation_level,
@@ -235,6 +237,19 @@ def _two_arrow_pairs():
     return algebra(q, zero, [linear_relation(q, [(1, "ab"), (-1, "cd")])])
 
 
+def _identified_loop_triple():
+    """Four loops at one vertex, each composing nonzero only as xy, yz, zx
+    and ww, with xy = yz and zx = ww.  The cycle component of x, y and z
+    is not monomial (xy - yz), so the paper's test does not apply there.
+    Its maximal windows xy, yz and zx are parallel, overlap in turn and
+    all hold a term; yz and zx lie in distinct classes and refute."""
+    q = quiver(["0"], [(a, "0", "0") for a in "xyzw"])
+    zero = [zero_relation(q, a + b) for a in "xyzw" for b in "xyzw" if a + b not in ("xy", "yz", "zx", "ww")]
+    zero += [zero_relation(q, w) for w in ("xyz", "yzx", "zxy", "www")]
+    return algebra(q, zero, [linear_relation(q, [(1, "xy"), (-1, "yz")]),
+                             linear_relation(q, [(1, "zx"), (-1, "ww")])])
+
+
 def _listed(rep):
     # what every route must agree on; only structural classes name components
     return rep.is_ump, rep.witness, [(c.representative, c.paths) for c in rep.classes]
@@ -251,7 +266,7 @@ def test_auto_reads_a_non_monomial_component_off_its_windows():
 
 
 def test_auto_never_enumerates_a_special_multiserial_algebra(monkeypatch):
-    builds = [_two_arrow_pairs, *ALL_FIXTURES.values()]
+    builds = [_two_arrow_pairs, _identified_loop_triple, *ALL_FIXTURES.values()]
     algs = [alg for alg in (build() for build in builds) if is_special_multiserial(alg)]
     expected = [ump_bruteforce(alg) for alg in algs]
     forbid_enumeration(monkeypatch)
@@ -261,19 +276,33 @@ def test_auto_never_enumerates_a_special_multiserial_algebra(monkeypatch):
         assert _listed(rep) == _listed(brute)
 
 
+def test_positional_classes_and_witness_match_the_class_layer():
+    """On every special multiserial fixture, the classes and the witness
+    read off the components' positions equal classes_of and shared_arrow,
+    and auto asks a coset only of maximal paths holding a term: none on a
+    monomial fixture."""
+    builds = [_two_arrow_pairs, _identified_loop_triple, *ALL_FIXTURES.values()]
+    algs = [alg for alg in (build() for build in builds) if is_special_multiserial(alg)]
+    asked = []
+    for alg in algs:
+        check_positional_classes(alg)
+        asked.append((alg.is_monomial, check_auto_cosets(alg)))
+    assert (True, 0) in asked and any(n > 0 for _, n in asked)
+
+
 def test_auto_rejects_a_component_test_the_classes_contradict(monkeypatch):
     """The component test and the maximal classes must agree both ways: a
     component failing UMP needs a witness, and a witness needs a failing
     component."""
-    monkeypatch.setattr(quiverump.ump, "shared_arrow", lambda classes: None)
+    monkeypatch.setattr(quiverump.ump, "maximal_witness", lambda comps, classes: None)
     with pytest.raises(InvariantViolation):
         ump_report(petal_hub())
 
-    def fake(classes):
+    def fake(comps, classes):
         p, q = classes[0].representative, classes[-1].representative
         return (p, q, p.arrows[0])
 
-    monkeypatch.setattr(quiverump.ump, "shared_arrow", fake)
+    monkeypatch.setattr(quiverump.ump, "maximal_witness", fake)
     with pytest.raises(InvariantViolation):
         ump_report(two_loops_line())
 
