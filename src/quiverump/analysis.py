@@ -41,11 +41,10 @@ from .ideal import (
     _check_type,
     _colkey,
     _grow,
+    _minimalize,
     is_special_multiserial,
     linear_relation,
-    minimalize_relations,
     path_in_ideal,
-    zero_divisor,
 )
 from .omega import saturation_walks
 from .oracle import MaximalClass, classes_of, shared_arrow
@@ -60,15 +59,15 @@ def induced_algebra(alg: AlgebraPresentation, arrow_ids: frozenset[str]) -> Alge
     with the induced ideal (the full ideal intersected with the paths of
     the subquiver) presented by minimal generators.
 
-    Grows the subquiver's paths one layer per length and extends only
-    those the parent's engine puts outside the ideal.  A visited path in
-    the ideal is generated by the parent's zero relations or by the rows
-    of its engine block that stay in the subquiver; the one row of a lone
-    path's block (see ideal) is the path, a zero relation.  A path with a
-    proper prefix in the ideal lies in the ideal through that prefix, so
-    it is never visited.  Children of length alg.bound that no generator
-    found so far divides close the truncation off, and the bound is one
-    more than the longest path outside the ideal (at least 2).
+    _grow lists the subquiver paths outside the ideal up to alg.bound - 1
+    by extending only those: a path with a prefix in the ideal lies in it,
+    so the listing is complete.  The zero relations are the minimal
+    subquiver paths in the ideal, truncations at alg.bound included: the
+    one-arrow extensions of listed paths that are not listed while the
+    extension less its first arrow is.  The linear relations are the rows
+    of two or more terms, all in the subquiver, of the blocks of listed
+    paths; every term of such a row lies outside the ideal, so no block is
+    missed.  The bound is one more than the longest listed path (at least 2).
     """
     _check_type(alg, AlgebraPresentation)
     try:
@@ -78,58 +77,32 @@ def induced_algebra(alg: AlgebraPresentation, arrow_ids: frozenset[str]) -> Alge
     except TypeError:
         raise InvalidPresentation(f"arrow ids {arrow_ids!r} are no collection of labels") from None
     sub = alg.quiver.subquiver(inside)  # an unknown id raises UnknownLabel
-
-    def is_sub(p: Path) -> bool:
-        return set(p.arrows) <= inside
+    eng = alg._engine
+    outside = _grow(sub, eng.in_ideal, alg.bound - 1)
+    listed = {p.arrows for p in outside}
+    zero = [ZeroRelation(Path(w, p.source, a.target)) for p in outside for a in sub.arrows_from(p.target)
+            if (w := p.arrows + (a.id,)) not in listed and w[1:] in listed]
 
     def key(p: Path):
         # the span of all embedded identifications is the direct sum of the
         # engine's blocks; re-reducing a block with subquiver columns last
         # leaves the rows that present its intersection with the subquiver
-        return ((1 if is_sub(p) else 0,) + _colkey(p))
+        return (inside.issuperset(p.arrows),) + _colkey(p)
 
-    zero = [r for r in alg.ideal.zero if is_sub(r.path)]
     linear: list[LinearRelation] = []
-    eng = alg._engine
-    done: set[Path] = set()
-
-    def in_ideal(p: Path) -> bool:
-        # _grow asks once per visited path; the first visit to a block
-        # collects its rows inside the subquiver
-        if eng.dead(p):
-            return True
-        blk = eng.block(p)
-        if blk is None:
-            return False
-        if p not in done:
-            done.update(blk)
-            # a member whose normal form is not itself is a pivot, and its
-            # normal form less itself is its row negated, a sign no relation
-            # and no re-reduction sees
-            basis = RowBasis(key=key)
-            for m, nf in blk.items():
-                if not nf or nf[0][0] != m:
-                    basis.add(dict(nf + ((m, _FM1),)))
-            for row in basis.rows.values():
-                if not all(is_sub(c) for c in row):
-                    continue
-                items = sorted(row.items(), key=lambda kv: _colkey(kv[0]))
-                if len(items) == 1:
-                    zero.append(ZeroRelation(items[0][0]))
-                else:
-                    linear.append(linear_relation(sub, [(c, t) for t, c in items]))
-        return blk[p] == ()
-
-    outside = _grow(sub, in_ideal, alg.bound - 1)
-    divisible, _ = zero_divisor(r.path for r in zero)
-    zero.extend(
-        ZeroRelation(c)
-        for p in outside if len(p) == alg.bound - 1
-        for a in sub.arrows_from(p.target)
-        if not divisible(c := Path(p.arrows + (a.id,), p.source, a.target))
-    )
+    # membership has cached the block of each listed path that has one
+    for blk in {id(b): b for p in outside if (b := eng.block(p)) is not None}.values():
+        # a member whose normal form is not itself is a pivot, and its normal
+        # form less itself is its row negated, a sign no relation and no
+        # re-reduction sees
+        basis = RowBasis(key=key)
+        for m, nf in blk.items():
+            if not nf or nf[0][0] != m:
+                basis.add(dict(nf + ((m, _FM1),)))
+        linear.extend(linear_relation(sub, [(c, t) for t, c in row.items()]) for row in basis.rows.values()
+                      if len(row) > 1 and all(inside.issuperset(t.arrows) for t in row))
     bound = len(outside[-1]) + 1 if outside else 2
-    zero, linear = minimalize_relations(sub, zero, linear, bound)
+    zero, linear = _minimalize(sub, zero, linear, bound)
     return AlgebraPresentation(sub, IdealPresentation(zero, linear, bound))
 
 

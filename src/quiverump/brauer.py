@@ -55,6 +55,7 @@ class BrauerGraph:
             valency[a] = valency.get(a, 0) + 1
             valency[b] = valency.get(b, 0) + 1
         object.__setattr__(self, "_valency", valency)
+        object.__setattr__(self, "_checked", False)  # brauer_graph sets it, having checked more
 
     @property
     def vertex_ids(self) -> tuple[str, ...]:
@@ -223,12 +224,33 @@ def brauer_graph(vertices, edges, orders=None) -> BrauerGraph:
         ring_map[v] = tuple(ring)
     if diags:
         raise BrauerValidationError(diags)
-    return BrauerGraph(
-        tuple(vlist), tuple(elist), tuple((v, ring_map[v]) for v in vids)
-    )
+    g = BrauerGraph(tuple(vlist), tuple(elist), tuple((v, ring_map[v]) for v in vids))
+    object.__setattr__(g, "_checked", True)
+    return g
 
 
 # -- the algebra ---------------------------------------------------------------
+
+
+def _check_graph(g: BrauerGraph) -> None:
+    """Reject a graph built without brauer_graph that the entries cannot
+    read: no edge, an edge end that is no declared vertex, or a spinning
+    vertex whose order does not list its halves, as many as its valency.
+    A half listed twice makes brauer_algebra's arrow ids collide.  A graph
+    from brauer_graph passed all this when it was built."""
+    _check_type(g, BrauerGraph)
+    if g._checked:
+        return
+    diags = [f"edge {e}: undeclared endpoint {v!r}" for e, a, b in g.edges for v in (a, b) if v not in g._mult]
+    if not g.edges:
+        diags.append("graph has no edges")
+    for v in g.vertex_ids:
+        ring = g._order.get(v, ())
+        if not (g.is_truncated(v) or len(ring) == g.valency(v)
+                and all(g._ends.get(h.edge, ())[h.slot:h.slot + 1] == (v,) for h in ring)):
+            diags.append(f"order at {v} must list each incident half-edge once")
+    if diags:
+        raise BrauerValidationError(diags)
 
 
 def _arrow_id(g: BrauerGraph, v: str, h: Half) -> str:
@@ -258,7 +280,7 @@ def brauer_algebra(g: BrauerGraph) -> BrauerAlgebra:
     Each full turn is built once, one Path per half, and the relations are
     read off the turns and the arrows with no validation by Quiver.path.
     """
-    _check_type(g, BrauerGraph)
+    _check_graph(g)
     spinning = [v for v in g.vertex_ids if not g.is_truncated(v)]
     identified = {e for e, a, b in g.edges if not (g.is_truncated(a) or g.is_truncated(b))}
 
@@ -308,9 +330,7 @@ def brauer_algebra(g: BrauerGraph) -> BrauerAlgebra:
             if (x.id, y.id) not in consecutive:
                 zero.append(ZeroRelation(Path((x.id, y.id), x.source, y.target)))
 
-    longest = max(
-        (g.valency(v) * g.multiplicity(v) for v in spinning), default=1
-    )
+    longest = max((g.valency(v) * g.multiplicity(v) for v in spinning), default=1)
     ideal = IdealPresentation(tuple(zero), tuple(linear), max(2, longest + 1))
     return BrauerAlgebra(g, AlgebraPresentation(q, ideal), cycles)
 
@@ -331,7 +351,7 @@ def classify(g: BrauerGraph) -> BrauerShape:
     Exactly the one-edge graphs qualify: a bare edge, an edge with one
     spinning end (nilpotent loop), an edge with two (a pair of nilpotent
     loops with identified powers), or a loop (two alternating arrows)."""
-    _check_type(g, BrauerGraph)
+    _check_graph(g)
     if len(g.edges) > 1:
         return BrauerShape("multiple-edges", (len(g.edges),), False)
     e, a, b = g.edges[0]
@@ -349,16 +369,8 @@ def classify(g: BrauerGraph) -> BrauerShape:
 def brauer_dimension(g: BrauerGraph) -> int:
     """Dimension of the algebra: one per edge, a full grid per spinning
     vertex, minus one per edge whose two full turns get identified."""
-    _check_type(g, BrauerGraph)
-    spinning = [v for v in g.vertex_ids if not g.is_truncated(v)]
-    both_spin = sum(
-        1
-        for e, a, b in g.edges
-        if not g.is_truncated(a) and not g.is_truncated(b)
-    )
-    return (
-        len(g.edges)
-        + sum(g.valency(v) ** 2 * g.multiplicity(v) for v in spinning)
-        - both_spin
-    )
+    _check_graph(g)
+    both_spin = sum(1 for _, a, b in g.edges if not g.is_truncated(a) and not g.is_truncated(b))
+    grids = sum(g.valency(v) ** 2 * g.multiplicity(v) for v in g.vertex_ids if not g.is_truncated(v))
+    return len(g.edges) + grids - both_spin
 

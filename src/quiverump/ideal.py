@@ -59,12 +59,13 @@ stage engines of admissibility_bound, share them; minimalize_relations
 keeps one window test and one copy index for all its candidates, built
 again only after it drops a relation of their kind.  algebra() indexes
 each list of zero relations once and hands the last index on to _bound's
-engine and minimalize_relations.  analysis reads the engine's lister and
-copy index too, along a component path.
+engine and to the unchecked minimalisation.  analysis reads the engine's
+lister and copy index too, along a component path.
 
-Paths are grown in one place, _grow, one layer per length: the listed
-coordinates, the identified admissibility bound, and the walk of
-analysis.induced_algebra all go through it.
+Paths are grown in one place here, _grow, one layer per length: the
+listed coordinates, the identified admissibility bound, and the listing
+analysis.induced_algebra reads its ideal off.  The oracle keeps its own
+walk, oracle._outside, as the reference.
 
 Each presentation object carries one engine, built on its first query
 and freed with it; equal copies build their own.  Its block cache and
@@ -79,8 +80,10 @@ the engine puts in I, the only pairs asked.  Whether the algebra is
 special multiserial is decided once per presentation, beside the engine;
 its right pass stops at the witness, and one that holds keeps the table
 of the nonzero pairs, the arrows after each arrow in arrows_from order,
-for the left pass and omega.saturation_walks: no pair is decided twice.
-Both are caches like the engine: copies and pickles leave them behind.
+for the left pass and omega.saturation_walks: on the decision route no
+pair is decided twice, but a caller reading _after before the test has
+the test decide its pairs again.  Both are caches like the engine: copies
+and pickles leave them behind.
 """
 
 from __future__ import annotations
@@ -656,10 +659,10 @@ def admissibility_bound(q: Quiver, zero: Sequence[ZeroRelation] = (),
     return _bound(q, zero, linear, cap)
 
 
-def _check_presentation(q: Quiver, zero, linear, cap) -> None:
+def _check_presentation(q: Quiver, zero, linear, cap, name: str = "cap") -> None:
     _check_type(q, Quiver)
     _check_relations(zero, linear, (list, tuple))
-    _check_at_least_two(cap, "cap")
+    _check_at_least_two(cap, name)
     for term in [r.path for r in zero] + [t for r in linear for t in r.paths]:
         end = term.source
         for a in map(q.arrow, term.arrows):  # UnknownLabel for an arrow off q
@@ -803,7 +806,14 @@ def _candidate_key(rel):
 
 
 def minimalize_relations(q: Quiver, zero: Sequence[ZeroRelation],
-                         linear: Sequence[LinearRelation], bound: int, divisible=None):
+                         linear: Sequence[LinearRelation], bound: int):
+    """_minimalize of relations checked as admissibility_bound checks them, bound for cap."""
+    _check_presentation(q, zero, linear, bound, "bound")
+    return _minimalize(q, zero, linear, bound)
+
+
+def _minimalize(q: Quiver, zero: Sequence[ZeroRelation],
+                linear: Sequence[LinearRelation], bound: int, divisible=None):
     """Greedily drop generators already implied by the rest.
 
     Returns the (zero, linear) that survive.  Candidates are scanned
@@ -877,7 +887,7 @@ def algebra(q: Quiver, zero: Sequence[ZeroRelation] = (),
     _check_presentation(q, zero, linear, cap)
     zero, linear, index = _reduce_by_zero(q, zero, linear)
     bound = _bound(q, zero, linear, cap, index)
-    zero, linear = minimalize_relations(q, zero, linear, bound, index[0])
+    zero, linear = _minimalize(q, zero, linear, bound, index[0])
     return AlgebraPresentation(q, IdealPresentation(zero, linear, bound))
 
 

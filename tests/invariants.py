@@ -198,6 +198,14 @@ def component_algebra(alg, comp):
     return induced_algebra(alg, frozenset(comp.omega.arrows))
 
 
+def saturation_algebras(alg):
+    """The induced presentations of each saturation's arrows and of the
+    whole quiver, for an algebra with no components to restrict to."""
+    arrow_sets = {frozenset(w.arrows) for w in omega_map(alg.quiver).values()}
+    arrow_sets.add(frozenset(a.id for a in alg.quiver.arrows))
+    return [induced_algebra(alg, s) for s in arrow_sets]
+
+
 def check_induced(alg, induced):
     """Each induced presentation holds exactly the subquiver paths of
     length <= alg.bound that alg's ideal holds, and gives each of the

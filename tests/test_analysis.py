@@ -22,7 +22,7 @@ from quiverump.ideal import (
     zero_relation,
 )
 import quiverump.omega
-from quiverump.omega import RamificationsGraph, omega_map, ramifications_graph
+from quiverump.omega import RamificationsGraph, ramifications_graph
 from quiverump.oracle import MaximalClass, maximal_classes, maximal_paths, ump_bruteforce
 from quiverump.quiver import Path, Quiver, occurrences, quiver
 from quiverump.ump import ROUTES, ump_report
@@ -50,6 +50,7 @@ from invariants import (
     junction_relations,
     lone_open_arrow,
     omega_relations,
+    saturation_algebras,
 )
 from test_brauer import ALL_GRAPHS
 
@@ -306,9 +307,7 @@ def test_induced_ideals_are_the_parent_ideal_on_the_subquiver(name):
         induced = [component_algebra(A, c) for c in comps]
     else:
         # no components; restrict to each saturation and to the whole quiver
-        arrow_sets = {frozenset(w.arrows) for w in omega_map(A.quiver).values()}
-        arrow_sets.add(frozenset(a.id for a in A.quiver.arrows))
-        induced = [induced_algebra(A, s) for s in arrow_sets]
+        induced = saturation_algebras(A)
     check_induced(A, induced)
 
 

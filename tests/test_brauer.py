@@ -6,6 +6,7 @@ from invariants import component_vertex_bijection, forbid_enumeration
 from quiverump import ideal
 from quiverump.brauer import (
     BrauerGraph,
+    Half,
     brauer_algebra,
     brauer_dimension,
     brauer_graph,
@@ -227,6 +228,31 @@ def test_valency_of_a_graph_built_directly():
                     (("e", "v", "v"), ("f", "v", "w")), ())
     assert [g.valency(v) for v in ("v", "w", "x")] == [3, 1, 0]
     assert g.is_truncated("w") is False and g.is_truncated("x") is False
+
+
+@pytest.mark.parametrize("g", [
+    pytest.param(BrauerGraph((("v", 1),), (("e", "v", "w"),), ()), id="undeclared-truncated-end"),
+    pytest.param(BrauerGraph((("v", 2),), (("e", "v", "w"),), ()), id="undeclared-end-of-spinning-vertex"),
+    pytest.param(BrauerGraph((("v", 1), ("w", 2)), (("e", "v", "w"),), (("v", (Half("e", 0),)),)),
+                 id="no-order-at-spinning-vertex"),
+    pytest.param(BrauerGraph((("v", 1), ("w", 2)), (("e", "v", "w"),), (("w", (Half("e", 0),)),)),
+                 id="order-of-another-half"),
+    pytest.param(BrauerGraph((("v", 1),), (), (("v", ()),)), id="no-edge"),
+])
+@pytest.mark.parametrize("entry", [brauer_algebra, classify, brauer_dimension])
+def test_entries_reject_a_graph_built_directly_that_is_no_brauer_graph(g, entry):
+    # construction stays unvalidated; the entries check what they read
+    with pytest.raises(BrauerValidationError):
+        entry(g)
+
+
+@pytest.mark.parametrize("name,build", sorted(ALL_GRAPHS.items()))
+def test_entries_accept_a_brauer_graph_built_directly(name, build):
+    g = build()
+    direct = BrauerGraph(g.vertices, g.edges, g.orders)
+    assert brauer_algebra(direct).algebra == brauer_algebra(g).algebra
+    assert classify(direct) == classify(g)
+    assert brauer_dimension(direct) == brauer_dimension(g)
 
 
 # -- the four one-edge shapes ---------------------------------------------------

@@ -28,6 +28,7 @@ from invariants import (
     enumerated_bound,
     pairwise_shared_arrow,
     reduced_bound,
+    saturation_algebras,
     saturations_by_definition,
     unrewritten,
 )
@@ -244,14 +245,16 @@ def test_the_dead_sibling_example_keeps_its_identifications_only_unrewritten():
 
 # algebra() presents about four in ten draws as monomial; the engine checks
 # run on every draw unrewritten, and at least this share of the rewritten
-# draws must still carry an identification
+# draws must still carry an identification.  derandomize seeds the draws
+# from run's source, so every edit of run draws anew; at 60 draws the share
+# fell below this on 7 of 40 seeds (mean 0.60, spread 0.09), hence 300
 KEEP_IDENTIFICATIONS = 0.5
 
 
 def test_identifications_match_enumeration():
     identified = []
 
-    @settings(derandomize=True, max_examples=60, deadline=None)
+    @settings(derandomize=True, max_examples=300, deadline=None)
     @given(identified_algebras())
     @example(_dead_sibling_term())
     def run(case):
@@ -273,6 +276,7 @@ def test_identifications_match_enumeration():
             check_quick_non_ump_reads_no_table(alg)
             check_refutation(alg)
             check_auto_composes_each_arrow_once(alg)
+            check_induced(alg, saturation_algebras(alg))
         identified.append(bool(check_zero_reduction(*case).ideal.linear))
 
     run()

@@ -393,6 +393,19 @@ def test_minimalize_keeps_lone_power():
     assert minimalize_relations(q, [cube], [], bound=3) == ((cube,), ())
 
 
+def test_minimalize_checks_its_input_as_admissibility_bound_does():
+    q = quiver(["1"], [("a", "1", "1")])
+    cube = zero_relation(q, "aaa")
+    for args in ((None, [cube], [], 3), (q, ["aaa"], [], 3), (q, {cube}, [], 3), (q, [cube], (cube,), 3)):
+        with pytest.raises(InvalidPresentation):
+            minimalize_relations(*args)
+    for bound in ("x", 1, None):
+        with pytest.raises(InvalidPresentation, match="bound"):
+            minimalize_relations(q, [cube], [], bound)
+    with pytest.raises(UnknownLabel):
+        minimalize_relations(q, [ZeroRelation(Path(("a", "x"), "1", "1"))], [], 3)
+
+
 def test_minimalize_is_idempotent():
     A = petal_hub()
     assert minimalize_relations(A.quiver, A.ideal.zero, A.ideal.linear, A.bound) == (A.ideal.zero, A.ideal.linear)
