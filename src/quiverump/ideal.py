@@ -58,7 +58,8 @@ relations and the copy index of its terms, and its truncations, the
 stage engines of admissibility_bound, share them; minimalize_relations
 keeps one window test and one copy index for all its candidates, built
 again only after it drops a relation of their kind.  algebra() indexes
-each list of zero relations once and hands the last index on to _bound's
+each list of zero relations once, and the terms of the linear relations
+once, and hands the last zero index and the copy index on to _bound's
 engine and to the unchecked minimalisation.  analysis reads the engine's
 lister and copy index too, along a component path.
 
@@ -67,11 +68,16 @@ listed coordinates, the identified admissibility bound, and the listing
 analysis.induced_algebra reads its ideal off.  The oracle keeps its own
 walk, oracle._outside, as the reference.
 
-Each presentation object carries one engine, built on its first query
-and freed with it; equal copies build their own.  Its block cache and
-the normal forms of a block and their terms are keyed by quiver.Path, a
-tuple (arrows, source, target), so every lookup hashes and compares in
-C.
+Each presentation object carries one engine, freed with it.  When
+minimalisation keeps every relation, algebra() hands over the stage
+engine that _bound ran at the bound: it has the presentation's relations,
+indexes and bound, and keeps the blocks the walk spanned, those of the
+longest paths outside I among them.  Any other presentation, a monomial
+or Brauer one, one that lost a relation, or one built by hand, builds its
+engine on its first query, and equal copies build their own.  Its block
+cache and the normal forms of a block and their terms are keyed by
+quiver.Path, a tuple (arrows, source, target), so every lookup hashes and
+compares in C.
 
 Every relation word has length >= 2, so a composable pair ab holds only
 itself, and the pair rule (_composing) follows: ab lies in I exactly
@@ -493,11 +499,11 @@ def _span(seeds: Iterable[Path], copies, dead, veto=None) -> tuple[set[Path], Ro
 
 class _Engine:
     def __init__(self, zero_paths: Sequence[Path],
-                 linear: Sequence[LinearRelation], bound: int, index=None):
+                 linear: Sequence[LinearRelation], bound: int, index=None, copies=None):
         self.bound = bound
         self.zero_divisible, self.zero_ends = index or zero_divisor(zero_paths)
         self.linear = tuple(linear)
-        self.copies = _copy_index(self.linear)
+        self.copies = copies or _copy_index(self.linear)
         self._blocks: dict[Path, dict[Path, tuple]] = {}
 
     def truncated(self, bound: int) -> _Engine:
@@ -580,10 +586,12 @@ def longest_avoiding(q: Quiver, zero_paths: Iterable[Path], cap: int) -> int:
     memoises the longest walk out of each state.  Raises NotAdmissible(cap)
     when such paths reach length cap, or a cycle of states is reachable,
     so that they come in every length.  InvalidPresentation when q is no
-    Quiver.
+    Quiver, or a zero path has length < 2, as for a ZeroRelation.
     """
     _check_type(q, Quiver)
     words = {z.arrows for z in zero_paths}
+    if min(map(len, words), default=2) < 2:
+        raise InvalidPresentation(f"zero path {min(words, key=len)} has length < 2")
     prefixes = {()} | {w[:i] for w in words for i in range(1, len(w))}
 
     def successors(state) -> list:
@@ -656,7 +664,7 @@ def admissibility_bound(q: Quiver, zero: Sequence[ZeroRelation] = (),
     UnknownLabel for an arrow off q, is raised before any search.
     """
     _check_presentation(q, zero, linear, cap)
-    return _bound(q, zero, linear, cap)
+    return _bound(q, zero, linear, cap)[0]
 
 
 def _check_presentation(q: Quiver, zero, linear, cap, name: str = "cap") -> None:
@@ -673,31 +681,36 @@ def _check_presentation(q: Quiver, zero, linear, cap, name: str = "cap") -> None
 
 
 def _bound(q: Quiver, zero: Sequence[ZeroRelation], linear: Sequence[LinearRelation], cap: int,
-           index=None) -> int:
-    """admissibility_bound of relations already checked; index is their zero_divisor, if built."""
+           index=None, copies=None) -> tuple[int, _Engine | None]:
+    """admissibility_bound of relations already checked, and the stage
+    engine that ran at that bound, its blocks spanned, or None for a
+    monomial ideal, which runs none; index is their zero_divisor and copies
+    the _copy_index of linear, if built."""
     words = [r.path for r in zero] + [t for r in linear for t in r.paths]
     zero_paths = tuple(r.path for r in zero)
     if not linear:
-        return max(longest_avoiding(q, zero_paths, cap) + 1, 2)
-    base = stage = _Engine(zero_paths, linear, 2, index)
+        return max(longest_avoiding(q, zero_paths, cap) + 1, 2), None
+    base = stage = previous = _Engine(zero_paths, linear, 2, index, copies)
     beyond = 2 * max(len(w.arrows) for w in words) + 1
 
     def in_ideal(p: Path) -> bool:
         # a path of length L is tested in the truncation at L + 1, on a
         # stage engine of its own length, so no block holds a longer path;
         # _grow asks shortest first, so each stage is truncated once
-        nonlocal stage
+        nonlocal stage, previous
         length = len(p.arrows)
         if stage.bound != length + 1:
             if length == beyond:
                 longest_avoiding(q, words, cap)  # NotAdmissible(cap) if the walk would reach cap
-            stage = base.truncated(length + 1)
+            previous, stage = stage, base.truncated(length + 1)
         return stage.in_ideal(p)
 
     outside = _grow(q, in_ideal, cap)
     if outside and len(outside[-1]) >= cap:
         raise NotAdmissible(cap)
-    return len(outside[-1]) + 1 if outside else 2
+    bound = len(outside[-1]) + 1 if outside else 2
+    # the last stage asked the extensions of the longest paths left, unless they have none
+    return bound, stage if stage.bound == bound else previous
 
 
 # -- public membership API ---------------------------------------------------
@@ -813,7 +826,7 @@ def minimalize_relations(q: Quiver, zero: Sequence[ZeroRelation],
 
 
 def _minimalize(q: Quiver, zero: Sequence[ZeroRelation],
-                linear: Sequence[LinearRelation], bound: int, divisible=None):
+                linear: Sequence[LinearRelation], bound: int, divisible=None, copies=None):
     """Greedily drop generators already implied by the rest.
 
     Returns the (zero, linear) that survive.  Candidates are scanned
@@ -821,11 +834,11 @@ def _minimalize(q: Quiver, zero: Sequence[ZeroRelation],
     that imply them; the scan order is deterministic, and the result is
     idempotent.  The window test of the zero relations and the copy index
     of the linear ones are built once and again only after a relation of
-    their kind is dropped; divisible, when given, is the window test of zero.
+    their kind is dropped; divisible and copies, when given, are the window
+    test of zero and the copy index of linear.
     """
     zs = list(zero)
     ls = list(linear)
-    copies = None
     for cand in sorted(zs + ls, key=_candidate_key):
         if divisible is None:
             divisible, _ = zero_divisor(r.path for r in zs)
@@ -883,12 +896,23 @@ def algebra(q: Quiver, zero: Sequence[ZeroRelation] = (),
     relations generate, so the ideal, and with it the bound, membership,
     cosets and verdicts, stay the same, while an ideal whose zero
     relations kill all its identifications comes out monomial and takes
-    the monomial path of every layer."""
+    the monomial path of every layer.
+
+    The bound walk and the minimalisation share one copy index of the
+    linear relations.  When every relation is kept, the walk's engine at
+    the bound, which has the presentation's relations, indexes and bound,
+    becomes its engine, with the blocks the walk spanned; a monomial
+    presentation, or one that lost a relation, builds its engine on its
+    first query."""
     _check_presentation(q, zero, linear, cap)
     zero, linear, index = _reduce_by_zero(q, zero, linear)
-    bound = _bound(q, zero, linear, cap, index)
-    zero, linear = _minimalize(q, zero, linear, bound, index[0])
-    return AlgebraPresentation(q, IdealPresentation(zero, linear, bound))
+    copies = _copy_index(linear) if linear else None
+    bound, engine = _bound(q, zero, linear, cap, index, copies)
+    kept = _minimalize(q, zero, linear, bound, index[0], copies)
+    alg = AlgebraPresentation(q, IdealPresentation(*kept, bound))
+    if engine is not None and kept == (tuple(zero), tuple(linear)):
+        vars(alg)["_engine"] = engine
+    return alg
 
 
 # -- special multiserial predicate --------------------------------------------

@@ -4,7 +4,7 @@ and the Brauer classification against their definitions."""
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, example, given, seed, settings
 from hypothesis import strategies as st
 
 from invariants import (
@@ -245,16 +245,19 @@ def test_the_dead_sibling_example_keeps_its_identifications_only_unrewritten():
 
 # algebra() presents about four in ten draws as monomial; the engine checks
 # run on every draw unrewritten, and at least this share of the rewritten
-# draws must still carry an identification.  derandomize seeds the draws
-# from run's source, so every edit of run draws anew; at 60 draws the share
-# fell below this on 7 of 40 seeds (mean 0.60, spread 0.09), hence 300
+# draws must still carry an identification.  The draws come from a fixed
+# seed with no example database, so an edit of run's body draws the same
+# set (derandomize would seed them from run's source and draw anew); at 60
+# draws the share fell below this on 7 of 40 seeds (mean 0.60, spread
+# 0.09), hence 300, where seeds 0-9 keep 0.54-0.65
 KEEP_IDENTIFICATIONS = 0.5
 
 
 def test_identifications_match_enumeration():
     identified = []
 
-    @settings(derandomize=True, max_examples=300, deadline=None)
+    @seed(0)
+    @settings(database=None, max_examples=300, deadline=None)
     @given(identified_algebras())
     @example(_dead_sibling_term())
     def run(case):

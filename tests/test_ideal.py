@@ -191,6 +191,21 @@ def test_admissibility_trivial_cases():
     assert admissibility_bound(no_arrows) == 2
 
 
+def test_longest_avoiding_rejects_a_zero_path_shorter_than_two():
+    # on the line 1 -a-> 2 -b-> 3 the longest path that the zero path a does
+    # not divide is b, of length 1, and a trivial path divides every path;
+    # the automaton read neither, so it refuses both, as ZeroRelation does
+    q = quiver(["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3")])
+    assert longest_avoiding(q, [q.path("ab")], 10) == 1
+    for short in (q.path("a"), Path((), "1", "1")):
+        with pytest.raises(InvalidPresentation):
+            ZeroRelation(short)
+        with pytest.raises(InvalidPresentation):
+            longest_avoiding(q, [short], 10)
+        with pytest.raises(InvalidPresentation):
+            longest_avoiding(q, iter([q.path("ab"), short]), 10)
+
+
 def test_unbounded_cycle_is_rejected():
     loop = quiver(["1"], [("a", "1", "1")])
     with pytest.raises(NotAdmissible) as err:
@@ -828,6 +843,84 @@ def test_admissibility_stages_index_each_relation_set_once(name, monkeypatch):
     assert A.bound >= 4  # several stages
     # one window index of the zero relations and one copy index of the terms
     assert builds.calls == {"zero_divisor": 1, "_copy_index": 1}
+
+
+IDENTIFIED = sorted(name for name, build in ALL_FIXTURES.items() if build().ideal.linear)
+
+
+@pytest.mark.parametrize("name", sorted(WITH_BRAUER_TREE))
+def test_algebra_hands_over_the_walk_engine_at_its_bound(name):
+    # a presentation that keeps every relation gets the bound walk's stage
+    # engine at its bound, blocks spanned; a monomial one runs no engine,
+    # and a Brauer build runs no walk
+    A = WITH_BRAUER_TREE[name]()
+    eng = vars(A).get("_engine")
+    assert (eng is not None) == (name in IDENTIFIED)
+    if eng is None:
+        return
+    assert eng.bound == A.bound and eng.linear == A.ideal.linear and eng._blocks
+    fresh = AlgebraPresentation(A.quiver, A.ideal)._engine
+    for p, blk in eng._blocks.items():  # each block the walk cached is the fresh engine's
+        assert blk == fresh.block(p), p
+    paths = paths_up_to(A.quiver, A.bound)
+    assert [eng.in_ideal(p) for p in paths] == [fresh.in_ideal(p) for p in paths]
+
+
+class _Spans:
+    """The blocks engines span from now on, as (bound, members)."""
+
+    def __init__(self, monkeypatch):
+        self.blocks = []
+        spanned = _Engine._spanned
+
+        def watched(eng, p):
+            blk = spanned(eng, p)
+            self.blocks.append((eng.bound, frozenset(blk)))
+            return blk
+
+        monkeypatch.setattr(_Engine, "_spanned", watched)
+
+
+@pytest.mark.parametrize("name", IDENTIFIED)
+def test_auto_spans_no_block_the_walk_spanned(name, monkeypatch):
+    spans = _Spans(monkeypatch)
+    A = ALL_FIXTURES[name]()
+    walked = {blk for bound, blk in spans.blocks if bound == A.bound}
+    spans.blocks.clear()
+    ump_report(A, "auto")
+    assert not walked & {blk for _, blk in spans.blocks}
+    assert all(bound == A.bound for bound, _ in spans.blocks)
+
+
+@pytest.mark.parametrize("name", sorted(ALL_FIXTURES))
+def test_algebra_indexes_the_relation_terms_once(name, monkeypatch):
+    # the bound walk's stage engines and the minimalisation share one copy index
+    builds = _Builds(monkeypatch)
+    A = ALL_FIXTURES[name]()
+    assert builds.calls["_copy_index"] == bool(A.ideal.linear)
+
+
+def _redundant_relations(kind):
+    # the two loops of two_loops_line with mixed products zero and aa = bb:
+    # the cube aaa is implied by them, and a relation twice over by the other
+    q = two_loops_line().quiver
+    zero = [zero_relation(q, w) for w in ("ab", "ac", "ba", "bc", "ed")]
+    lin = [linear_relation(q, [(1, "aa"), (-1, "bb")])]
+    if kind == "zero":
+        return q, zero + [zero_relation(q, "aaa")], lin
+    return q, zero, lin + [linear_relation(q, [(2, "aa"), (-2, "bb")])]
+
+
+@pytest.mark.parametrize("kind", ["zero", "linear"])
+def test_a_presentation_that_lost_a_relation_builds_its_own_engine(kind, monkeypatch):
+    q, zero, linear = _redundant_relations(kind)
+    builds = _Builds(monkeypatch)
+    A = algebra(q, zero, linear)
+    assert len(A.ideal.zero) + len(A.ideal.linear) < len(zero) + len(linear) and A.ideal.linear
+    assert "_engine" not in vars(A)
+    # a dropped identification rebuilds the minimalisation's copy index only
+    assert builds.calls["_copy_index"] == 1 + (kind == "linear")
+    check_zero_reduction(q, zero, linear)
 
 
 def test_minimalize_rebuilds_an_index_only_after_a_drop(monkeypatch):
