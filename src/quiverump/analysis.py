@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import accumulate
 
-from .errors import InvalidPresentation, NotSpecialMultiserial
+from .errors import InvalidPresentation
 from .ideal import (
     AlgebraPresentation,
     IdealPresentation,
@@ -42,7 +42,6 @@ from .ideal import (
     _colkey,
     _grow,
     _minimalize,
-    is_special_multiserial,
     linear_relation,
     path_in_ideal,
 )
@@ -214,12 +213,8 @@ def _build_component(alg: AlgebraPresentation, cid: str, order: tuple[Path, ...]
 def components(alg: AlgebraPresentation) -> tuple[Component, ...]:
     """Weak components of the ramifications graph, fully analyzed, each
     walked off the length-2 table by omega.saturation_walks, sorted by its
-    least saturation.  Only defined for special multiserial algebras: it
-    reads the presentation's cached decision, and raises with its witness
-    on anything else."""
-    res = is_special_multiserial(alg)
-    if not res:
-        raise NotSpecialMultiserial(res.witness)
+    least saturation.  Only defined for special multiserial algebras:
+    saturation_walks raises NotSpecialMultiserial on any other."""
     walks = sorted(saturation_walks(alg), key=lambda w: min(map(_colkey, w[0])))
     return tuple(_build_component(alg, f"N{i}", *w) for i, w in enumerate(walks, start=1))
 

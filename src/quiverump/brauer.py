@@ -9,6 +9,9 @@ identify full turns around the two ends of an edge, cut off a turn past
 a truncated end, and kill every composite that is not a consecutive
 step of some turn.
 
+A BrauerGraph is checked once, when built, so each one is a Brauer graph:
+brauer_graph only reads raw input into one, and the entries take any.
+
 The presentation is read off the graph, with no bound walk and no
 minimisation.  The bound is one more than the longest full turn power,
 max(2, max of val(v)*m(v) + 1 over the spinning vertices).  The cut-off
@@ -42,6 +45,12 @@ class Half:
 
 @dataclass(frozen=True)
 class BrauerGraph:
+    """A Brauer graph, checked when built: ids are labels, vertex ids and
+    edge ids distinct and unshared, multiplicities ints of at least 1, edge
+    ends declared vertices, and there is an edge; once those hold, the graph
+    is connected and each vertex's order lists its incident halves once (a
+    truncated vertex may omit it).  BrauerValidationError lists every problem."""
+
     vertices: tuple[tuple[str, int], ...]  # (vertex id, multiplicity)
     edges: tuple[tuple[str, str, str], ...]  # (edge id, end 0, end 1)
     orders: tuple[tuple[str, tuple[Half, ...]], ...]
@@ -50,12 +59,51 @@ class BrauerGraph:
         object.__setattr__(self, "_mult", dict(self.vertices))
         object.__setattr__(self, "_ends", {e: (a, b) for e, a, b in self.edges})
         object.__setattr__(self, "_order", dict(self.orders))
-        valency: dict[str, int] = {}
-        for _, a, b in self.edges:
-            valency[a] = valency.get(a, 0) + 1
-            valency[b] = valency.get(b, 0) + 1
-        object.__setattr__(self, "_valency", valency)
-        object.__setattr__(self, "_checked", False)  # brauer_graph sets it, having checked more
+        object.__setattr__(self, "_incident", _incident(self.edges))
+        diags = self._diagnostics()
+        if diags:
+            raise BrauerValidationError(diags)
+
+    def _diagnostics(self) -> list[str]:
+        # the ids, multiplicities and ends first; connectivity and orders once those hold
+        vids = self.vertex_ids
+        diags = []
+        if len(self._mult) != len(vids):
+            diags.append("duplicate vertex ids")
+        for v, m in self.vertices:
+            if not (isinstance(v, str) and _LABEL.match(v)):
+                diags.append(f"bad vertex id {v!r}")
+            if not isinstance(m, int) or isinstance(m, bool):
+                diags.append(f"vertex {v}: multiplicity must be an integer, got {m!r}")
+            elif m < 1:
+                diags.append(f"vertex {v}: multiplicity must be at least 1, got {m}")
+        if len(self._ends) != len(self.edges):
+            diags.append("duplicate edge ids")
+        if self._ends.keys() & self._mult.keys():
+            diags.append("edge and vertex ids must not overlap")
+        for e, a, b in self.edges:
+            if not (isinstance(e, str) and _LABEL.match(e)):
+                diags.append(f"bad edge id {e!r}")
+            diags += [f"edge {e}: undeclared endpoint {end!r}" for end in (a, b) if end not in self._mult]
+        if not self.edges:
+            diags.append("graph has no edges")
+        if diags:
+            return diags
+        seen, stack = {vids[0]}, [vids[0]]
+        while stack:
+            for h in self._incident.get(stack.pop(), ()):
+                w = self._ends[h.edge][1 - h.slot]
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        if len(seen) != len(vids):
+            diags.append("graph is not connected")
+        for v in vids:
+            halves = self._incident.get(v, [])
+            ring = self._order.get(v, None if len(halves) * self._mult[v] == 1 else ())  # truncated: optional
+            if ring is not None and not (len(ring) == len(halves) and set(ring) == set(halves)):
+                diags.append(f"order at {v} must list each incident half-edge once")
+        return diags
 
     @property
     def vertex_ids(self) -> tuple[str, ...]:
@@ -73,15 +121,23 @@ class BrauerGraph:
         return a == b
 
     def valency(self, v: str) -> int:
-        """Number of half-edges at v: a loop at v gives two, and a vertex
-        no edge reaches none."""
-        return self._valency.get(v, 0)
+        """Number of half-edges at v: a loop at v gives two."""
+        return len(self._incident[v])
 
     def is_truncated(self, v: str) -> bool:
         return self.valency(v) * self._mult[v] == 1
 
     def order(self, v: str) -> tuple[Half, ...]:
         return self._order[v]
+
+
+def _incident(edges) -> dict[str, list[Half]]:
+    """The halves at each end of the edges (e, a, b), in edge order: Half(e, 0) at a, Half(e, 1) at b."""
+    out: dict[str, list[Half]] = {}
+    for e, a, b in edges:
+        out.setdefault(a, []).append(Half(e, 0))
+        out.setdefault(b, []).append(Half(e, 1))
+    return out
 
 
 def _parse_token(g_edges: dict[str, tuple[str, str]], v: str, token: str) -> tuple[Half | None, str | None]:
@@ -105,13 +161,14 @@ def _parse_token(g_edges: dict[str, tuple[str, str]], v: str, token: str) -> tup
 
 
 def brauer_graph(vertices, edges, orders=None) -> BrauerGraph:
-    """Validating constructor.
+    """A BrauerGraph read off raw input.
 
-    vertices: iterable of (id, multiplicity); edges: iterable of
-    (id, end, end); orders: optional {vertex: [half tokens]} where a
-    token is the edge id, with ^ / ~ picking a loop's halves. Omitted
-    orders default to declaration order.  All problems are collected and
-    raised together.
+    vertices: iterable of (id, multiplicity), a multiplicity taken as an
+    int where it is one exactly (2.0, "3"); edges: iterable of (id, end,
+    end); orders: optional {vertex: [half tokens]} where a token is the
+    edge id, with ^ / ~ picking a loop's halves.  Omitted orders default to
+    declaration order.  The problems of the input and those BrauerGraph
+    finds are raised together; the graph returned is valid.
     """
     diags: list[str] = []
 
@@ -122,7 +179,7 @@ def brauer_graph(vertices, edges, orders=None) -> BrauerGraph:
             diags.append(f"{what}: expected an iterable, got {items!r}")
             return []
 
-    vlist: list[tuple[str, int]] = []
+    vlist = []
     for item in listed(vertices, "vertices"):
         try:
             if isinstance(item, str):  # it would unpack into its characters
@@ -134,12 +191,9 @@ def brauer_graph(vertices, edges, orders=None) -> BrauerGraph:
         try:
             n = int(m)
         except (TypeError, ValueError):
-            n = None
-        # int() truncates 2.5 and reads True as 1; a string must parse whole
-        if n is None or isinstance(m, bool) or (not isinstance(m, str) and n != m):
-            diags.append(f"vertex {v}: multiplicity must be an integer, got {m!r}")
-            n = 1  # keeps v declared for the edge checks
-        vlist.append((str(v), n))
+            n = m
+        # int() truncates 2.5 and reads True as 1, and a string must parse whole: BrauerGraph rejects m as given
+        vlist.append((str(v), n if not isinstance(m, bool) and (isinstance(m, str) or n == m) else m))
     elist = []
     for item in listed(edges, "edges"):
         try:
@@ -152,61 +206,19 @@ def brauer_graph(vertices, edges, orders=None) -> BrauerGraph:
         elist.append((str(e), str(a), str(b)))
 
     vids = [v for v, _ in vlist]
-    if len(set(vids)) != len(vids):
-        diags.append("duplicate vertex ids")
-    for v, m in vlist:
-        if not _LABEL.match(v):
-            diags.append(f"bad vertex id {v!r}")
-        if m < 1:
-            diags.append(f"vertex {v}: multiplicity must be at least 1, got {m}")
-    eids = [e for e, _, _ in elist]
-    if len(set(eids)) != len(eids):
-        diags.append("duplicate edge ids")
-    if set(eids) & set(vids):
-        diags.append("edge and vertex ids must not overlap")
-    known = set(vids)
-    for e, a, b in elist:
-        if not _LABEL.match(e):
-            diags.append(f"bad edge id {e!r}")
-        for end in (a, b):
-            if end not in known:
-                diags.append(f"edge {e}: undeclared endpoint {end!r}")
-    if not elist:
-        diags.append("graph has no edges")
-    if diags:
-        raise BrauerValidationError(diags)
-
-    # connectivity over the multigraph
-    adj: dict[str, set[str]] = {v: set() for v in vids}
-    for _, a, b in elist:
-        adj[a].add(b)
-        adj[b].add(a)
-    stack, seen = [vids[0]], {vids[0]}
-    while stack:
-        for nxt in adj[stack.pop()]:
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    if seen != set(vids):
-        diags.append("graph is not connected")
-
     ends = {e: (a, b) for e, a, b in elist}
-    incident: dict[str, list[Half]] = {v: [] for v in vids}
-    for e, a, b in elist:
-        incident[a].append(Half(e, 0))
-        incident[b].append(Half(e, 1))
-
-    ring_map: dict[str, tuple[Half, ...]] = {}
+    incident = _incident(elist)
     try:
         given = dict(orders or {})
     except (TypeError, ValueError):
         diags.append(f"orders: expected a mapping from vertex ids to token lists, got {orders!r}")
         given = {}
-    for stray in set(given) - set(vids):
-        diags.append(f"order for undeclared vertex {stray!r}")
+    known = set(vids)
+    diags += [f"order for undeclared vertex {v!r}" for v in given if v not in known]
+    rings = []
     for v in vids:
         if v not in given:
-            ring_map[v] = tuple(incident[v])
+            rings.append((v, tuple(incident.get(v, ()))))
             continue
         ring: list[Half] = []
         for token in listed(given[v], f"order at {v}"):
@@ -217,40 +229,17 @@ def brauer_graph(vertices, edges, orders=None) -> BrauerGraph:
                 diags.append(f"order at {v}: half-edge {token} repeated")
             else:
                 ring.append(h)
-        if sorted(ring, key=lambda h: (h.edge, h.slot)) != sorted(
-            incident[v], key=lambda h: (h.edge, h.slot)
-        ):
-            diags.append(f"order at {v} must list each incident half-edge once")
-        ring_map[v] = tuple(ring)
+        rings.append((v, tuple(ring)))
+    try:
+        g = BrauerGraph(tuple(vlist), tuple(elist), tuple(rings))
+    except BrauerValidationError as err:
+        diags += err.diagnostics
     if diags:
         raise BrauerValidationError(diags)
-    g = BrauerGraph(tuple(vlist), tuple(elist), tuple((v, ring_map[v]) for v in vids))
-    object.__setattr__(g, "_checked", True)
     return g
 
 
 # -- the algebra ---------------------------------------------------------------
-
-
-def _check_graph(g: BrauerGraph) -> None:
-    """Reject a graph built without brauer_graph that the entries cannot
-    read: no edge, an edge end that is no declared vertex, or a spinning
-    vertex whose order does not list its halves, as many as its valency.
-    A half listed twice makes brauer_algebra's arrow ids collide.  A graph
-    from brauer_graph passed all this when it was built."""
-    _check_type(g, BrauerGraph)
-    if g._checked:
-        return
-    diags = [f"edge {e}: undeclared endpoint {v!r}" for e, a, b in g.edges for v in (a, b) if v not in g._mult]
-    if not g.edges:
-        diags.append("graph has no edges")
-    for v in g.vertex_ids:
-        ring = g._order.get(v, ())
-        if not (g.is_truncated(v) or len(ring) == g.valency(v)
-                and all(g._ends.get(h.edge, ())[h.slot:h.slot + 1] == (v,) for h in ring)):
-            diags.append(f"order at {v} must list each incident half-edge once")
-    if diags:
-        raise BrauerValidationError(diags)
 
 
 def _arrow_id(g: BrauerGraph, v: str, h: Half) -> str:
@@ -280,7 +269,7 @@ def brauer_algebra(g: BrauerGraph) -> BrauerAlgebra:
     Each full turn is built once, one Path per half, and the relations are
     read off the turns and the arrows with no validation by Quiver.path.
     """
-    _check_graph(g)
+    _check_type(g, BrauerGraph)
     spinning = [v for v in g.vertex_ids if not g.is_truncated(v)]
     identified = {e for e, a, b in g.edges if not (g.is_truncated(a) or g.is_truncated(b))}
 
@@ -351,7 +340,7 @@ def classify(g: BrauerGraph) -> BrauerShape:
     Exactly the one-edge graphs qualify: a bare edge, an edge with one
     spinning end (nilpotent loop), an edge with two (a pair of nilpotent
     loops with identified powers), or a loop (two alternating arrows)."""
-    _check_graph(g)
+    _check_type(g, BrauerGraph)
     if len(g.edges) > 1:
         return BrauerShape("multiple-edges", (len(g.edges),), False)
     e, a, b = g.edges[0]
@@ -369,7 +358,7 @@ def classify(g: BrauerGraph) -> BrauerShape:
 def brauer_dimension(g: BrauerGraph) -> int:
     """Dimension of the algebra: one per edge, a full grid per spinning
     vertex, minus one per edge whose two full turns get identified."""
-    _check_graph(g)
+    _check_type(g, BrauerGraph)
     both_spin = sum(1 for _, a, b in g.edges if not g.is_truncated(a) and not g.is_truncated(b))
     grids = sum(g.valency(v) ** 2 * g.multiplicity(v) for v in g.vertex_ids if not g.is_truncated(v))
     return len(g.edges) + grids - both_spin

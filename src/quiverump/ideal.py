@@ -456,15 +456,14 @@ def _copy_index(linear: Sequence[LinearRelation]) -> Callable[[tuple[str, ...]],
     return copies
 
 
-def _span(seeds: Iterable[Path], copies, dead, veto=None) -> tuple[set[Path], RowBasis]:
+def _span(seeds: Iterable[Path], copies, dead) -> tuple[set[Path], RowBasis]:
     """Members and row span of the block grown from seeds.
 
     Finds each embedded relation copy (relation, prefix, suffix) through a
     member once, by copies() of its arrows, reduces its row without the
     columns dead() rejects, and takes those columns in as members; so the
     members close under swapping one embedded term for a sibling term, and
-    every copy through a member is reduced.  A copy with veto(...) true
-    takes part in neither.
+    every copy through a member is reduced.
     """
     members = set(seeds)
     frontier = list(members)
@@ -479,8 +478,6 @@ def _span(seeds: Iterable[Path], copies, dead, veto=None) -> tuple[set[Path], Ro
             if ekey in seen:
                 continue
             seen.add(ekey)
-            if veto is not None and veto(rel, prefix, suffix):
-                continue
             row: dict[Path, Fraction] = {}
             for coef, tp in rel.terms():
                 cand = Path(prefix + tp.arrows + suffix, source, target)
@@ -804,11 +801,11 @@ def _removable(q: Quiver, candidate, zs: list[ZeroRelation], divisible: Callable
     if copies is None:
         return False  # no identification spans a live column
 
-    def veto(rel, prefix, suffix) -> bool:
+    def multiples(w: tuple[str, ...]) -> list[tuple]:
         # a linear candidate may span rows only through proper multiples
-        return rel is candidate and not prefix and not suffix
+        return [c for c in copies(w) if c[0] is not candidate or c[1] or c[2]]
 
-    _, basis = _span(vec, copies, dead, veto)
+    _, basis = _span(vec, multiples, dead)
     return not basis.reduce(vec)
 
 

@@ -18,8 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InvariantViolation
-from .ideal import AlgebraPresentation, _check_type, _colkey
+from .errors import InvariantViolation, NotSpecialMultiserial
+from .ideal import AlgebraPresentation, _check_type, _colkey, is_special_multiserial
 from .quiver import Path, Quiver
 
 
@@ -52,7 +52,13 @@ def _walk(arrows: list[str], nxt: dict[str, str], starts) -> list[tuple[list[lis
 
 
 def saturation_walks(alg: AlgebraPresentation) -> list[tuple[tuple[Path, ...], bool]]:
-    """The saturation walks of alg's quiver on its length-2 table (_walks)."""
+    """The saturation walks of alg's quiver on its length-2 table (_walks).
+    Only defined for special multiserial algebras: on any other it raises
+    NotSpecialMultiserial with the cached decision's witness, before the
+    table is read."""
+    res = is_special_multiserial(alg)
+    if not res:
+        raise NotSpecialMultiserial(res.witness)
     return _walks(alg.quiver, alg._after)
 
 

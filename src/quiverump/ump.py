@@ -33,25 +33,20 @@ ROUTES = ("auto", "oracle")
 
 
 def _saturate(alg: AlgebraPresentation, p: Path) -> Path:
-    """Greedy extension to a maximal nonzero path (smallest arrow id first;
-    left growth cannot revive a dead right extension, so one pass each way)."""
+    """Greedy extension to a maximal nonzero path, by the smallest arrow id
+    first, on the right until it dies there, then on the left: left growth
+    cannot revive a dead right extension."""
     q = alg.quiver
-    grew = True
-    while grew:
-        grew = False
-        for a in sorted(q.arrows_from(p.target), key=lambda a: a.id):
-            cand = Path(p.arrows + (a.id,), p.source, a.target)
-            if not path_in_ideal(alg, cand):
-                p, grew = cand, True
-                break
-    grew = True
-    while grew:
-        grew = False
-        for a in sorted(q.arrows_into(p.source), key=lambda a: a.id):
-            cand = Path((a.id,) + p.arrows, a.source, p.target)
-            if not path_in_ideal(alg, cand):
-                p, grew = cand, True
-                break
+    for right in (True, False):
+        grew = True
+        while grew:
+            grew = False
+            for a in sorted(q.arrows_from(p.target) if right else q.arrows_into(p.source), key=lambda a: a.id):
+                cand = (Path(p.arrows + (a.id,), p.source, a.target) if right
+                        else Path((a.id,) + p.arrows, a.source, p.target))
+                if not path_in_ideal(alg, cand):
+                    p, grew = cand, True
+                    break
     return p
 
 

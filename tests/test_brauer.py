@@ -1,6 +1,8 @@
 """Brauer graph algebras: construction, classification, dimension, bijection."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from invariants import component_vertex_bijection, forbid_enumeration
 from quiverump import ideal
@@ -12,7 +14,7 @@ from quiverump.brauer import (
     brauer_graph,
     classify,
 )
-from quiverump.errors import BrauerValidationError
+from quiverump.errors import BrauerValidationError, InvalidPresentation
 from quiverump.oracle import dimension_bruteforce, ump_bruteforce
 from quiverump.ump import ump_report
 
@@ -222,28 +224,106 @@ def test_valency_counts_every_end_of_every_edge(name):
         assert g.valency(v) == ends == len(g.order(v))
 
 
-def test_valency_of_a_graph_built_directly():
-    # no validation runs: a loop counts twice, an unreached vertex not at all
-    g = BrauerGraph((("v", 1), ("w", 2), ("x", 1)),
-                    (("e", "v", "v"), ("f", "v", "w")), ())
-    assert [g.valency(v) for v in ("v", "w", "x")] == [3, 1, 0]
-    assert g.is_truncated("w") is False and g.is_truncated("x") is False
+def _rings(*rings):
+    # the orders of a graph built directly: (vertex, (edge, slot), ...) each
+    return tuple((v, tuple(Half(e, slot) for e, slot in halves)) for v, *halves in rings)
 
 
-@pytest.mark.parametrize("g", [
-    pytest.param(BrauerGraph((("v", 1),), (("e", "v", "w"),), ()), id="undeclared-truncated-end"),
-    pytest.param(BrauerGraph((("v", 2),), (("e", "v", "w"),), ()), id="undeclared-end-of-spinning-vertex"),
-    pytest.param(BrauerGraph((("v", 1), ("w", 2)), (("e", "v", "w"),), (("v", (Half("e", 0),)),)),
+NOT_CONNECTED = "graph is not connected"
+
+
+def _unlisted(v):
+    return f"order at {v} must list each incident half-edge once"
+
+
+@pytest.mark.parametrize("vertices,edges,orders,diagnostics", [
+    pytest.param((("v", 1),), (("e", "v", "w"),), (), ("edge e: undeclared endpoint 'w'",),
+                 id="undeclared-truncated-end"),
+    pytest.param((("v", 2),), (("e", "v", "w"),), (), ("edge e: undeclared endpoint 'w'",),
+                 id="undeclared-end-of-spinning-vertex"),
+    pytest.param((("v", 1), ("w", 2)), (("e", "v", "w"),), _rings(("v", ("e", 0))), (_unlisted("w"),),
                  id="no-order-at-spinning-vertex"),
-    pytest.param(BrauerGraph((("v", 1), ("w", 2)), (("e", "v", "w"),), (("w", (Half("e", 0),)),)),
+    pytest.param((("v", 1), ("w", 2)), (("e", "v", "w"),), _rings(("w", ("e", 0))), (_unlisted("w"),),
                  id="order-of-another-half"),
-    pytest.param(BrauerGraph((("v", 1),), (), (("v", ()),)), id="no-edge"),
+    pytest.param((("v", 1),), (), _rings(("v",)), ("graph has no edges",), id="no-edge"),
+    # a loop counts twice towards the valency of v, but x is reached by no edge
+    pytest.param((("v", 1), ("w", 2), ("x", 1)), (("e", "v", "v"), ("f", "v", "w")), (),
+                 (NOT_CONNECTED, _unlisted("v"), _unlisted("w")), id="loop-and-unreached-vertex"),
+    pytest.param((("u", 0), ("w", 1)), (("e", "u", "w"),), _rings(("u", ("e", 0)), ("w", ("e", 1))),
+                 ("vertex u: multiplicity must be at least 1, got 0",), id="multiplicity-0"),
+    pytest.param((("u", 2.0), ("w", 1)), (("e", "u", "w"),), _rings(("u", ("e", 0)), ("w", ("e", 1))),
+                 ("vertex u: multiplicity must be an integer, got 2.0",), id="multiplicity-2.0"),
+    pytest.param((("v", 1), ("w", 1), ("x", 1)), (("e", "v", "w"),), _rings(("v", ("e", 0)), ("w", ("e", 1))),
+                 (NOT_CONNECTED,), id="unreached-vertex"),
+    pytest.param((("u", 1), ("v", 1), ("x", 1), ("y", 1)), (("e1", "u", "v"), ("e2", "x", "y")),
+                 _rings(("u", ("e1", 0)), ("v", ("e1", 1)), ("x", ("e2", 0)), ("y", ("e2", 1))),
+                 (NOT_CONNECTED,), id="two-disconnected-edges"),
+    pytest.param((("u", 1), ("u", 2), ("w", 1)), (("e", "u", "w"),),
+                 _rings(("u", ("e", 0)), ("u", ("e", 0)), ("w", ("e", 1))), ("duplicate vertex ids",),
+                 id="repeated-vertex-id"),
+    pytest.param((("u v", 2), ("w", 1)), (("e", "u v", "w"),), _rings(("u v", ("e", 0)), ("w", ("e", 1))),
+                 ("bad vertex id 'u v'",), id="vertex-label-with-a-space"),
 ])
+def test_construction_rejects_no_brauer_graph(vertices, edges, orders, diagnostics):
+    # so brauer_algebra, classify and brauer_dimension only ever read a Brauer graph
+    with pytest.raises(BrauerValidationError) as err:
+        BrauerGraph(vertices, edges, orders)
+    assert err.value.diagnostics == diagnostics
+
+
 @pytest.mark.parametrize("entry", [brauer_algebra, classify, brauer_dimension])
-def test_entries_reject_a_graph_built_directly_that_is_no_brauer_graph(g, entry):
-    # construction stays unvalidated; the entries check what they read
-    with pytest.raises(BrauerValidationError):
-        entry(g)
+def test_entries_reject_what_is_no_brauer_graph(entry):
+    with pytest.raises(InvalidPresentation):
+        entry(((("v", 1),), (("e", "v", "v"),), ()))
+
+
+@st.composite
+def direct_specs(draw):
+    """Graphs as BrauerGraph takes them: 1-3 vertices of multiplicity -1..3
+    and 0-3 edges, loops among them, whose ends may include one undeclared
+    vertex; each vertex has no order, a shuffle of its halves, or a shuffle
+    cut short.  Also the spec as brauer_graph reads it, orders as tokens.
+    Valid choices are drawn more often, so that some graphs get built."""
+    n = draw(st.integers(1, 3))
+    vertices = tuple((f"v{i}", draw(st.sampled_from([1, 2, 3, 1, 2, 3, 0, -1]))) for i in range(n))
+    end = st.sampled_from([f"v{i}" for i in range(n + draw(st.sampled_from([0, 0, 0, 1])))])
+    edges = tuple((f"e{k}", draw(end), draw(end)) for k in range(draw(st.sampled_from([1, 2, 3, 0]))))
+    loops = {e for e, a, b in edges if a == b}
+    orders, tokens = [], {}
+    for v, _ in vertices:
+        kind = draw(st.sampled_from(["shuffled"] * 3 + ["none", "cut short"]))
+        if kind != "none":
+            ring = draw(st.permutations([Half(e, slot) for e, a, b in edges for slot, x in enumerate((a, b)) if x == v]))
+            ring = tuple(ring[:draw(st.integers(0, len(ring) - 1))] if kind == "cut short" and ring else ring)
+            orders.append((v, ring))
+            tokens[v] = [h.edge + ("^~"[h.slot] if h.edge in loops else "") for h in ring]
+    return (vertices, edges, tuple(orders)), (vertices, edges, tokens)
+
+
+def _outcome(build, *spec):
+    try:
+        return build(*spec)
+    except BrauerValidationError as err:
+        return err
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(direct_specs())
+def test_construction_agrees_with_brauer_graph(specs):
+    # BrauerGraph raises where brauer_graph raises on the same spec, and
+    # besides only where the spec omits a spinning vertex's order, which
+    # brauer_graph fills in; the entries read a graph built either way alike
+    direct, tokens = specs
+    g, read = _outcome(BrauerGraph, *direct), _outcome(brauer_graph, *tokens)
+    ordered = {v for v, _ in direct[2]}
+    if isinstance(read, BrauerValidationError):
+        assert isinstance(g, BrauerValidationError)
+    elif isinstance(g, BrauerValidationError):
+        assert any(v not in ordered and not read.is_truncated(v) for v in read.vertex_ids)
+    else:
+        assert (g == read) is (ordered == set(g.vertex_ids))
+        assert brauer_algebra(g).algebra == brauer_algebra(read).algebra
+        assert classify(g) == classify(read) and brauer_dimension(g) == brauer_dimension(read)
 
 
 @pytest.mark.parametrize("name,build", sorted(ALL_GRAPHS.items()))

@@ -595,12 +595,11 @@ def test_lone_paths_build_no_block(name, monkeypatch):
     span = quiverump.ideal._span
     lone = []
 
-    def watched(seeds, copies, dead, veto=None):
-        members, basis = span(seeds, copies, dead, veto)
-        if veto is None:  # grown by an engine from one path
-            (p,) = seeds
-            if members == {p} and not basis.reduce({p: Fraction(1)}):
-                lone.append(p)
+    def watched(seeds, copies, dead):
+        members, basis = span(seeds, copies, dead)
+        (p,) = seeds  # A is built: only an engine spans, from one path
+        if members == {p} and not basis.reduce({p: Fraction(1)}):
+            lone.append(p)
         return members, basis
 
     monkeypatch.setattr(quiverump.ideal, "_span", watched)

@@ -2,12 +2,14 @@
 
 import pytest
 
-from quiverump.errors import InvariantViolation
-from quiverump.omega import RamificationsGraph, omega_map, ramifications_graph
+from quiverump.errors import InvariantViolation, NotSpecialMultiserial
+from quiverump.ideal import is_special_multiserial
+from quiverump.omega import RamificationsGraph, omega_map, ramifications_graph, saturation_walks
 from quiverump.quiver import quiver
 
 from fixtures import (
     ALL_FIXTURES,
+    chord_cycle_identified,
     chord_cycle_monomial,
     cycle_fork_tail,
     loop_meets_twocycle,
@@ -20,6 +22,17 @@ from invariants import saturations_by_definition
 
 def _omega_strs(q):
     return {a: str(p) for a, p in omega_map(q).items()}
+
+
+@pytest.mark.parametrize("build", [loop_spur, chord_cycle_monomial, chord_cycle_identified])
+def test_saturation_walks_reject_an_algebra_that_is_not_special_multiserial(build):
+    # no walk holds only each arrow's first nonzero successor, and no
+    # arrow is reached twice: the decision's witness comes before the table
+    A = build()
+    with pytest.raises(NotSpecialMultiserial) as err:
+        saturation_walks(A)
+    assert err.value.witness == is_special_multiserial(build()).witness
+    assert "_after" not in vars(A)
 
 
 def test_saturations_cycle_fork_tail():
